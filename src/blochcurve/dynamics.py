@@ -218,7 +218,7 @@ def integrate_schrodinger(
         drift = abs(norm - 1.0)
         if drift > drift_limit:
             raise IntegrationInstabilityError(
-                f"norm drift {drift:.3e} at t = {times[i + 1]!r} exceeds "
+                f"norm drift {drift:.3e} at t = {float(times[i + 1])!r} exceeds "
                 f"{drift_limit:.1e}; reduce the step size"
             )
         max_drift = max(max_drift, drift)
@@ -278,7 +278,7 @@ def integrate_bloch(
         norm = float(np.linalg.norm(raw))
         if abs(norm - 1.0) > drift_limit:
             raise IntegrationInstabilityError(
-                f"norm drift {abs(norm - 1.0):.3e} at t = {times[i + 1]!r}; "
+                f"norm drift {abs(norm - 1.0):.3e} at t = {float(times[i + 1])!r}; "
                 "reduce the step size"
             )
         a = raw / norm

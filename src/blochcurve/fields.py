@@ -74,10 +74,6 @@ class FieldSpec:
     def sample(self, t: float) -> FieldSample:
         raise NotImplementedError
 
-    def h_value(self, t: float) -> np.ndarray:
-        """Bare field vector h(t), without derivative bookkeeping."""
-        return self.sample(t).h
-
 
 @dataclass(frozen=True)
 class TwoParameterField(FieldSpec):
@@ -87,9 +83,6 @@ class TwoParameterField(FieldSpec):
 
     def sample(self, t: float) -> FieldSample:
         return two_parameter_field(self.params, t)
-
-    def h_value(self, t: float) -> np.ndarray:
-        return two_parameter_field(self.params, t).h
 
 
 @dataclass(frozen=True)
@@ -158,11 +151,6 @@ def two_parameter_field(params: ScenarioParams, t: float) -> FieldSample:
     return FieldSample(float(t), 0.0, h, h_dot)
 
 
-def default_derivative_step(omega0: float) -> float:
-    """Stencil step balancing truncation vs round-off: 1e-4·max(1, 1/ω₀)."""
-    return 1e-4 * max(1.0, 1.0 / omega0)
-
-
 def _central_stencil(h_of_t: Callable[[float], np.ndarray], t: float, dt: float) -> np.ndarray:
     # 4th-order: (h(t-2dt) - 8h(t-dt) + 8h(t+dt) - h(t+2dt)) / (12 dt)
     return (
@@ -171,22 +159,6 @@ def _central_stencil(h_of_t: Callable[[float], np.ndarray], t: float, dt: float)
         + 8.0 * h_of_t(t + dt)
         - h_of_t(t + 2.0 * dt)
     ) / (12.0 * dt)
-
-
-def field_derivative(spec: FieldSpec, t: float, dt: Optional[float] = None) -> np.ndarray:
-    """ḣ(t) for a field spec: analytic for the built-in field, 4th-order
-    central stencil otherwise.
-
-    ``dt`` (stencil step) must be positive when given; defaults to
-    ``default_derivative_step`` for the built-in field and to 1e-4 otherwise.
-    """
-    if dt is not None and not (dt > 0.0 and math.isfinite(dt)):
-        raise InvalidArgumentError(f"dt must be > 0, got {dt!r}")
-    if isinstance(spec, TwoParameterField):
-        return two_parameter_field(spec.params, t).h_dot
-    if dt is None:
-        dt = spec.step if isinstance(spec, CallableField) else 1e-4
-    return _central_stencil(spec.h_value, t, dt)
 
 
 def h_parallel_sq(params: ScenarioParams, t: float) -> float:

@@ -24,14 +24,12 @@ from .errors import (
     UndefinedEfficiencyError,
 )
 from .fields import FieldSpec, ScenarioParams
-from .qubit_core import IDENTITY
+from .qubit_core import IDENTITY, pauli_compose
 from .special_functions import adaptive_simpson, elliptic_e
 
 EPSILON_SINGULAR = 1e-12   # denominator / speed floor below which curvature is undefined
 KAPPA2_CLIP_FLOOR = -1e-9  # analytic routes: clip [floor, 0) to 0, raise below
-EXPECT_CLIP_FLOOR = -1e-8  # finite-difference route tolerates more round-off
 EXPECT_IMAG_ATOL = 1e-8
-DEFAULT_EXPECT_DT = 1e-4
 
 
 @dataclass(frozen=True)
@@ -163,35 +161,50 @@ def curvature_expectation(
     spec: FieldSpec,
     state,
     t: float,
-    dt: float = DEFAULT_EXPECT_DT,
     eps_sing: float = EPSILON_SINGULAR,
 ) -> float:
     """Curvature coefficient from operator expectation values in ``state``.
 
     Builds Δh = (H − ⟨H⟩)/v as a 2x2 operator and its along-the-flow rate
-    Δh′ = [∂ₜ(Δh)]/v, the latter by symmetric differencing at t ± dt with the
-    state advanced by one integrator step (the derivative must follow the
-    evolving expectation values, not a frozen state). Then
+    Δh′ = [dΔh/dt]/v exactly from ψ, H and Ḣ = ḣ·σ. The expectation values
+    follow the evolving state through the Ehrenfest identities
+    d⟨H⟩/dt = ⟨Ḣ⟩ and d⟨H²⟩/dt = ⟨ḢH + HḢ⟩ (the commutator terms
+    i⟨[H, H]⟩ and i⟨[H, H²]⟩ vanish), so v² = ⟨H²⟩ − ⟨H⟩² gives
+
+        v̇ = (⟨ḢH + HḢ⟩ − 2⟨H⟩⟨Ḣ⟩) / (2v),
+        Δh′ = [(Ḣ − ⟨Ḣ⟩)/v − Δh·v̇/v] / v.
+
+    The identity part ḣ₀·I of Ḣ shifts ⟨Ḣ⟩ by ḣ₀ and ⟨ḢH + HḢ⟩ by 2ḣ₀⟨H⟩,
+    so it cancels from both v̇ and Ḣ − ⟨Ḣ⟩; only ḣ enters. Then
 
         κ² = ⟨(Δh)⁴⟩ − ⟨(Δh)²⟩²  +  ⟨(Δh′)²⟩ − ⟨Δh′⟩²  +  i⟨[(Δh)², Δh′]⟩.
 
     The total must be real within ``EXPECT_IMAG_ATOL`` and nonnegative within
-    ``EXPECT_CLIP_FLOOR``. For a stationary H the Δh′ terms vanish and the
-    kurtosis-like first pair remains.
+    ``KAPPA2_CLIP_FLOOR``. For a stationary H the Δh′ terms vanish and the
+    kurtosis-like first pair remains. Only 2x2 operators and expectation
+    values enter, so the route is independent of the Bloch-vector algebra.
     """
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise InvalidArgumentError(f"dt must be > 0, got {dt!r}")
     psi = np.asarray(state, dtype=complex).reshape(2)
     if abs(float(np.linalg.norm(psi)) - 1.0) > 1e-10:
         raise InvalidArgumentError("state must be normalized")
 
-    dh, v = _deviation_operator(spec, psi, t, eps_sing)
+    sample = spec.sample(t)
+    h = pauli_compose(sample.h0, sample.h)
+    h_dot = pauli_compose(0.0, sample.h_dot)
+    hpsi = h @ psi
+    hdpsi = h_dot @ psi
+    e = float(np.real(np.vdot(psi, hpsi)))
+    v = math.sqrt(max(float(np.real(np.vdot(hpsi, hpsi))) - e * e, 0.0))
+    if v <= eps_sing:
+        raise SingularityError(
+            f"evolution speed {v:.3e} below singular threshold at t = {t!r}", t=t
+        )
+    e_dot = float(np.real(np.vdot(psi, hdpsi)))
+    # ½⟨ḢH + HḢ⟩ = Re⟨Hψ|Ḣψ⟩
+    v_dot = (float(np.real(np.vdot(hpsi, hdpsi))) - e * e_dot) / v
 
-    psi_p = schrodinger_unit_step(spec, psi, t, dt)
-    psi_m = schrodinger_unit_step(spec, psi, t, -dt)
-    dh_p, _ = _deviation_operator(spec, psi_p, t + dt, eps_sing)
-    dh_m, _ = _deviation_operator(spec, psi_m, t - dt, eps_sing)
-    dh_prime = (dh_p - dh_m) / (2.0 * dt * v)
+    dh = (h - e * IDENTITY) / v
+    dh_prime = ((h_dot - e_dot * IDENTITY) / v - dh * (v_dot / v)) / v
 
     dh2 = dh @ dh
     total = (
@@ -205,7 +218,7 @@ def curvature_expectation(
         raise NumericalConsistencyError(
             f"curvature has imaginary residue {total.imag:.3e}"
         )
-    return _clip_nonneg(total.real, EXPECT_CLIP_FLOOR)
+    return _clip_nonneg(total.real, KAPPA2_CLIP_FLOOR)
 
 
 def speed_efficiency(h0: float, h, a) -> float:
@@ -296,12 +309,14 @@ def extrema_summary(params: ScenarioParams) -> ExtremaSummary:
 def scenario_records(
     params: ScenarioParams,
     grid: dynamics.TimeGrid,
-    expect_dt: float = DEFAULT_EXPECT_DT,
 ) -> list[GeometryRecord]:
     """Evaluate every observable of the built-in scenario on a time grid.
 
-    Arc length accumulates interval-by-interval adaptive quadrature of the
-    closed-form speed; the stored phase column is β(t) = −φ(t) (see
+    The three curvature columns come from the closed form, the Bloch-vector
+    route on the analytic Bloch vector, and the exact operator route on the
+    analytic state; none takes a step size. Arc length accumulates
+    interval-by-interval adaptive quadrature of the closed-form speed; the
+    stored phase column is β(t) = −φ(t) (see
     ``dynamics.transport_phase_closed`` for the gauge bookkeeping).
     """
     from . import fields as fields_mod
@@ -325,7 +340,7 @@ def scenario_records(
                 kappa2_closed=curvature_closed(params, t),
                 kappa2_bloch=curvature_bloch(a, sample.h, sample.h_dot),
                 kappa2_expect=curvature_expectation(
-                    spec, dynamics.analytic_state(params, t), t, expect_dt
+                    spec, dynamics.analytic_state(params, t), t
                 ),
                 ratio=fields_mod.parallel_transverse_ratio(params, t),
                 eta_se=speed_efficiency(sample.h0, sample.h, a),
@@ -334,25 +349,6 @@ def scenario_records(
             )
         )
     return records
-
-
-def schrodinger_unit_step(spec: FieldSpec, psi: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One renormalized RK4 step (helper for the expectation route)."""
-    raw = dynamics.schrodinger_step(spec, psi, t, dt)
-    return raw / np.linalg.norm(raw)
-
-
-def _deviation_operator(spec, psi, t, eps_sing):
-    h = dynamics.hamiltonian_at(spec, t)
-    hpsi = h @ psi
-    e = float(np.real(np.vdot(psi, hpsi)))
-    var = float(np.real(np.vdot(hpsi, hpsi))) - e * e
-    v = math.sqrt(max(var, 0.0))
-    if v <= eps_sing:
-        raise SingularityError(
-            f"evolution speed {v:.3e} below singular threshold at t = {t!r}", t=t
-        )
-    return (h - e * IDENTITY) / v, v
 
 
 def _cexp(op: np.ndarray, psi: np.ndarray) -> complex:

@@ -33,8 +33,8 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "decomposition": 1e-12,
     "field_derivative": 1e-8,
     "route_agreement": 1e-9,
-    "route_agreement_expect": 1e-5,
-    "route_agreement_general": 1e-5,
+    "route_agreement_expect": 1e-9,
+    "route_agreement_general": 1e-9,
     "fidelity": 1e-6,
     "bloch_supnorm": 1e-6,
     "orthogonality": 1e-9,
@@ -180,10 +180,10 @@ def _check_route_expect(ctx, tol):
     for k in range(0, len(ctx.times), stride):
         t = float(ctx.times[k])
         kc = geometry.curvature_closed(ctx.params, t)
-        ke = geometry.curvature_expectation(ctx.spec, ctx.m_closed[k], t, 1e-4)
+        ke = geometry.curvature_expectation(ctx.spec, ctx.m_closed[k], t)
         worst = max(worst, abs(kc - ke))
     return [_result("route_agreement_expect", worst, tol,
-                    f"max |closed - expectation| on every {stride}th node, dt=1e-4")]
+                    f"max |closed - expectation| on every {stride}th node")]
 
 
 def _check_route_general(ctx, tol):
@@ -193,7 +193,7 @@ def _check_route_general(ctx, tol):
         t = float(traj.times[k])
         s = spec.sample(t)
         kb = geometry.curvature_bloch(traj.bloch[k], s.h, s.h_dot)
-        ke = geometry.curvature_expectation(spec, traj.states[k], t, 1e-4)
+        ke = geometry.curvature_expectation(spec, traj.states[k], t)
         worst = max(worst, abs(kb - ke) / max(1.0, abs(ke)))
     return [_result("route_agreement_general", worst, tol,
                     "field-vector vs expectation route on a tilted field, relative")]
@@ -364,7 +364,7 @@ def _check_field_derivative(ctx, tol):
     worst = 0.0
     for k in range(0, len(ctx.times), max(1, len(ctx.times) // 25)):
         t = float(ctx.times[k])
-        numeric = fields.field_derivative(stencil_spec, t)
+        numeric = stencil_spec.sample(t).h_dot
         worst = max(worst, float(np.max(np.abs(numeric - ctx.samples[k].h_dot))))
     return [_result("field_derivative", worst, tol,
                     "analytic h_dot vs 5-point stencil at dt=1e-4")]

@@ -104,10 +104,10 @@ def test_criterion_03_three_routes_agree(capsys, node_grid):
             psi = analytic_state(P11, t).vector()
             worst_expect = max(
                 worst_expect,
-                abs(curvature_expectation(SPEC11, psi, t, dt=1e-4) - closed),
+                abs(curvature_expectation(SPEC11, psi, t) - closed),
             )
         elapsed = time.monotonic() - start
-        ok = worst_bloch <= 1e-9 and worst_expect <= 1e-5 and elapsed <= 30.0
+        ok = worst_bloch <= 1e-9 and worst_expect <= 1e-9 and elapsed <= 30.0
         return ok, (f"2000 nodes: |closed-bloch| {worst_bloch:.2e}, "
                     f"|closed-expect| {worst_expect:.2e}, {elapsed:.1f}s")
 

@@ -9,8 +9,6 @@ from blochcurve import (
     InvalidArgumentError,
     ScenarioParams,
     TwoParameterField,
-    default_derivative_step,
-    field_derivative,
     h_parallel_sq,
     h_transverse_sq,
     parallel_transverse_ratio,
@@ -70,7 +68,6 @@ class TestBuiltinField:
         via_spec = spec.sample(0.8)
         assert np.array_equal(via_spec.h, direct.h)
         assert np.array_equal(via_spec.h_dot, direct.h_dot)
-        assert np.array_equal(spec.h_value(0.8), direct.h)
 
     def test_rejects_nonfinite_time(self):
         with pytest.raises(InvalidArgumentError):
@@ -118,26 +115,6 @@ class TestCallableField:
     def test_rejects_bad_step(self):
         with pytest.raises(InvalidArgumentError):
             CallableField(h=lambda t: (1, 0, 0), step=0.0)
-
-
-class TestFieldDerivative:
-    def test_builtin_uses_analytic_form(self):
-        spec = TwoParameterField(P11)
-        assert np.array_equal(
-            field_derivative(spec, 1.1), two_parameter_field(P11, 1.1).h_dot
-        )
-
-    def test_callable_uses_stencil(self):
-        spec = CallableField(h=lambda t: (t ** 3, 0.0, 0.0))
-        assert field_derivative(spec, 2.0)[0] == pytest.approx(12.0, abs=1e-8)
-
-    def test_rejects_nonpositive_dt(self):
-        with pytest.raises(InvalidArgumentError):
-            field_derivative(TwoParameterField(P11), 1.0, dt=-1e-4)
-
-    def test_default_step_scales_with_slow_drives(self):
-        assert default_derivative_step(2.0) == 1e-4
-        assert default_derivative_step(0.1) == pytest.approx(1e-3)
 
 
 class TestParallelTransverseSplit:

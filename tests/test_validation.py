@@ -85,24 +85,35 @@ class TestBattery:
         assert res["elliptic"].passed
 
     def test_flipped_field_component_is_caught(self, monkeypatch):
-        # corrupt h_y and its rate consistently; the closed-form route,
-        # transversality, and efficiency checks must all notice
-        original = fields_mod.two_parameter_field
-
-        def corrupted(params, t):
-            s = original(params, t)
-            h = s.h.copy()
-            hd = s.h_dot.copy()
+        # each mutant corrupts the built-in field and names the checks that
+        # must notice; both curvature routes consume h_dot, so a rate-only
+        # corruption must trip the stencil and the closed-form route
+        def flip_h_y(h, hd):
             h[1] = -h[1]
             hd[1] = -hd[1]
-            return FieldSample(s.t, s.h0, h, hd)
 
-        monkeypatch.setattr(fields_mod, "two_parameter_field", corrupted)
-        res = by_name(run_battery(P11, TimeGrid(0.0, math.pi, 300)))
-        for name in ("route_agreement", "orthogonality", "eta_se"):
-            assert not res[name].passed, name
-        for name in ("elliptic", "decomposition", "extrema_value"):
-            assert res[name].passed, name
+        def scale_h_dot_z(h, hd):
+            hd[2] *= 1.01
+
+        mutants = [
+            (flip_h_y, ("route_agreement", "orthogonality", "eta_se")),
+            (scale_h_dot_z, ("field_derivative", "route_agreement")),
+        ]
+        original = fields_mod.two_parameter_field
+        for mutate, caught in mutants:
+            def corrupted(params, t, mutate=mutate):
+                s = original(params, t)
+                h = s.h.copy()
+                hd = s.h_dot.copy()
+                mutate(h, hd)
+                return FieldSample(s.t, s.h0, h, hd)
+
+            monkeypatch.setattr(fields_mod, "two_parameter_field", corrupted)
+            res = by_name(run_battery(P11, TimeGrid(0.0, math.pi, 300)))
+            for name in caught:
+                assert not res[name].passed, (mutate.__name__, name)
+            for name in ("elliptic", "decomposition", "extrema_value"):
+                assert res[name].passed, (mutate.__name__, name)
 
     def test_dropped_curvature_term_is_caught_off_the_special_path(self, monkeypatch):
         # without the chirality term both routes still agree along the
