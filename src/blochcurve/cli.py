@@ -18,7 +18,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import dynamics, fields, geometry, validation
 from .errors import (
@@ -27,12 +28,7 @@ from .errors import (
     InvalidArgumentError,
     SingularityError,
 )
-
-SERIES_COLUMNS = (
-    "t", "ax", "ay", "az", "hx", "hy", "hz", "v", "acc",
-    "kappa2_closed", "kappa2_bloch", "kappa2_expect", "ratio",
-    "eta_se", "arc_length", "beta_phase",
-)
+from .geometry import SERIES_COLUMNS
 
 SWEEP_COLUMNS = (
     "omega0", "nu0", "v_max", "v_min", "t_vmax", "t_vmin",
@@ -49,31 +45,50 @@ _DEFAULTS = {
     "format": "csv",
 }
 
-_CONFIG_KEYS = ("omega0", "nu0", "t_max", "steps", "out", "format")
+
+def _output_format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ValueError(text)
+    return text
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    params: fields.ScenarioParams
-    grid: dynamics.TimeGrid
-    out: str | None = None
-    fmt: str = "csv"
-    tolerances: dict = field(default_factory=dict)
+# Every option, by the name a --config file uses: its flag, the cast applied
+# to a config-file value, and the argparse settings of the flag.
+_OPTIONS = {
+    "omega0": ("--omega0", float, dict(type=float, help="rotation rate (> 0), default 1")),
+    "nu0": ("--nu0", float, dict(type=float, help="drive strength (>= 0), default 1")),
+    "t_max": ("--t-max", float, dict(type=float, help="end of the time grid, default 2*pi")),
+    "steps": ("--steps", int, dict(type=int, help="number of grid intervals, default 6283")),
+    "out": ("--out", str, dict(help="output path (default: stdout)")),
+    "format": ("--format", _output_format,
+               dict(choices=("csv", "json"), help="output format, default csv")),
+}
 
-    def __post_init__(self):
-        if self.fmt not in ("csv", "json"):
-            raise InvalidArgumentError(f"format must be csv or json, got {self.fmt!r}")
+# Each subcommand registers, and accepts in a --config file, only the options
+# it reads; validate also takes --tol (tol.<check> in a config file), sweep
+# its required --nu0-list.
+_COMMANDS = {
+    "simulate": ("write the observable time series for one parameter pair",
+                 ("omega0", "nu0", "t_max", "steps", "out", "format")),
+    "validate": ("run the numerical invariant battery",
+                 ("omega0", "nu0", "t_max", "steps")),
+    "sweep": ("tabulate extrema and geodesic efficiency over drive strengths",
+              ("omega0", "out", "format")),
+}
 
 
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(ns)
+        opts = _resolve_options(ns)
+        if ns.command == "sweep":
+            return cmd_sweep(opts["omega0"], _parse_nu0_list(ns.nu0_list),
+                             opts["out"], opts["format"])
+        params = fields.ScenarioParams(opts["omega0"], opts["nu0"])
+        grid = dynamics.TimeGrid(0.0, opts["t_max"], opts["steps"])
         if ns.command == "simulate":
-            return cmd_simulate(cfg)
-        if ns.command == "validate":
-            return cmd_validate(cfg)
-        return cmd_sweep(cfg, _parse_nu0_list(ns.nu0_list))
+            return cmd_simulate(params, grid, opts["out"], opts["format"])
+        return cmd_validate(params, grid, opts["tol"])
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -88,27 +103,19 @@ def main(argv=None) -> int:
         return 3
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(params: fields.ScenarioParams, grid: dynamics.TimeGrid,
+                 out: str | None, fmt: str) -> int:
     """Write one row per grid node with every scenario observable."""
-    records = geometry.scenario_records(cfg.params, cfg.grid)
-    rows = []
-    for rec in records:
-        a = dynamics.analytic_bloch(cfg.params, rec.t)
-        s = fields.two_parameter_field(cfg.params, rec.t)
-        rows.append((
-            rec.t, a.x, a.y, a.z,
-            float(s.h[0]), float(s.h[1]), float(s.h[2]),
-            rec.v, rec.acc,
-            rec.kappa2_closed, rec.kappa2_bloch, rec.kappa2_expect,
-            rec.ratio, rec.eta_se, rec.s, rec.beta,
-        ))
-    _write_text(cfg.out, _render(rows, SERIES_COLUMNS, cfg.fmt))
+    columns = geometry.scenario_records(params, grid)
+    rows = np.column_stack(list(columns.values())).tolist()
+    _write_text(out, _render(rows, SERIES_COLUMNS, fmt))
     return 0
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(params: fields.ScenarioParams, grid: dynamics.TimeGrid,
+                 tolerances: dict) -> int:
     """Run the invariant battery and print one line per check."""
-    results = validation.run_battery(cfg.params, cfg.grid, cfg.tolerances)
+    results = validation.run_battery(params, grid, tolerances)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -122,11 +129,11 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, nu0_values: list[float]) -> int:
+def cmd_sweep(omega0: float, nu0_values: list[float], out: str | None, fmt: str) -> int:
     """One extrema/efficiency summary row per drive strength, input order."""
     rows = []
     for nu0 in nu0_values:
-        params = fields.ScenarioParams(cfg.params.omega0, nu0)
+        params = fields.ScenarioParams(omega0, nu0)
         s = geometry.extrema_summary(params)
         rows.append((
             params.omega0, nu0,
@@ -136,7 +143,7 @@ def cmd_sweep(cfg: RunConfig, nu0_values: list[float]) -> int:
             s.ratio_max, s.ratio_min, s.period,
             geometry.geodesic_efficiency(params),
         ))
-    _write_text(cfg.out, _render(rows, SWEEP_COLUMNS, cfg.fmt))
+    _write_text(out, _render(rows, SWEEP_COLUMNS, fmt))
     return 0
 
 
@@ -149,70 +156,46 @@ def _build_parser() -> argparse.ArgumentParser:
                "3 numerical failure.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = (
-        ("simulate", "write the observable time series for one parameter pair"),
-        ("validate", "run the numerical invariant battery"),
-        ("sweep", "tabulate extrema and geodesic efficiency over drive strengths"),
-    )
-    for name, help_text in specs:
+    for name, (help_text, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--omega0", type=float, default=None,
-                        help="rotation rate (> 0), default 1")
-        sp.add_argument("--nu0", type=float, default=None,
-                        help="drive strength (>= 0), default 1")
-        sp.add_argument("--t-max", dest="t_max", type=float, default=None,
-                        help="end of the time grid, default 2*pi")
-        sp.add_argument("--steps", type=int, default=None,
-                        help="number of grid intervals, default 6283")
-        sp.add_argument("--out", default=None,
-                        help="output path (default: stdout)")
-        sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                        default=None, help="output format, default csv")
-        sp.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                        help="override a named validation tolerance (repeatable)")
+        for option in options:
+            flag, _, settings = _OPTIONS[option]
+            sp.add_argument(flag, dest=option, default=None, **settings)
         sp.add_argument("--config", default=None,
                         help="key=value file mirroring the flags; flags win")
+    sub.choices["validate"].add_argument(
+        "--tol", action="append", default=[], metavar="NAME=VALUE",
+        help="override a named validation tolerance (repeatable)")
     sub.choices["sweep"].add_argument(
         "--nu0-list", dest="nu0_list", required=True,
         help="comma-separated drive strengths, one summary row each")
     return parser
 
 
-def _resolve_config(ns) -> RunConfig:
-    file_map = _parse_config_file(ns.config) if ns.config else {}
-
-    def pick(flag_value, key, cast):
-        if flag_value is not None:
-            return flag_value
-        if key in file_map:
-            return _cast(file_map[key], cast, key)
-        return _DEFAULTS.get(key)
-
-    omega0 = pick(ns.omega0, "omega0", float)
-    nu0 = pick(ns.nu0, "nu0", float)
-    t_max = pick(ns.t_max, "t_max", float)
-    steps = pick(ns.steps, "steps", int)
-    out = ns.out if ns.out is not None else file_map.get("out")
-    fmt = pick(ns.fmt, "format", str)
-
-    tolerances = {k[4:]: _cast(v, float, k)
-                  for k, v in file_map.items() if k.startswith("tol.")}
-    for item in ns.tol:
-        name, _, value = item.partition("=")
-        if not name or not value:
-            raise InvalidArgumentError(f"--tol expects NAME=VALUE, got {item!r}")
-        tolerances[name] = _cast(value, float, name)
-
-    return RunConfig(
-        params=fields.ScenarioParams(omega0, nu0),
-        grid=dynamics.TimeGrid(0.0, t_max, steps),
-        out=out,
-        fmt=fmt,
-        tolerances=tolerances,
-    )
+def _resolve_options(ns) -> dict:
+    """The subcommand's option values: flag, else config file, else default."""
+    names = _COMMANDS[ns.command][1]
+    takes_tol = ns.command == "validate"
+    file_map = _parse_config_file(ns.config, names, takes_tol) if ns.config else {}
+    opts = {}
+    for name in names:
+        value = getattr(ns, name)
+        if value is None and name in file_map:
+            value = _cast(file_map[name], _OPTIONS[name][1], name)
+        opts[name] = _DEFAULTS.get(name) if value is None else value
+    if takes_tol:
+        tolerances = {k[4:]: _cast(v, float, k)
+                      for k, v in file_map.items() if k.startswith("tol.")}
+        for item in ns.tol:
+            name, _, value = item.partition("=")
+            if not name or not value:
+                raise InvalidArgumentError(f"--tol expects NAME=VALUE, got {item!r}")
+            tolerances[name] = _cast(value, float, name)
+        opts["tol"] = tolerances
+    return opts
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
+def _parse_config_file(path: str, keys, takes_tol: bool) -> dict[str, str]:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     mapping: dict[str, str] = {}
@@ -224,7 +207,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not eq or not key or not value:
             raise InvalidArgumentError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        if key not in _CONFIG_KEYS and not key.startswith("tol."):
+        if key not in keys and not (takes_tol and key.startswith("tol.")):
             raise InvalidArgumentError(f"{path}:{lineno}: unknown key {key!r}")
         mapping[key] = value
     return mapping

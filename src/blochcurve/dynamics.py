@@ -2,15 +2,16 @@
 analytic reference solutions for the built-in scenario, transport phase, arc
 length, and Hamiltonian synthesis from a parallel-transported trajectory.
 
-Both integrators are fixed-step classical RK4 with per-step renormalization;
-the pre-renormalization norm drift is logged and a per-step drift above
+Both integrators are fixed-step classical RK4 for y′ = G(t)y with per-step
+renormalization: G = −iH for the state, G = 2[h]× for the Bloch vector, each
+sampled once at every node and midpoint before the loop. The
+pre-renormalization norm drift is logged and a per-step drift above
 ``DRIFT_LIMIT`` raises IntegrationInstabilityError (the right fix is a
 smaller dt, not a looser limit).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .fields import FieldSpec, ScenarioParams
-from .qubit_core import BlochVector, QubitState, pauli_compose
+from .qubit_core import QubitState, pauli_compose
 
 DRIFT_LIMIT = 1e-6          # per-step norm drift that flags instability
 TRANSPORT_GAUGE_ATOL = 1e-8  # |⟨m|ṁ⟩| bound for Hamiltonian synthesis
@@ -99,7 +100,7 @@ class Trajectory:
         return self.grid.steps + 1
 
 
-def transport_phase_closed(params: ScenarioParams, t: float) -> float:
+def transport_phase_closed(params: ScenarioParams, t):
     """Accumulated transport phase φ(t) = (ν₀/4ω₀)·[2ω₀t − sin(2ω₀t)].
 
     φ is the phase that parallel-transports the bare path
@@ -109,26 +110,27 @@ def transport_phase_closed(params: ScenarioParams, t: float) -> float:
     leaves the sign flip to the caller's gauge convention.
     """
     w, n = params.omega0, params.nu0
-    return n / (4.0 * w) * (2.0 * w * t - math.sin(2.0 * w * t))
+    return n / (4.0 * w) * (2.0 * w * t - np.sin(2.0 * w * t))
 
 
-def analytic_state(params: ScenarioParams, t: float) -> QubitState:
+def analytic_state(params: ScenarioParams, t) -> np.ndarray:
     """Closed-form parallel-transported solution of the built-in scenario:
 
         |m(t)⟩ = e^{−iφ(t)} [ cos(ω₀t)|0⟩ + e^{iν₀t} sin(ω₀t)|1⟩ ]
 
     with φ from ``transport_phase_closed``. Satisfies ⟨m|ṁ⟩ = 0 and the
-    Schrödinger equation for the built-in field.
+    Schrödinger equation for the built-in field. Returns the amplitudes
+    (α, β) on the last axis: shape (2,) for a scalar t, t.shape + (2,) else.
     """
+    t = np.asarray(t, dtype=float)
     w, n = params.omega0, params.nu0
-    gauge = cmath.exp(-1j * transport_phase_closed(params, t))
-    return QubitState(
-        gauge * math.cos(w * t),
-        gauge * cmath.exp(1j * n * t) * math.sin(w * t),
+    gauge = np.exp(-1j * transport_phase_closed(params, t))
+    return np.stack(
+        [gauge * np.cos(w * t), gauge * np.exp(1j * n * t) * np.sin(w * t)], axis=-1
     )
 
 
-def analytic_state_derivative(params: ScenarioParams, t: float) -> np.ndarray:
+def analytic_state_derivative(params: ScenarioParams, t) -> np.ndarray:
     """Exact dm/dt of the closed-form solution, differentiated by hand.
 
     With φ̇ = ν₀ sin²(ω₀t) the components are
@@ -138,94 +140,61 @@ def analytic_state_derivative(params: ScenarioParams, t: float) -> np.ndarray:
 
     which makes ⟨m|ṁ⟩ = i(ν₀ sin²(ω₀t) − φ̇) vanish identically, so this
     derivative feeds ``synthesize_hamiltonian`` with no finite-difference
-    noise in the gauge condition.
+    noise in the gauge condition. Shaped like ``analytic_state``.
     """
+    t = np.asarray(t, dtype=float)
     w, n = params.omega0, params.nu0
-    gauge = cmath.exp(-1j * transport_phase_closed(params, t))
-    c, s = math.cos(w * t), math.sin(w * t)
+    gauge = np.exp(-1j * transport_phase_closed(params, t))
+    c, s = np.cos(w * t), np.sin(w * t)
     phi_dot = n * s * s
-    return np.array(
+    return np.stack(
         [
             gauge * (-1j * phi_dot * c - w * s),
-            gauge * cmath.exp(1j * n * t) * ((-1j * phi_dot + 1j * n) * s + w * c),
-        ]
+            gauge * np.exp(1j * n * t) * ((-1j * phi_dot + 1j * n) * s + w * c),
+        ],
+        axis=-1,
     )
 
 
-def analytic_bloch(params: ScenarioParams, t: float) -> BlochVector:
+def analytic_bloch(params: ScenarioParams, t) -> np.ndarray:
     """Closed-form Bloch vector of the built-in scenario:
-    (sin(2ω₀t)cos(ν₀t), sin(ν₀t)sin(2ω₀t), cos(2ω₀t)).
+    (sin(2ω₀t)cos(ν₀t), sin(ν₀t)sin(2ω₀t), cos(2ω₀t)), components on the
+    last axis: shape (3,) for a scalar t, t.shape + (3,) else.
     """
+    t = np.asarray(t, dtype=float)
     w, n = params.omega0, params.nu0
-    s2 = math.sin(2.0 * w * t)
-    return BlochVector(
-        s2 * math.cos(n * t),
-        math.sin(n * t) * s2,
-        math.cos(2.0 * w * t),
-    )
+    s2 = np.sin(2.0 * w * t)
+    return np.stack([s2 * np.cos(n * t), np.sin(n * t) * s2, np.cos(2.0 * w * t)], axis=-1)
 
 
-def hamiltonian_at(spec: FieldSpec, t: float) -> np.ndarray:
-    """H(t) = h₀(t)·I + h(t)·σ as a 2x2 complex matrix."""
+def hamiltonian_at(spec: FieldSpec, t) -> np.ndarray:
+    """H(t) = h₀(t)·I + h(t)·σ as a 2x2 complex matrix, or a stack of them
+    for an array of times."""
     s = spec.sample(t)
     return pauli_compose(s.h0, s.h)
 
 
-def schrodinger_step(spec: FieldSpec, psi: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One RK4 step of i dψ/dt = H(t)ψ from t to t+dt (dt may be negative).
-
-    Returns the raw (non-renormalized) step result.
-    """
-    def rhs(tt, y):
-        return -1j * (hamiltonian_at(spec, tt) @ y)
-
-    k1 = rhs(t, psi)
-    k2 = rhs(t + 0.5 * dt, psi + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, psi + 0.5 * dt * k2)
-    k4 = rhs(t + dt, psi + dt * k3)
-    return psi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def integrate_schrodinger(
-    spec: FieldSpec,
-    psi0,
-    grid: TimeGrid,
-    drift_limit: float = DRIFT_LIMIT,
-) -> Trajectory:
+def integrate_schrodinger(spec: FieldSpec, psi0, grid: TimeGrid) -> Trajectory:
     """Integrate i dψ/dt = H(t)ψ on the grid with per-step renormalization.
 
     Fills ``beta`` with the trapezoidal accumulation of ⟨ψ|H|ψ⟩ and ``arc``
     with the trapezoidal accumulation of the speed v = √(⟨H²⟩ − ⟨H⟩²).
     """
-    psi = np.asarray(psi0, dtype=complex).reshape(2).copy()
+    psi = np.asarray(psi0, dtype=complex).reshape(2)
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > 1e-10:
         raise InvalidArgumentError(f"psi0 not normalized: |psi0| = {norm!r}")
 
     times = grid.times()
-    n = grid.steps
     dt = grid.dt
-    states = np.empty((n + 1, 2), dtype=complex)
-    energy = np.empty(n + 1)
-    speed = np.empty(n + 1)
-    states[0] = psi
-    energy[0], speed[0] = _energy_and_speed(spec, psi, times[0])
-    max_drift = 0.0
+    h_nodes = hamiltonian_at(spec, times)
+    h_half = hamiltonian_at(spec, times[:-1] + 0.5 * dt)
+    states, max_drift = _integrate(-1j * h_nodes, -1j * h_half, psi, times, dt)
 
-    for i in range(n):
-        raw = schrodinger_step(spec, psi, times[i], dt)
-        norm = float(np.linalg.norm(raw))
-        drift = abs(norm - 1.0)
-        if drift > drift_limit:
-            raise IntegrationInstabilityError(
-                f"norm drift {drift:.3e} at t = {float(times[i + 1])!r} exceeds "
-                f"{drift_limit:.1e}; reduce the step size"
-            )
-        max_drift = max(max_drift, drift)
-        psi = raw / norm
-        states[i + 1] = psi
-        energy[i + 1], speed[i + 1] = _energy_and_speed(spec, psi, times[i + 1])
-
+    hpsi = np.einsum("nij,nj->ni", h_nodes, states)
+    energy = np.einsum("ni,ni->n", states.conj(), hpsi).real
+    h2 = np.einsum("ni,ni->n", hpsi.conj(), hpsi).real  # ⟨H²⟩ for Hermitian H
+    speed = np.sqrt(np.maximum(h2 - energy * energy, 0.0))
     beta = np.concatenate(([0.0], np.cumsum(0.5 * dt * (energy[:-1] + energy[1:]))))
     arc = np.concatenate(([0.0], np.cumsum(0.5 * dt * (speed[:-1] + speed[1:]))))
     return Trajectory(
@@ -243,47 +212,67 @@ def bloch_step(spec: FieldSpec, a: np.ndarray, t: float, dt: float) -> np.ndarra
     """One raw RK4 step of the precession equation ȧ = 2 h × a (dt may be
     negative). No renormalization; callers decide.
     """
-    def rhs(tt, y):
-        return 2.0 * np.cross(spec.sample(tt).h, y)
-
-    k1 = rhs(t, a)
-    k2 = rhs(t + 0.5 * dt, a + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, a + 0.5 * dt * k2)
-    k4 = rhs(t + dt, a + dt * k3)
-    return a + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    g = _precession_generator(spec.sample(np.array([t, t + 0.5 * dt, t + dt])).h)
+    return _rk4_step(g[0], g[1], g[2], np.asarray(a, dtype=float).reshape(3), dt)
 
 
-def integrate_bloch(
-    spec: FieldSpec,
-    a0,
-    grid: TimeGrid,
-    drift_limit: float = DRIFT_LIMIT,
-) -> np.ndarray:
+def integrate_bloch(spec: FieldSpec, a0, grid: TimeGrid) -> np.ndarray:
     """Integrate the precession equation ȧ = 2 h × a with RK4.
 
     The factor 2 is the h·σ ↔ rotation-rate correspondence (Ω = 2h); the
     scalar part h₀ only moves the global phase and does not enter. Returns an
     (steps+1, 3) array of unit vectors.
     """
-    a = np.asarray(a0, dtype=float).reshape(3).copy()
+    a = np.asarray(a0, dtype=float).reshape(3)
     if abs(float(np.linalg.norm(a)) - 1.0) > 1e-10:
         raise InvalidArgumentError("a0 must be a unit vector")
 
     times = grid.times()
     dt = grid.dt
-    out = np.empty((grid.steps + 1, 3))
-    out[0] = a
-    for i in range(grid.steps):
-        raw = bloch_step(spec, a, times[i], dt)
+    g_nodes = _precession_generator(spec.sample(times).h)
+    g_half = _precession_generator(spec.sample(times[:-1] + 0.5 * dt).h)
+    return _integrate(g_nodes, g_half, a, times, dt)[0]
+
+
+def _precession_generator(h: np.ndarray) -> np.ndarray:
+    """Matrices G = 2[h]× with G·a = 2 h × a, one per row of h: row i of
+    [h]× is e_i × h."""
+    return 2.0 * np.cross(np.eye(3), h[..., None, :])
+
+
+def _rk4_step(g0, g_half, g1, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of y′ = G(t)y, given G at the step's start,
+    midpoint and end."""
+    k1 = g0 @ y
+    k2 = g_half @ (y + 0.5 * dt * k1)
+    k3 = g_half @ (y + 0.5 * dt * k2)
+    k4 = g1 @ (y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _integrate(g_nodes, g_half, y0, times, dt) -> tuple[np.ndarray, float]:
+    """RK4 for y′ = G(t)y with G presampled at every node and midpoint.
+
+    Each step is renormalized; its pre-renormalization norm drift is logged
+    and a drift above ``DRIFT_LIMIT`` raises IntegrationInstabilityError.
+    Returns the unit-norm rows and the largest drift seen.
+    """
+    out = np.empty((len(times),) + y0.shape, dtype=y0.dtype)
+    out[0] = y = y0
+    max_drift = 0.0
+    for i in range(len(times) - 1):
+        raw = _rk4_step(g_nodes[i], g_half[i], g_nodes[i + 1], y, dt)
         norm = float(np.linalg.norm(raw))
-        if abs(norm - 1.0) > drift_limit:
+        drift = abs(norm - 1.0)
+        if drift > DRIFT_LIMIT:
             raise IntegrationInstabilityError(
-                f"norm drift {abs(norm - 1.0):.3e} at t = {float(times[i + 1])!r}; "
-                "reduce the step size"
+                f"norm drift {drift:.3e} at t = {float(times[i + 1])!r} exceeds "
+                f"{DRIFT_LIMIT:.1e}; reduce the step size"
             )
-        a = raw / norm
-        out[i + 1] = a
-    return out
+        max_drift = max(max_drift, drift)
+        y = raw / norm
+        out[i + 1] = y
+    return out, max_drift
 
 
 def arc_length_closed(params: ScenarioParams, t: float, tol: float = 1e-10) -> float:
@@ -315,14 +304,6 @@ def synthesize_hamiltonian(m, m_dot, gauge_atol: float = TRANSPORT_GAUGE_ATOL) -
             f"not parallel-transported: |<m|dm/dt>| = {abs(overlap):.3e}"
         )
     return 1j * (np.outer(md, mv.conj()) - np.outer(mv, md.conj()))
-
-
-def _energy_and_speed(spec: FieldSpec, psi: np.ndarray, t: float) -> tuple[float, float]:
-    h = hamiltonian_at(spec, t)
-    hpsi = h @ psi
-    e = float(np.real(np.vdot(psi, hpsi)))
-    h2 = float(np.real(np.vdot(hpsi, hpsi)))  # ⟨H²⟩ for Hermitian H
-    return e, math.sqrt(max(h2 - e * e, 0.0))
 
 
 def _bloch_rows(states: np.ndarray) -> np.ndarray:

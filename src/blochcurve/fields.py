@@ -43,23 +43,29 @@ class ScenarioParams:
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Field data at one instant: scalar part h0, vector part h, derivative ḣ."""
+    """Field data on a time grid: scalar part h0, vector part h, derivative ḣ.
 
-    t: float
-    h0: float
+    ``t`` and ``h0`` have the grid's shape; ``h`` and ``h_dot`` add a trailing
+    axis of 3 components. A scalar t gives scalar t and h0 and (3,) vectors.
+    Every component is checked finite once, for the whole grid.
+    """
+
+    t: object
+    h0: object
     h: np.ndarray
     h_dot: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float).reshape(3)
-        hd = np.asarray(self.h_dot, dtype=float).reshape(3)
-        if not (
-            math.isfinite(self.t)
-            and math.isfinite(self.h0)
-            and np.all(np.isfinite(h))
-            and np.all(np.isfinite(hd))
-        ):
+        t = np.asarray(self.t, dtype=float)
+        h0 = np.broadcast_to(np.asarray(self.h0, dtype=float), t.shape)
+        h = np.asarray(self.h, dtype=float)
+        hd = np.asarray(self.h_dot, dtype=float)
+        if h.shape != t.shape + (3,) or hd.shape != h.shape:
+            raise InvalidArgumentError(f"field vectors must have shape {t.shape + (3,)}")
+        if not all(np.all(np.isfinite(x)) for x in (t, h0, h, hd)):
             raise InvalidArgumentError("field sample components must be finite")
+        object.__setattr__(self, "t", t[()])
+        object.__setattr__(self, "h0", h0[()])
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "h_dot", hd)
 
@@ -67,11 +73,12 @@ class FieldSample:
 class FieldSpec:
     """Deterministic evaluation contract t ↦ FieldSample.
 
-    Subclasses implement ``sample``; equal t must always yield identical
-    samples (stateless, safe for concurrent evaluation).
+    Subclasses implement ``sample`` for a scalar t or an array of times (one
+    sample per entry); equal t must always yield identical samples
+    (stateless, safe for concurrent evaluation).
     """
 
-    def sample(self, t: float) -> FieldSample:
+    def sample(self, t) -> FieldSample:
         raise NotImplementedError
 
 
@@ -81,7 +88,7 @@ class TwoParameterField(FieldSpec):
 
     params: ScenarioParams
 
-    def sample(self, t: float) -> FieldSample:
+    def sample(self, t) -> FieldSample:
         return two_parameter_field(self.params, t)
 
 
@@ -89,9 +96,10 @@ class TwoParameterField(FieldSpec):
 class CallableField(FieldSpec):
     """User-supplied field h(t) with optional analytic derivative.
 
-    ``h`` maps t to a length-3 sequence. When ``h_dot`` is omitted the
-    derivative comes from a 4th-order central stencil with step ``step``.
-    ``h0`` may be a constant or a callable.
+    ``h`` maps one float t to a length-3 sequence. When ``h_dot`` is omitted
+    the derivative comes from a 4th-order central stencil with step ``step``.
+    ``h0`` may be a constant or a callable. ``sample`` accepts an array of
+    times and calls the user's functions once per time.
     """
 
     h: Callable[[float], object]
@@ -103,22 +111,30 @@ class CallableField(FieldSpec):
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise InvalidArgumentError("derivative step must be positive")
 
-    def h_value(self, t: float) -> np.ndarray:
-        return np.asarray(self.h(t), dtype=float).reshape(3)
+    def h_value(self, t) -> np.ndarray:
+        return _pointwise(self.h, t, (3,))
 
-    def _h0_value(self, t: float) -> float:
-        return float(self.h0(t)) if callable(self.h0) else float(self.h0)
-
-    def sample(self, t: float) -> FieldSample:
+    def sample(self, t) -> FieldSample:
+        t = np.asarray(t, dtype=float)
         if self.h_dot is not None:
-            hd = np.asarray(self.h_dot(t), dtype=float).reshape(3)
+            hd = _pointwise(self.h_dot, t, (3,))
         else:
             hd = _central_stencil(self.h_value, t, self.step)
-        return FieldSample(t, self._h0_value(t), self.h_value(t), hd)
+        h0 = _pointwise(self.h0, t, ()) if callable(self.h0) else self.h0
+        return FieldSample(t, h0, self.h_value(t), hd)
 
 
-def two_parameter_field(params: ScenarioParams, t: float) -> FieldSample:
-    """Evaluate the built-in field and its hand-differentiated time derivative.
+def _pointwise(fn: Callable[[float], object], t: np.ndarray, shape: tuple) -> np.ndarray:
+    """Evaluate a one-float user callable at every entry of t; the values,
+    each coerced to ``shape``, are stacked on the trailing axes."""
+    t = np.asarray(t, dtype=float)
+    values = [np.asarray(fn(u), dtype=float).reshape(shape) for u in t.ravel().tolist()]
+    return np.array(values).reshape(t.shape + shape)
+
+
+def two_parameter_field(params: ScenarioParams, t) -> FieldSample:
+    """Evaluate the built-in field and its hand-differentiated time derivative
+    at a scalar t or at every entry of an array of times.
 
     The derivative below was worked out once by hand (chain rule on the
     display above, using sin(4ω₀t) = 2 sin(2ω₀t)cos(2ω₀t)) and is validated
@@ -128,30 +144,31 @@ def two_parameter_field(params: ScenarioParams, t: float) -> FieldSample:
         ḣy = −ν₀ω₀ cos(4ω₀t)sin(ν₀t) − (ν₀²/4) sin(4ω₀t)cos(ν₀t) − ω₀ν₀ sin(ν₀t)
         ḣz = ν₀ω₀ sin(4ω₀t)
     """
-    if not math.isfinite(t):
-        raise InvalidArgumentError("t must be finite")
+    t = np.asarray(t, dtype=float)
     w, n = params.omega0, params.nu0
-    s2, c2 = math.sin(2.0 * w * t), math.cos(2.0 * w * t)
-    s4, c4 = math.sin(4.0 * w * t), math.cos(4.0 * w * t)
-    sn, cn = math.sin(n * t), math.cos(n * t)
-    h = np.array(
+    s2, c2 = np.sin(2.0 * w * t), np.cos(2.0 * w * t)
+    s4, c4 = np.sin(4.0 * w * t), np.cos(4.0 * w * t)
+    sn, cn = np.sin(n * t), np.cos(n * t)
+    h = np.stack(
         [
             -0.5 * n * c2 * s2 * cn - w * sn,
             -0.5 * n * c2 * s2 * sn + w * cn,
             0.5 * n * s2 * s2,
-        ]
+        ],
+        axis=-1,
     )
-    h_dot = np.array(
+    h_dot = np.stack(
         [
             -n * w * c4 * cn + 0.25 * n * n * s4 * sn - w * n * cn,
             -n * w * c4 * sn - 0.25 * n * n * s4 * cn - w * n * sn,
             n * w * s4,
-        ]
+        ],
+        axis=-1,
     )
-    return FieldSample(float(t), 0.0, h, h_dot)
+    return FieldSample(t, 0.0, h, h_dot)
 
 
-def _central_stencil(h_of_t: Callable[[float], np.ndarray], t: float, dt: float) -> np.ndarray:
+def _central_stencil(h_of_t: Callable, t: np.ndarray, dt: float) -> np.ndarray:
     # 4th-order: (h(t-2dt) - 8h(t-dt) + 8h(t+dt) - h(t+2dt)) / (12 dt)
     return (
         h_of_t(t - 2.0 * dt)
@@ -161,19 +178,19 @@ def _central_stencil(h_of_t: Callable[[float], np.ndarray], t: float, dt: float)
     ) / (12.0 * dt)
 
 
-def h_parallel_sq(params: ScenarioParams, t: float) -> float:
+def h_parallel_sq(params: ScenarioParams, t):
     """Squared component of h along the precession axis: (ν₀²/4) sin⁴(2ω₀t)."""
-    s2 = math.sin(2.0 * params.omega0 * t)
+    s2 = np.sin(2.0 * params.omega0 * t)
     return 0.25 * params.nu0**2 * s2**4
 
 
-def h_transverse_sq(params: ScenarioParams, t: float) -> float:
+def h_transverse_sq(params: ScenarioParams, t):
     """Squared transverse component: (ν₀²/16) sin²(4ω₀t) + ω₀²."""
-    s4 = math.sin(4.0 * params.omega0 * t)
+    s4 = np.sin(4.0 * params.omega0 * t)
     return params.nu0**2 / 16.0 * s4 * s4 + params.omega0**2
 
 
-def parallel_transverse_ratio(params: ScenarioParams, t: float) -> float:
+def parallel_transverse_ratio(params: ScenarioParams, t):
     """Ratio h∥²/h⊥² = 4 sin⁴(2ω₀t) / [sin²(4ω₀t) + 16(ω₀/ν₀)²].
 
     Zero identically in the geodesic limit ν₀ = 0 (no parallel component).
@@ -181,7 +198,7 @@ def parallel_transverse_ratio(params: ScenarioParams, t: float) -> float:
     """
     w, n = params.omega0, params.nu0
     if n == 0.0:
-        return 0.0
-    s2 = math.sin(2.0 * w * t)
-    s4 = math.sin(4.0 * w * t)
+        return np.zeros(np.shape(t))[()]
+    s2 = np.sin(2.0 * w * t)
+    s4 = np.sin(4.0 * w * t)
     return 4.0 * s2**4 / (s4 * s4 + 16.0 * (w / n) ** 2)

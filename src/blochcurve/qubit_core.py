@@ -138,18 +138,26 @@ def bloch_vector(state) -> BlochVector:
     )
 
 
-def pauli_compose(h0: float, h) -> np.ndarray:
+def pauli_compose(h0, h) -> np.ndarray:
     """Assemble the Hermitian matrix h0·I + h·σ.
 
-    Returns [[h0+hz, hx-i hy], [hx+i hy, h0-hz]].
+    Returns [[h0+hz, hx-i hy], [hx+i hy, h0-hz]]. ``h`` carries its three
+    components on the last axis; leading axes (a time grid) broadcast against
+    ``h0`` and give a stack of 2x2 matrices.
     """
-    hv = np.asarray(h, dtype=float).reshape(3)
-    if not (math.isfinite(h0) and np.all(np.isfinite(hv))):
+    hv = np.asarray(h, dtype=float)
+    h0 = np.asarray(h0, dtype=float)
+    if hv.shape[-1:] != (3,):
+        raise InvalidArgumentError(f"field vector needs 3 components, got shape {hv.shape}")
+    if not (np.all(np.isfinite(h0)) and np.all(np.isfinite(hv))):
         raise InvalidArgumentError("field components must be finite")
-    hx, hy, hz = hv
-    return np.array(
-        [[h0 + hz, hx - 1j * hy], [hx + 1j * hy, h0 - hz]], dtype=complex
-    )
+    hx, hy, hz = np.moveaxis(hv, -1, 0)
+    m = np.empty(np.broadcast_shapes(h0.shape, hx.shape) + (2, 2), dtype=complex)
+    m[..., 0, 0] = h0 + hz
+    m[..., 0, 1] = hx - 1j * hy
+    m[..., 1, 0] = hx + 1j * hy
+    m[..., 1, 1] = h0 - hz
+    return m
 
 
 def pauli_decompose(matrix, atol: float = HERMITICITY_ATOL) -> PauliDecomp:

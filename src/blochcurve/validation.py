@@ -130,7 +130,8 @@ def all_passed(results) -> bool:
 
 class _Context:
     """Shared artifacts: one Schrödinger and one Bloch integration of the
-    built-in scenario, plus per-node closed-form references."""
+    built-in scenario, plus the field and the closed-form solution sampled
+    once on the whole grid."""
 
     def __init__(self, params: ScenarioParams, grid: dynamics.TimeGrid):
         self.params = params
@@ -138,17 +139,15 @@ class _Context:
         self.spec = fields.TwoParameterField(params)
         self.times = grid.times()
         t0 = float(self.times[0])
-        psi0 = dynamics.analytic_state(params, t0).vector()
-        self.traj = dynamics.integrate_schrodinger(self.spec, psi0, grid)
-        a0 = np.asarray(dynamics.analytic_bloch(params, t0), dtype=float)
-        self.bloch_num = dynamics.integrate_bloch(self.spec, a0, grid)
-        self.samples = [fields.two_parameter_field(params, float(t)) for t in self.times]
-        self.a_closed = np.array(
-            [np.asarray(dynamics.analytic_bloch(params, float(t))) for t in self.times]
+        self.traj = dynamics.integrate_schrodinger(
+            self.spec, dynamics.analytic_state(params, t0), grid
         )
-        self.m_closed = np.array(
-            [dynamics.analytic_state(params, float(t)).vector() for t in self.times]
+        self.bloch_num = dynamics.integrate_bloch(
+            self.spec, dynamics.analytic_bloch(params, t0), grid
         )
+        self.sample = fields.two_parameter_field(params, self.times)
+        self.a_closed = dynamics.analytic_bloch(params, self.times)
+        self.m_closed = dynamics.analytic_state(params, self.times)
         self._general = None
 
     def general(self):
@@ -160,41 +159,37 @@ class _Context:
 
 
 def _result(name, residual, tol, detail) -> CheckResult:
+    residual = float(residual)
     return CheckResult(name=name, passed=residual <= tol[name],
                        residual=residual, tolerance=tol[name], detail=detail)
 
 
 def _check_route_agreement(ctx, tol):
-    worst = 0.0
-    for t, s, a in zip(ctx.times, ctx.samples, ctx.a_closed):
-        kc = geometry.curvature_closed(ctx.params, float(t))
-        kb = geometry.curvature_bloch(a, s.h, s.h_dot)
-        worst = max(worst, abs(kc - kb))
-    return [_result("route_agreement", worst, tol,
+    s = ctx.sample
+    kc = geometry.curvature_closed(ctx.params, ctx.times)
+    kb = geometry.curvature_bloch(ctx.a_closed, s.h, s.h_dot)
+    return [_result("route_agreement", np.max(np.abs(kc - kb)), tol,
                     f"max |closed - field-vector| over {len(ctx.times)} nodes")]
 
 
 def _check_route_expect(ctx, tol):
-    stride = max(1, len(ctx.times) // 320)
-    worst = 0.0
-    for k in range(0, len(ctx.times), stride):
-        t = float(ctx.times[k])
-        kc = geometry.curvature_closed(ctx.params, t)
-        ke = geometry.curvature_expectation(ctx.spec, ctx.m_closed[k], t)
-        worst = max(worst, abs(kc - ke))
-    return [_result("route_agreement_expect", worst, tol,
-                    f"max |closed - expectation| on every {stride}th node")]
+    kc = geometry.curvature_closed(ctx.params, ctx.times)
+    ke = geometry.curvature_expectation(ctx.spec, ctx.m_closed, ctx.times)
+    return [_result("route_agreement_expect", np.max(np.abs(kc - ke)), tol,
+                    f"max |closed - expectation| over {len(ctx.times)} nodes")]
+
+
+def _general_nodes(traj) -> np.ndarray:
+    return np.arange(150, traj.grid.steps, 300)
 
 
 def _check_route_general(ctx, tol):
     spec, traj = ctx.general()
-    worst = 0.0
-    for k in range(150, traj.grid.steps, 300):
-        t = float(traj.times[k])
-        s = spec.sample(t)
-        kb = geometry.curvature_bloch(traj.bloch[k], s.h, s.h_dot)
-        ke = geometry.curvature_expectation(spec, traj.states[k], t)
-        worst = max(worst, abs(kb - ke) / max(1.0, abs(ke)))
+    k = _general_nodes(traj)
+    s = spec.sample(traj.times[k])
+    kb = geometry.curvature_bloch(traj.bloch[k], s.h, s.h_dot)
+    ke = geometry.curvature_expectation(spec, traj.states[k], traj.times[k])
+    worst = np.max(np.abs(kb - ke) / np.maximum(1.0, np.abs(ke)))
     return [_result("route_agreement_general", worst, tol,
                     "field-vector vs expectation route on a tilted field, relative")]
 
@@ -202,62 +197,52 @@ def _check_route_general(ctx, tol):
 def _check_consistency_identity(ctx, tol):
     spec, traj = ctx.general()
     d = 1e-4
-    worst = 0.0
-    for k in range(150, traj.grid.steps, 300):
-        t = float(traj.times[k])
-        a = traj.bloch[k]
-        a_p = dynamics.bloch_step(spec, a, t, d)
-        a_m = dynamics.bloch_step(spec, a, t, -d)
-        lhs = (float(a_p @ spec.sample(t + d).h) - float(a_m @ spec.sample(t - d).h)) / (2 * d)
-        rhs = float(a @ spec.sample(t).h_dot)
-        worst = max(worst, abs(lhs - rhs))
-    return [_result("consistency_identity", worst, tol,
+    k = _general_nodes(traj)
+    t = traj.times[k]
+    a = traj.bloch[k]
+    a_p = np.array([dynamics.bloch_step(spec, row, tt, d) for row, tt in zip(a, t)])
+    a_m = np.array([dynamics.bloch_step(spec, row, tt, -d) for row, tt in zip(a, t)])
+    lhs = (np.einsum("nk,nk->n", a_p, spec.sample(t + d).h)
+           - np.einsum("nk,nk->n", a_m, spec.sample(t - d).h)) / (2 * d)
+    rhs = np.einsum("nk,nk->n", a, spec.sample(t).h_dot)
+    return [_result("consistency_identity", np.max(np.abs(lhs - rhs)), tol,
                     "d/dt(a·h) vs a·h_dot by symmetric difference, tilted field")]
 
 
 def _check_fidelity(ctx, tol):
-    worst = 0.0
-    for k in range(len(ctx.times)):
-        overlap = abs(complex(np.vdot(ctx.traj.states[k], ctx.m_closed[k])))
-        worst = max(worst, 1.0 - overlap)
-    return [_result("fidelity", worst, tol,
+    overlap = np.abs(np.einsum("ni,ni->n", ctx.traj.states.conj(), ctx.m_closed))
+    return [_result("fidelity", np.max(1.0 - overlap), tol,
                     "max fidelity deficit, integrated state vs closed form")]
 
 
 def _check_bloch_supnorm(ctx, tol):
-    worst = float(np.max(np.abs(ctx.bloch_num - ctx.a_closed)))
+    worst = np.max(np.abs(ctx.bloch_num - ctx.a_closed))
     return [_result("bloch_supnorm", worst, tol,
                     "sup-norm error, precession integrator vs closed form")]
 
 
 def _check_orthogonality(ctx, tol):
-    worst = 0.0
-    for s, a in zip(ctx.samples, ctx.a_closed):
-        worst = max(worst, abs(float(a @ s.h)), abs(float(a @ s.h_dot)))
+    a, s = ctx.a_closed, ctx.sample
+    worst = max(np.max(np.abs(np.einsum("nk,nk->n", a, v))) for v in (s.h, s.h_dot))
     return [_result("orthogonality", worst, tol,
                     "max of |a·h| and |a·h_dot| over all nodes")]
 
 
 def _check_eta_se(ctx, tol):
-    worst = 0.0
-    for s, a in zip(ctx.samples, ctx.a_closed):
-        worst = max(worst, abs(geometry.speed_efficiency(s.h0, s.h, a) - 1.0))
-    return [_result("eta_se", worst, tol, "max |eta_SE - 1| over all nodes")]
+    s = ctx.sample
+    eta = geometry.speed_efficiency(s.h0, s.h, ctx.a_closed)
+    return [_result("eta_se", np.max(np.abs(eta - 1.0)), tol,
+                    "max |eta_SE - 1| over all nodes")]
 
 
 def _check_periodicity(ctx, tol):
     rng = np.random.default_rng(_RNG_SEED)
     period = math.pi / (2.0 * ctx.params.omega0)
+    t = rng.uniform(0.0, 4.0 * period, size=100)
     worst = 0.0
-    for t in rng.uniform(0.0, 4.0 * period, size=100):
-        t = float(t)
-        for f in (
-            lambda u: geometry.speed(ctx.params, u),
-            lambda u: geometry.acceleration(ctx.params, u),
-            lambda u: geometry.curvature_closed(ctx.params, u),
-            lambda u: fields.parallel_transverse_ratio(ctx.params, u),
-        ):
-            worst = max(worst, abs(f(t + period) - f(t)))
+    for f in (geometry.speed, geometry.acceleration, geometry.curvature_closed,
+              fields.parallel_transverse_ratio):
+        worst = max(worst, np.max(np.abs(f(ctx.params, t + period) - f(ctx.params, t))))
     return [_result("periodicity", worst, tol,
                     "max |f(t+T) - f(t)| for v, acc, curvature, ratio at 100 random t")]
 
@@ -267,10 +252,10 @@ def _check_extrema(ctx, tol):
     period = summary.period
     n = 100_000
     ts = period * np.arange(n) / n
-    v = np.array([geometry.speed(ctx.params, float(t)) for t in ts])
-    acc = np.array([geometry.acceleration(ctx.params, float(t)) for t in ts])
-    k2 = np.array([geometry.curvature_closed(ctx.params, float(t)) for t in ts])
-    ratio = np.array([fields.parallel_transverse_ratio(ctx.params, float(t)) for t in ts])
+    v = geometry.speed(ctx.params, ts)
+    acc = geometry.acceleration(ctx.params, ts)
+    k2 = geometry.curvature_closed(ctx.params, ts)
+    ratio = fields.parallel_transverse_ratio(ctx.params, ts)
 
     value_worst = 0.0
     time_worst = 0.0
@@ -318,22 +303,17 @@ def _check_elliptic(ctx, tol):
 
 def _check_synthesis(ctx, tol):
     rng = np.random.default_rng(_RNG_SEED)
-    t0, t1 = float(ctx.times[0]), float(ctx.times[-1])
+    t = rng.uniform(float(ctx.times[0]), float(ctx.times[-1]), size=100)
+    ref = fields.two_parameter_field(ctx.params, t)
     worst_h = 0.0
     worst_trace = 0.0
-    for t in rng.uniform(t0, t1, size=100):
-        t = float(t)
-        m = dynamics.analytic_state(ctx.params, t).vector()
-        md = dynamics.analytic_state_derivative(ctx.params, t)
+    for m, md, h0_ref, h_ref in zip(dynamics.analytic_state(ctx.params, t),
+                                    dynamics.analytic_state_derivative(ctx.params, t),
+                                    ref.h0, ref.h):
         ham = dynamics.synthesize_hamiltonian(m, md)
         worst_trace = max(worst_trace, abs(complex(ham[0, 0] + ham[1, 1])))
         h0_syn, h_syn = pauli_decompose(ham)
-        ref = fields.two_parameter_field(ctx.params, t)
-        worst_h = max(
-            worst_h,
-            float(np.max(np.abs(h_syn - ref.h))),
-            abs(h0_syn - ref.h0),
-        )
+        worst_h = max(worst_h, float(np.max(np.abs(h_syn - h_ref))), abs(h0_syn - h0_ref))
     return [
         _result("synthesis", worst_h, tol,
                 "synthesized Hamiltonian vs driving field at 100 random t"),
@@ -350,9 +330,11 @@ def _check_decomposition(ctx, tol):
         mat = pauli_compose(h0, h)
         h0_back, h_back = pauli_decompose(mat)
         worst = max(worst, abs(h0_back - h0), float(np.max(np.abs(h_back - h))))
-    for s in ctx.samples[:: max(1, len(ctx.samples) // 10)]:
-        h0_back, h_back = pauli_decompose(pauli_compose(s.h0, s.h))
-        worst = max(worst, abs(h0_back - s.h0), float(np.max(np.abs(h_back - s.h))))
+    stride = max(1, len(ctx.times) // 10)
+    h0s, hs = ctx.sample.h0[::stride], ctx.sample.h[::stride]
+    for h0, h, mat in zip(h0s, hs, pauli_compose(h0s, hs)):
+        h0_back, h_back = pauli_decompose(mat)
+        worst = max(worst, abs(h0_back - h0), float(np.max(np.abs(h_back - h))))
     return [_result("decomposition", worst, tol,
                     "compose/decompose round trip, random and field-sampled")]
 
@@ -361,11 +343,9 @@ def _check_field_derivative(ctx, tol):
     stencil_spec = CallableField(
         h=lambda tt: fields.two_parameter_field(ctx.params, tt).h, step=1e-4
     )
-    worst = 0.0
-    for k in range(0, len(ctx.times), max(1, len(ctx.times) // 25)):
-        t = float(ctx.times[k])
-        numeric = stencil_spec.sample(t).h_dot
-        worst = max(worst, float(np.max(np.abs(numeric - ctx.samples[k].h_dot))))
+    stride = max(1, len(ctx.times) // 25)
+    numeric = stencil_spec.sample(ctx.times[::stride]).h_dot
+    worst = np.max(np.abs(numeric - ctx.sample.h_dot[::stride]))
     return [_result("field_derivative", worst, tol,
                     "analytic h_dot vs 5-point stencil at dt=1e-4")]
 

@@ -13,7 +13,6 @@ import pytest
 import blochcurve.fields as fields_mod
 import blochcurve.geometry as geometry_mod
 from blochcurve import (
-    FieldSample,
     ScenarioParams,
     TimeGrid,
     TwoParameterField,
@@ -39,6 +38,7 @@ from blochcurve import (
     two_parameter_field,
 )
 from blochcurve.cli import main as cli_main
+from mutants import corrupted_field, flip_h_y, two_terms_only
 
 P11 = ScenarioParams(1.0, 1.0)
 SPEC11 = TwoParameterField(P11)
@@ -101,7 +101,7 @@ def test_criterion_03_three_routes_agree(capsys, node_grid):
             a = np.asarray(analytic_bloch(P11, t))
             worst_bloch = max(worst_bloch,
                               abs(curvature_bloch(a, s.h, s.h_dot) - closed))
-            psi = analytic_state(P11, t).vector()
+            psi = analytic_state(P11, t)
             worst_expect = max(
                 worst_expect,
                 abs(curvature_expectation(SPEC11, psi, t) - closed),
@@ -119,7 +119,7 @@ def test_criterion_04_state_integrator_tracks_analytic(capsys):
         grid = TimeGrid(0.0, TWO_PI, 6283)
         traj = integrate_schrodinger(SPEC11, np.array([1.0, 0.0j]), grid)
         worst = min(
-            fidelity(traj.states[i], analytic_state(P11, float(t)).vector())
+            fidelity(traj.states[i], analytic_state(P11, float(t)))
             for i, t in enumerate(traj.times)
         )
         return worst >= 1.0 - 1e-6, f"worst node fidelity 1 - {1.0 - worst:.2e}"
@@ -256,7 +256,7 @@ def test_criterion_11_hamiltonian_synthesis(capsys):
         worst_trace = 0.0
         for t in rng.uniform(0.0, TWO_PI, size=100):
             t = float(t)
-            m = analytic_state(P11, t).vector()
+            m = analytic_state(P11, t)
             md = analytic_state_derivative(P11, t)
             ham = synthesize_hamiltonian(m, md)
             worst_trace = max(worst_trace, abs(complex(np.trace(ham))))
@@ -275,30 +275,9 @@ def test_criterion_12_validation_cli_gate(capsys, monkeypatch):
     def body():
         clean = cli_main(["validate"])
 
-        original = fields_mod.two_parameter_field
-
-        def corrupted(params, t):
-            s = original(params, t)
-            h = s.h.copy()
-            hd = s.h_dot.copy()
-            h[1] = -h[1]
-            hd[1] = -hd[1]
-            return FieldSample(s.t, s.h0, h, hd)
-
         with monkeypatch.context() as m:
-            m.setattr(fields_mod, "two_parameter_field", corrupted)
+            m.setattr(fields_mod, "two_parameter_field", corrupted_field(flip_h_y))
             flipped = cli_main(["validate"])
-
-        def two_terms_only(a, h, h_dot, eps_sing=1e-12):
-            av = np.asarray(a, dtype=float).reshape(3)
-            hv = np.asarray(h, dtype=float).reshape(3)
-            hd = np.asarray(h_dot, dtype=float).reshape(3)
-            h2 = float(hv @ hv)
-            ah = float(av @ hv)
-            den = h2 - ah * ah
-            w = float(av @ hd) * hv - ah * hd
-            num2 = (h2 * float(hd @ hd) - float(hv @ hd) ** 2) - float(w @ w)
-            return 4.0 * ah * ah / den + num2 / den ** 3
 
         with monkeypatch.context() as m:
             m.setattr(geometry_mod, "curvature_bloch", two_terms_only)

@@ -1,13 +1,12 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 import blochcurve.fields as fields_mod
 import blochcurve.geometry as geometry_mod
-from blochcurve import FieldSample
 from blochcurve.cli import SERIES_COLUMNS, SWEEP_COLUMNS, main
+from mutants import corrupted_field, flip_h_y, two_terms_only
 
 PI_TXT = "3.141592653589793"
 
@@ -118,12 +117,19 @@ class TestConfigFile:
         assert rows[-1]["t"] == 1.0
 
     def test_unknown_key_reports_location(self, tmp_path, capsys):
+        # a key no subcommand reads, and keys this subcommand does not read
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("bogus = 1\n")
-        assert main(["simulate", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert "unknown key" in err
-        assert ":1" in err
+        for argv, text in (
+            (["simulate"], "bogus = 1\n"),
+            (["simulate"], "tol.fidelity = 1e-3\n"),
+            (["validate"], "format = json\n"),
+            (["sweep", "--nu0-list", "1"], "steps = 5\n"),
+        ):
+            cfg.write_text(text)
+            assert main([*argv, "--config", str(cfg)]) == 2, text
+            err = capsys.readouterr().err
+            assert "unknown key" in err
+            assert ":1" in err
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 2
@@ -158,33 +164,12 @@ class TestValidateCommand:
         assert "bogus" in capsys.readouterr().err
 
     def test_detects_corrupted_field(self, monkeypatch, capsys):
-        original = fields_mod.two_parameter_field
-
-        def corrupted(params, t):
-            s = original(params, t)
-            h = s.h.copy()
-            hd = s.h_dot.copy()
-            h[1] = -h[1]
-            hd[1] = -hd[1]
-            return FieldSample(s.t, s.h0, h, hd)
-
-        monkeypatch.setattr(fields_mod, "two_parameter_field", corrupted)
+        monkeypatch.setattr(fields_mod, "two_parameter_field", corrupted_field(flip_h_y))
         code = main(["validate", "--steps", "300", "--t-max", PI_TXT])
         assert code == 1
         assert "[FAIL]" in capsys.readouterr().out
 
     def test_detects_dropped_curvature_term(self, monkeypatch, capsys):
-        def two_terms_only(a, h, h_dot, eps_sing=1e-12):
-            av = np.asarray(a, dtype=float).reshape(3)
-            hv = np.asarray(h, dtype=float).reshape(3)
-            hd = np.asarray(h_dot, dtype=float).reshape(3)
-            h2 = float(hv @ hv)
-            ah = float(av @ hv)
-            den = h2 - ah * ah
-            w = float(av @ hd) * hv - ah * hd
-            num2 = (h2 * float(hd @ hd) - float(hv @ hd) ** 2) - float(w @ w)
-            return 4.0 * ah * ah / den + num2 / den ** 3
-
         monkeypatch.setattr(geometry_mod, "curvature_bloch", two_terms_only)
         code = main(["validate", "--steps", "300", "--t-max", PI_TXT])
         out = capsys.readouterr().out
@@ -232,6 +217,13 @@ class TestErrorPaths:
         assert main(["simulate", "--steps", "5", "--out", str(target)]) == 2
 
     def test_unknown_format_rejected_by_parser(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--format", "yaml"])
-        assert exc.value.code == 2
+        # a bad choice, and any flag the subcommand does not read
+        for argv in (
+            ["simulate", "--format", "yaml"],
+            ["simulate", "--tol", "bogus=1"],
+            ["sweep", "--nu0-list", "1", "--steps", "5", "--t-max", "3", "--tol", "bogus=2"],
+            ["validate", "--format", "json", "--out", "v.json"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv

@@ -123,30 +123,30 @@ class TestTransportPhase:
 
 class TestAnalyticState:
     def test_starts_at_north_pole(self):
-        s = analytic_state(P11, 0.0)
-        assert abs(s.alpha - 1.0) < 1e-15
-        assert abs(s.beta) < 1e-15
+        alpha, beta = analytic_state(P11, 0.0)
+        assert abs(alpha - 1.0) < 1e-15
+        assert abs(beta) < 1e-15
 
     def test_reaches_south_pole_at_half_period_pair(self):
         # at t = pi/(2 w) the state is |1> up to phase
-        s = analytic_state(P11, math.pi / 2.0)
-        assert abs(s.alpha) < 1e-12
-        assert abs(abs(s.beta) - 1.0) < 1e-12
+        alpha, beta = analytic_state(P11, math.pi / 2.0)
+        assert abs(alpha) < 1e-12
+        assert abs(abs(beta) - 1.0) < 1e-12
 
     def test_transport_gauge_by_finite_difference(self):
         # <m|dm/dt> must vanish along the whole path
         d = 1e-5
         t = 0.7
-        mp = analytic_state(P11, t + d).vector()
-        mm = analytic_state(P11, t - d).vector()
-        m = analytic_state(P11, t).vector()
+        mp = analytic_state(P11, t + d)
+        mm = analytic_state(P11, t - d)
+        m = analytic_state(P11, t)
         overlap = np.vdot(m, (mp - mm) / (2.0 * d))
         assert abs(overlap) <= 1e-8
 
     def test_solves_schrodinger_equation(self):
         # i dm/dt = H m with the matching drive, pointwise
         for t in (0.0, 0.3, 1.1, 2.7):
-            m = analytic_state(P11, t).vector()
+            m = analytic_state(P11, t)
             md = analytic_state_derivative(P11, t)
             hm = hamiltonian_at(SPEC11, t) @ m
             assert np.max(np.abs(1j * md - hm)) <= 1e-12
@@ -154,13 +154,13 @@ class TestAnalyticState:
     def test_derivative_matches_central_difference(self):
         d = 1e-5
         for t in (0.2, 0.9, 2.2):
-            fd = (analytic_state(P11, t + d).vector()
-                  - analytic_state(P11, t - d).vector()) / (2.0 * d)
+            fd = (analytic_state(P11, t + d)
+                  - analytic_state(P11, t - d)) / (2.0 * d)
             assert np.max(np.abs(analytic_state_derivative(P11, t) - fd)) <= 1e-9
 
     def test_derivative_is_exactly_transverse(self):
         for t in (0.1, 0.8, 1.9):
-            m = analytic_state(P11, t).vector()
+            m = analytic_state(P11, t)
             md = analytic_state_derivative(P11, t)
             assert abs(np.vdot(m, md)) <= 1e-15
 
@@ -182,9 +182,9 @@ class TestAnalyticBloch:
 class TestIntegrateSchrodinger:
     def test_tracks_analytic_solution(self):
         grid = TimeGrid(0.0, 2.0 * math.pi, 6283)
-        traj = integrate_schrodinger(SPEC11, analytic_state(P11, 0.0).vector(), grid)
+        traj = integrate_schrodinger(SPEC11, analytic_state(P11, 0.0), grid)
         worst = min(
-            fidelity(traj.states[i], analytic_state(P11, float(t)).vector())
+            fidelity(traj.states[i], analytic_state(P11, float(t)))
             for i, t in enumerate(traj.times)
         )
         assert worst >= 1.0 - 1e-6
@@ -325,16 +325,16 @@ class TestSynthesizeHamiltonian:
 
     def test_reconstructs_builtin_drive_from_finite_differences(self):
         t, d = 0.3, 1e-6
-        m = analytic_state(P11, t).vector()
-        md = (analytic_state(P11, t + d).vector()
-              - analytic_state(P11, t - d).vector()) / (2.0 * d)
+        m = analytic_state(P11, t)
+        md = (analytic_state(P11, t + d)
+              - analytic_state(P11, t - d)) / (2.0 * d)
         h0, h = pauli_decompose(synthesize_hamiltonian(m, md, gauge_atol=1e-6))
         assert abs(h0) <= 1e-6
         assert np.max(np.abs(h - two_parameter_field(P11, t).h)) <= 1e-6
 
     def test_reconstructs_builtin_drive_exactly_from_analytic_velocity(self):
         for t in RNG.uniform(0.0, 2.0 * math.pi, size=25):
-            m = analytic_state(P11, float(t)).vector()
+            m = analytic_state(P11, float(t))
             md = analytic_state_derivative(P11, float(t))
             ham = synthesize_hamiltonian(m, md)
             assert abs(np.trace(ham)) <= 1e-12
@@ -345,7 +345,7 @@ class TestSynthesizeHamiltonian:
 
     def test_synthesized_drive_is_maximally_efficient(self):
         t = 1.1
-        m = analytic_state(P11, t).vector()
+        m = analytic_state(P11, t)
         md = analytic_state_derivative(P11, t)
         h0, h = pauli_decompose(synthesize_hamiltonian(m, md))
         assert speed_efficiency(h0, h, np.asarray(bloch_vector(m))) == pytest.approx(

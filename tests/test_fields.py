@@ -79,6 +79,12 @@ class TestFieldSample:
         with pytest.raises(InvalidArgumentError):
             FieldSample(0.0, 0.0, (math.inf, 0.0, 0.0), (0.0, 0.0, 0.0))
 
+    def test_rejects_vectors_not_matching_the_times(self):
+        with pytest.raises(InvalidArgumentError):
+            FieldSample(np.zeros(4), 0.0, np.zeros((3, 3)), np.zeros((3, 3)))
+        with pytest.raises(InvalidArgumentError):
+            FieldSample(0.0, 0.0, (1.0, 0.0), (0.0, 0.0))
+
     def test_coerces_to_arrays(self):
         s = FieldSample(0.0, 0.5, [1, 2, 3], [0, 0, 0])
         assert s.h.dtype == float
@@ -111,6 +117,19 @@ class TestCallableField:
         assert CallableField(h=lambda t: (1, 0, 0), h0=0.7).sample(2.0).h0 == 0.7
         varying = CallableField(h=lambda t: (1, 0, 0), h0=lambda t: 2.0 * t)
         assert varying.sample(3.0).h0 == 6.0
+
+    def test_array_of_times_matches_per_point_samples(self):
+        # stencil derivative and callable h0, on a 2-D grid of times
+        spec = CallableField(h=lambda t: (math.sin(t), t * t, 1.0), h0=lambda t: 2.0 * t)
+        t = np.array([[0.2, 1.0, 2.5], [-0.7, 0.0, 3.1]])
+        whole = spec.sample(t)
+        assert whole.h.shape == whole.h_dot.shape == (2, 3, 3)
+        assert whole.h0.shape == (2, 3)
+        for idx in np.ndindex(t.shape):
+            one = spec.sample(float(t[idx]))
+            assert whole.h0[idx] == one.h0
+            assert np.array_equal(whole.h[idx], one.h)
+            assert np.array_equal(whole.h_dot[idx], one.h_dot)
 
     def test_rejects_bad_step(self):
         with pytest.raises(InvalidArgumentError):

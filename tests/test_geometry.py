@@ -6,7 +6,6 @@ import pytest
 
 from blochcurve import (
     CallableField,
-    GeometryRecord,
     InvalidArgumentError,
     NumericalConsistencyError,
     ScenarioParams,
@@ -17,6 +16,7 @@ from blochcurve import (
     acceleration,
     analytic_bloch,
     analytic_state,
+    analytic_state_derivative,
     arc_length_closed,
     curvature_bloch,
     curvature_closed,
@@ -25,6 +25,8 @@ from blochcurve import (
     extrema_summary,
     geodesic_efficiency,
     geodesic_efficiency_generic,
+    h_parallel_sq,
+    h_transverse_sq,
     integrate_schrodinger,
     pauli_compose,
     parallel_transverse_ratio,
@@ -36,7 +38,7 @@ from blochcurve import (
     transport_phase_closed,
     two_parameter_field,
 )
-from blochcurve.geometry import KAPPA2_CLIP_FLOOR, _clip_nonneg
+from blochcurve.geometry import KAPPA2_CLIP_FLOOR, SERIES_COLUMNS, _clip_nonneg
 
 P11 = ScenarioParams(1.0, 1.0)
 SPEC11 = TwoParameterField(P11)
@@ -58,7 +60,7 @@ class TestSpeed:
     def test_matches_energy_dispersion(self):
         # v = sqrt(<H^2> - <H>^2) along the analytic path
         for t in np.linspace(0.0, 2.0, 21):
-            psi = analytic_state(P11, float(t)).vector()
+            psi = analytic_state(P11, float(t))
             ham = pauli_compose(0.0, two_parameter_field(P11, float(t)).h)
             hpsi = ham @ psi
             e = float(np.real(np.vdot(psi, hpsi)))
@@ -205,7 +207,7 @@ class TestCurvatureExpectation:
         )
 
     def test_pinned_scenario_value(self):
-        psi = analytic_state(P11, 0.3).vector()
+        psi = analytic_state(P11, 0.3)
         assert curvature_expectation(SPEC11, psi, 0.3) == pytest.approx(
             2.340717947822836, abs=1e-12
         )
@@ -225,6 +227,15 @@ class TestCurvatureExpectation:
         spec = constant_field((0.0, 0.0, 1.0))
         with pytest.raises(SingularityError):
             curvature_expectation(spec, np.array([1.0, 0.0j]), 0.0)
+
+    def test_array_call_names_the_singular_time(self):
+        # only the node at t = 1.0 holds the sigma_z eigenstate
+        spec = constant_field((0.0, 0.0, 1.0))
+        t = np.array([0.0, 0.5, 1.0, 1.5])
+        psi = np.array([state_from_angles(th, 0.2).vector() for th in (0.4, 1.0, 0.0, 2.0)])
+        with pytest.raises(SingularityError) as exc:
+            curvature_expectation(spec, psi, t)
+        assert exc.value.t == 1.0
 
     def test_stencil_derivative_feeds_the_route(self):
         # without an analytic h_dot the operator route runs on the stencil
@@ -249,7 +260,7 @@ def test_three_curvature_routes_agree(r):
         s = two_parameter_field(p, t)
         a = np.asarray(analytic_bloch(p, t))
         via_bloch = curvature_bloch(a, s.h, s.h_dot)
-        via_expect = curvature_expectation(spec, analytic_state(p, t).vector(), t)
+        via_expect = curvature_expectation(spec, analytic_state(p, t), t)
         assert abs(via_bloch - closed) <= 1e-9
         assert abs(via_expect - closed) <= 1e-9 * max(1.0, 4.0 * r * r)
 
@@ -425,52 +436,88 @@ def test_speed_squared_and_ratio_move_together():
 class TestScenarioRecords:
     def test_node_fields_are_consistent(self):
         grid = TimeGrid(0.0, math.pi / 2.0, 64)
-        records = scenario_records(P11, grid)
-        assert len(records) == 65
-        assert records[0].s == 0.0
-        for rec in records[::8]:
-            assert rec.v == pytest.approx(speed(P11, rec.t), abs=1e-15)
-            assert rec.kappa2_closed == pytest.approx(
-                curvature_closed(P11, rec.t), abs=1e-15
+        cols = scenario_records(P11, grid)
+        assert tuple(cols) == SERIES_COLUMNS
+        assert all(col.shape == (65,) for col in cols.values())
+        assert cols["arc_length"][0] == 0.0
+        a = np.column_stack([cols["ax"], cols["ay"], cols["az"]])
+        h = np.column_stack([cols["hx"], cols["hy"], cols["hz"]])
+        assert np.array_equal(a, analytic_bloch(P11, grid.times()))
+        assert np.array_equal(h, two_parameter_field(P11, grid.times()).h)
+        for k in range(0, 65, 8):
+            t = float(cols["t"][k])
+            assert cols["v"][k] == pytest.approx(speed(P11, t), abs=1e-15)
+            assert cols["kappa2_closed"][k] == pytest.approx(
+                curvature_closed(P11, t), abs=1e-15
             )
-            assert rec.ratio == pytest.approx(
-                parallel_transverse_ratio(P11, rec.t), abs=1e-15
+            assert cols["ratio"][k] == pytest.approx(
+                parallel_transverse_ratio(P11, t), abs=1e-15
             )
-            assert rec.eta_se == pytest.approx(1.0, abs=1e-12)
-            assert rec.beta == pytest.approx(
-                -transport_phase_closed(P11, rec.t), abs=1e-12
+            assert cols["eta_se"][k] == pytest.approx(1.0, abs=1e-12)
+            assert cols["beta_phase"][k] == pytest.approx(
+                -transport_phase_closed(P11, t), abs=1e-12
             )
-            assert rec.s == pytest.approx(arc_length_closed(P11, rec.t), abs=1e-9)
-            assert abs(rec.kappa2_bloch - rec.kappa2_closed) <= 1e-9
-            assert abs(rec.kappa2_expect - rec.kappa2_closed) <= 1e-4
+            assert cols["arc_length"][k] == pytest.approx(arc_length_closed(P11, t), abs=1e-9)
+            assert abs(cols["kappa2_bloch"][k] - cols["kappa2_closed"][k]) <= 1e-9
+            assert abs(cols["kappa2_expect"][k] - cols["kappa2_closed"][k]) <= 1e-4
 
     def test_arc_is_nondecreasing(self):
-        records = scenario_records(P11, TimeGrid(0.0, 2.0, 50))
-        ss = [r.s for r in records]
-        assert all(b >= a for a, b in zip(ss, ss[1:]))
+        ss = scenario_records(P11, TimeGrid(0.0, 2.0, 50))["arc_length"]
+        assert np.all(np.diff(ss) >= 0.0)
 
 
-class TestGeometryRecordContract:
-    def _kwargs(self, **over):
-        base = dict(t=0.0, v=1.0, acc=0.0, kappa2_closed=4.0, kappa2_bloch=4.0,
-                    kappa2_expect=4.0, ratio=0.0, eta_se=1.0, s=0.0, beta=0.0)
-        base.update(over)
-        return base
+P_GENERIC = ScenarioParams(0.7, 1.3)
 
-    def test_accepts_valid(self):
-        assert GeometryRecord(**self._kwargs()).v == 1.0
 
-    def test_rejects_negative_speed(self):
-        with pytest.raises(InvalidArgumentError):
-            GeometryRecord(**self._kwargs(v=-0.1))
+def _field_pair(t):
+    s = two_parameter_field(P_GENERIC, t)
+    return np.concatenate([s.h, s.h_dot], axis=-1)
 
-    def test_rejects_curvature_below_clip_floor(self):
-        with pytest.raises(NumericalConsistencyError):
-            GeometryRecord(**self._kwargs(kappa2_bloch=-1e-6))
 
-    def test_rejects_efficiency_above_one(self):
-        with pytest.raises(NumericalConsistencyError):
-            GeometryRecord(**self._kwargs(eta_se=1.5))
+def _bloch_route(t):
+    s = two_parameter_field(P_GENERIC, t)
+    return curvature_bloch(analytic_bloch(P_GENERIC, t), s.h, s.h_dot)
+
+
+def _efficiency(t):
+    s = two_parameter_field(P_GENERIC, t)
+    # a scalar part and a tilted state make every term of the formula count
+    return speed_efficiency(s.h0 + 0.3, s.h, analytic_bloch(ScenarioParams(1.1, 0.4), t))
+
+
+ARRAY_VALUED = {
+    "two_parameter_field": _field_pair,
+    "parallel_transverse_ratio": lambda t: parallel_transverse_ratio(P_GENERIC, t),
+    "h_parallel_sq": lambda t: h_parallel_sq(P_GENERIC, t),
+    "h_transverse_sq": lambda t: h_transverse_sq(P_GENERIC, t),
+    "speed": lambda t: speed(P_GENERIC, t),
+    "acceleration": lambda t: acceleration(P_GENERIC, t),
+    "curvature_closed": lambda t: curvature_closed(P_GENERIC, t),
+    "curvature_bloch": _bloch_route,
+    "curvature_expectation": lambda t: curvature_expectation(
+        TwoParameterField(P_GENERIC), analytic_state(P_GENERIC, t), t
+    ),
+    "speed_efficiency": _efficiency,
+    "transport_phase_closed": lambda t: transport_phase_closed(P_GENERIC, t),
+    "analytic_state": lambda t: analytic_state(P_GENERIC, t),
+    "analytic_state_derivative": lambda t: analytic_state_derivative(P_GENERIC, t),
+    "analytic_bloch": lambda t: analytic_bloch(P_GENERIC, t),
+    "pauli_compose": lambda t: pauli_compose(0.5 * t, two_parameter_field(P_GENERIC, t).h),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_VALUED))
+def test_array_call_matches_per_node_calls(name):
+    # one call on a grid gives what one call per node gives, in shape and
+    # value; a scalar t keeps a scalar (or single-vector) result
+    f = ARRAY_VALUED[name]
+    ts = np.linspace(0.05, 5.0, 97)
+    whole = f(ts)
+    nodes = np.array([f(t) for t in ts.tolist()])
+    assert np.ndim(f(0.3)) == nodes.ndim - 1
+    assert whole.shape == nodes.shape
+    scale = max(1.0, float(np.max(np.abs(nodes))))
+    assert float(np.max(np.abs(whole - nodes))) <= 1e-15 * scale
 
 
 class TestClipFloor:
@@ -478,7 +525,11 @@ class TestClipFloor:
         assert _clip_nonneg(2.0, KAPPA2_CLIP_FLOOR) == 2.0
         assert _clip_nonneg(0.0, KAPPA2_CLIP_FLOOR) == 0.0
         assert _clip_nonneg(-5e-10, KAPPA2_CLIP_FLOOR) == 0.0
+        clipped = _clip_nonneg(np.array([2.0, -5e-10, 0.0]), KAPPA2_CLIP_FLOOR)
+        assert clipped.tolist() == [2.0, 0.0, 0.0]
 
     def test_raises_beyond_floor(self):
-        with pytest.raises(NumericalConsistencyError):
-            _clip_nonneg(-1e-6, KAPPA2_CLIP_FLOOR)
+        # NaN is no round-off: it must raise, never clip to 0
+        for value in (-1e-6, math.nan, np.array([1.0, math.nan, 0.5])):
+            with pytest.raises(NumericalConsistencyError):
+                _clip_nonneg(value, KAPPA2_CLIP_FLOOR)

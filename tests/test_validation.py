@@ -6,7 +6,6 @@ import pytest
 import blochcurve.fields as fields_mod
 import blochcurve.geometry as geometry_mod
 from blochcurve import (
-    FieldSample,
     InvalidArgumentError,
     ScenarioParams,
     TimeGrid,
@@ -14,6 +13,7 @@ from blochcurve import (
     tilted_field_fixture,
 )
 from blochcurve.validation import DEFAULT_TOLERANCES, merge_tolerances
+from mutants import corrupted_field, flip_h_y, scale_h_dot_z, two_terms_only
 
 P11 = ScenarioParams(1.0, 1.0)
 GRID = TimeGrid(0.0, math.pi, 500)
@@ -88,48 +88,31 @@ class TestBattery:
         # each mutant corrupts the built-in field and names the checks that
         # must notice; both curvature routes consume h_dot, so a rate-only
         # corruption must trip the stencil and the closed-form route
-        def flip_h_y(h, hd):
-            h[1] = -h[1]
-            hd[1] = -hd[1]
-
-        def scale_h_dot_z(h, hd):
-            hd[2] *= 1.01
-
         mutants = [
             (flip_h_y, ("route_agreement", "orthogonality", "eta_se")),
             (scale_h_dot_z, ("field_derivative", "route_agreement")),
         ]
-        original = fields_mod.two_parameter_field
+        grid = TimeGrid(0.0, math.pi, 300)
         for mutate, caught in mutants:
-            def corrupted(params, t, mutate=mutate):
-                s = original(params, t)
-                h = s.h.copy()
-                hd = s.h_dot.copy()
-                mutate(h, hd)
-                return FieldSample(s.t, s.h0, h, hd)
-
+            corrupted = corrupted_field(mutate)
+            # a grid sample is corrupted at every node exactly as one-node
+            # samples are, not in a single row
+            whole = corrupted(P11, grid.times())
+            nodes = [corrupted(P11, t) for t in grid.times().tolist()]
+            assert np.array_equal(whole.h, [s.h for s in nodes]), mutate.__name__
+            assert np.array_equal(whole.h_dot, [s.h_dot for s in nodes]), mutate.__name__
             monkeypatch.setattr(fields_mod, "two_parameter_field", corrupted)
-            res = by_name(run_battery(P11, TimeGrid(0.0, math.pi, 300)))
+            res = by_name(run_battery(P11, grid))
             for name in caught:
                 assert not res[name].passed, (mutate.__name__, name)
             for name in ("elliptic", "decomposition", "extrema_value"):
                 assert res[name].passed, (mutate.__name__, name)
+            monkeypatch.undo()
 
     def test_dropped_curvature_term_is_caught_off_the_special_path(self, monkeypatch):
         # without the chirality term both routes still agree along the
         # built-in drive (a.h = 0 kills it); only the general-position
         # fixture can expose the loss
-        def two_terms_only(a, h, h_dot, eps_sing=1e-12):
-            av = np.asarray(a, dtype=float).reshape(3)
-            hv = np.asarray(h, dtype=float).reshape(3)
-            hd = np.asarray(h_dot, dtype=float).reshape(3)
-            h2 = float(hv @ hv)
-            ah = float(av @ hv)
-            den = h2 - ah * ah
-            w = float(av @ hd) * hv - ah * hd
-            num2 = (h2 * float(hd @ hd) - float(hv @ hd) ** 2) - float(w @ w)
-            return 4.0 * ah * ah / den + num2 / den ** 3
-
         monkeypatch.setattr(geometry_mod, "curvature_bloch", two_terms_only)
         res = by_name(run_battery(P11, TimeGrid(0.0, math.pi, 300)))
         assert res["route_agreement"].passed
