@@ -89,10 +89,7 @@ def main(argv=None) -> int:
         if ns.command == "simulate":
             return cmd_simulate(params, grid, opts["out"], opts["format"])
         return cmd_validate(params, grid, opts["tol"])
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidArgumentError, DomainError) as exc:
+    except (OSError, InvalidArgumentError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SingularityError as exc:
@@ -107,8 +104,7 @@ def cmd_simulate(params: fields.ScenarioParams, grid: dynamics.TimeGrid,
                  out: str | None, fmt: str) -> int:
     """Write one row per grid node with every scenario observable."""
     columns = geometry.scenario_records(params, grid)
-    rows = np.column_stack(list(columns.values())).tolist()
-    _write_text(out, _render(rows, SERIES_COLUMNS, fmt))
+    _write_text(out, _render(list(columns.values()), SERIES_COLUMNS, fmt))
     return 0
 
 
@@ -131,19 +127,11 @@ def cmd_validate(params: fields.ScenarioParams, grid: dynamics.TimeGrid,
 
 def cmd_sweep(omega0: float, nu0_values: list[float], out: str | None, fmt: str) -> int:
     """One extrema/efficiency summary row per drive strength, input order."""
-    rows = []
-    for nu0 in nu0_values:
-        params = fields.ScenarioParams(omega0, nu0)
-        s = geometry.extrema_summary(params)
-        rows.append((
-            params.omega0, nu0,
-            s.v_max, s.v_min, s.t_vmax, s.t_vmin,
-            s.acc_max, s.acc_min, s.t_accmax, s.t_accmin,
-            s.kappa2_max, s.kappa2_min, s.t_k2max, s.t_k2min,
-            s.ratio_max, s.ratio_min, s.period,
-            geometry.geodesic_efficiency(params),
-        ))
-    _write_text(out, _render(rows, SWEEP_COLUMNS, fmt))
+    params = fields.ScenarioParams(omega0, nu0_values)
+    summary = geometry.extrema_summary(params)
+    columns = np.broadcast_arrays(params.omega0, params.nu0, *vars(summary).values(),
+                                  geometry.geodesic_efficiency(params))
+    _write_text(out, _render(columns, SWEEP_COLUMNS, fmt))
     return 0
 
 
@@ -227,19 +215,16 @@ def _cast(value, cast, key):
         raise InvalidArgumentError(f"bad value for {key}: {value!r}") from exc
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _render(rows, columns, fmt: str) -> str:
+def _render(columns, names, fmt: str) -> str:
+    """CSV or JSON text, one row per entry of the 1-D ``columns``, as ``%.17g``."""
+    rows = (row.tolist() for row in np.column_stack(columns))
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        row_format = ",".join(["%.17g"] * len(names))
+        lines = [",".join(names)]
+        lines.extend(row_format % tuple(row) for row in rows)
         return "\n".join(lines) + "\n"
-    objects = (
-        "{" + ", ".join(f'"{c}": {_fmt(v)}' for c, v in zip(columns, row)) + "}"
-        for row in rows
-    )
+    row_format = "{" + ", ".join(f'"{c}": %.17g' for c in names) + "}"
+    objects = (row_format % tuple(row) for row in rows)
     return "[\n  " + ",\n  ".join(objects) + "\n]\n"
 
 

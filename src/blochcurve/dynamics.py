@@ -24,6 +24,7 @@ from .errors import (
 )
 from .fields import FieldSpec, ScenarioParams
 from .qubit_core import QubitState, pauli_compose
+from .special_functions import elliptic_e_incomplete
 
 DRIFT_LIMIT = 1e-6          # per-step norm drift that flags instability
 TRANSPORT_GAUGE_ATOL = 1e-8  # |⟨m|ṁ⟩| bound for Hamiltonian synthesis
@@ -275,18 +276,14 @@ def _integrate(g_nodes, g_half, y0, times, dt) -> tuple[np.ndarray, float]:
     return out, max_drift
 
 
-def arc_length_closed(params: ScenarioParams, t: float, tol: float = 1e-10) -> float:
-    """Arc length s(t) = ∫₀ᵗ v dt' of the built-in scenario by adaptive
-    quadrature of the closed-form speed. Exact (ω₀t) in the ν₀ = 0 limit.
-    """
-    if not (math.isfinite(t) and t >= 0.0):
+def arc_length_closed(params: ScenarioParams, t):
+    """Exact scenario arc length s(t) = ∫₀ᵗ v dt' = ½·E(2ω₀t | −(1/4)(ν₀/ω₀)²)
+    (substitute θ = 2ω₀t'); ω₀t when ν₀ = 0. ``t`` may be an array of times ≥ 0."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t) & (t >= 0.0)):
         raise InvalidArgumentError("t must be finite and >= 0")
-    if t == 0.0:
-        return 0.0
-    from .geometry import speed
-    from .special_functions import adaptive_simpson
-
-    return adaptive_simpson(lambda tt: speed(params, tt), 0.0, t, tol).value
+    w = params.omega0
+    return 0.5 * elliptic_e_incomplete(2.0 * w * t, -0.25 * (params.nu0 / w) ** 2)
 
 
 def synthesize_hamiltonian(m, m_dot, gauge_atol: float = TRANSPORT_GAUGE_ATOL) -> np.ndarray:

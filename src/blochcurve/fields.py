@@ -27,18 +27,25 @@ class ScenarioParams:
     """Angular rates of the built-in scenario: ω₀ = θ̇/2 > 0, ν₀ = φ̇ ≥ 0.
 
     ν₀ = 0 is the geodesic limit (constant speed ω₀, zero curvature).
+    A 1-D array ``nu0`` (each entry checked) is accepted only by
+    ``geometry.extrema_summary`` and ``geometry.geodesic_efficiency``.
     """
 
     omega0: float
-    nu0: float
+    nu0: object
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega0) and math.isfinite(self.nu0)):
-            raise InvalidArgumentError("scenario parameters must be finite")
-        if self.omega0 <= 0.0:
-            raise InvalidArgumentError(f"omega0 must be > 0, got {self.omega0!r}")
-        if self.nu0 < 0.0:
-            raise InvalidArgumentError(f"nu0 must be >= 0, got {self.nu0!r}")
+        if not (math.isfinite(self.omega0) and self.omega0 > 0.0):
+            raise InvalidArgumentError(f"omega0 must be finite and > 0, got {self.omega0!r}")
+        nu0 = np.asarray(self.nu0, dtype=float)
+        if nu0.ndim > 1:
+            raise InvalidArgumentError(f"nu0 must be a scalar or 1-D, got shape {nu0.shape}")
+        bad = np.flatnonzero(~(np.isfinite(nu0) & (nu0 >= 0.0)))
+        if bad.size:
+            name = f"nu0[{bad[0]}]" if nu0.ndim else "nu0"
+            raise InvalidArgumentError(
+                f"{name} must be finite and >= 0, got {float(nu0.flat[bad[0]])!r}")
+        object.__setattr__(self, "nu0", nu0 if nu0.ndim else float(nu0))
 
 
 @dataclass(frozen=True)

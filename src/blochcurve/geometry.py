@@ -29,7 +29,7 @@ from .errors import (
 )
 from .fields import FieldSpec, ScenarioParams
 from .qubit_core import IDENTITY, pauli_compose
-from .special_functions import adaptive_simpson, elliptic_e
+from .special_functions import elliptic_e
 
 EPSILON_SINGULAR = 1e-12   # denominator / speed floor below which curvature is undefined
 KAPPA2_CLIP_FLOOR = -1e-9  # analytic routes: clip [floor, 0) to 0, raise below
@@ -273,14 +273,14 @@ def extrema_summary(params: ScenarioParams) -> ExtremaSummary:
     w, n = params.omega0, params.nu0
     r = n / w
     period = math.pi / (2.0 * w)
-    u = 2.0 / (2.0 + math.sqrt(4.0 + r * r))
-    t_acc = math.asin(math.sqrt(u)) / (2.0 * w)
+    u = 2.0 / (2.0 + np.sqrt(4.0 + r * r))
+    t_acc = np.arcsin(np.sqrt(u)) / (2.0 * w)
     acc_max = (
-        0.25 * n * n * 2.0 * math.sqrt(u * (1.0 - u))
-        / math.sqrt(1.0 + 0.25 * r * r * u)
+        0.25 * n * n * 2.0 * np.sqrt(u * (1.0 - u))
+        / np.sqrt(1.0 + 0.25 * r * r * u)
     )
     return ExtremaSummary(
-        v_max=w * math.sqrt(1.0 + 0.25 * r * r),
+        v_max=w * np.sqrt(1.0 + 0.25 * r * r),
         v_min=w,
         t_vmax=math.pi / (4.0 * w),
         t_vmin=0.0,
@@ -317,19 +317,14 @@ def scenario_records(
     field and the analytic solution are sampled once for the whole grid.
     The three curvature columns come from the closed form, the Bloch-vector
     route on the analytic Bloch vector, and the exact operator route on the
-    analytic state; none takes a step size. Arc length accumulates
-    interval-by-interval adaptive quadrature of the closed-form speed; the
-    stored phase column is β(t) = −φ(t) (see
-    ``dynamics.transport_phase_closed`` for the gauge bookkeeping).
+    analytic state; none takes a step size. Arc length is the exact
+    ``dynamics.arc_length_closed`` counted from the grid's start; the phase
+    column is β(t) = −φ(t) (gauge bookkeeping: ``transport_phase_closed``).
     """
     t = grid.times()
     sample = fields.two_parameter_field(params, t)
     a = dynamics.analytic_bloch(params, t)
-    nodes = t.tolist()
-    arc_steps = [
-        adaptive_simpson(lambda tt: speed(params, tt), lo, hi, 1e-12).value
-        for lo, hi in zip(nodes[:-1], nodes[1:])
-    ]
+    arc = dynamics.arc_length_closed(params, t)
     columns = (
         t, *a.T, *sample.h.T,
         speed(params, t),
@@ -341,7 +336,7 @@ def scenario_records(
         ),
         fields.parallel_transverse_ratio(params, t),
         speed_efficiency(sample.h0, sample.h, a),
-        np.concatenate(([0.0], np.cumsum(arc_steps))),
+        arc - arc[0],
         -dynamics.transport_phase_closed(params, t),
     )
     return dict(zip(SERIES_COLUMNS, columns))

@@ -75,9 +75,6 @@ class BlochVector:
     y: float
     z: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
     def __array__(self, dtype=None, copy=None):
         return np.array([self.x, self.y, self.z], dtype=dtype or float)
 

@@ -1,13 +1,13 @@
-"""Complete elliptic integral of the second kind and adaptive quadrature.
+"""Elliptic integrals of the second kind and adaptive quadrature.
 
-``elliptic_e`` uses the PARAMETER convention
+``elliptic_e`` and ``elliptic_e_incomplete`` use the PARAMETER convention
 
-    E(m) = ∫₀^{π/2} √(1 − m sin²θ) dθ,    m ≤ 1,
+    E(φ|m) = ∫₀^φ √(1 − m sin²θ) dθ,    E(m) = E(π/2|m),    m ≤ 1,
 
 not the modulus convention E(k) with m = k². The parameter may be negative
-(the geodesic-efficiency denominator needs m = −(1/4)(ν₀/ω₀)², which can be
-large-negative), so the implementation goes through the Carlson symmetric
-forms R_F and R_D, which converge uniformly for every m ≤ 1.
+(the scenario needs m = −(1/4)(ν₀/ω₀)², which can be large-negative), so
+both go through the Carlson symmetric forms R_F and R_D, which converge
+uniformly for every m ≤ 1. All four take scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -17,10 +17,13 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import ConvergenceError, DomainError, InvalidArgumentError
 
 _EPS = sys.float_info.epsilon
 _MAX_DUPLICATIONS = 120  # never reached in double precision; defensive bound
+_MAX_DEPTH = 50  # adaptive_simpson's bisection levels per top panel
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -33,21 +36,24 @@ class QuadratureResult:
     evaluations: int
 
 
-def carlson_rf(x: float, y: float, z: float) -> float:
+def carlson_rf(x, y, z):
     """Carlson symmetric integral R_F(x,y,z) by the duplication theorem.
 
     R_F(x,y,z) = (1/2) ∫₀^∞ dt / √((t+x)(t+y)(t+z)), args ≥ 0, at most one 0.
+    Arguments broadcast; every entry takes as many steps as the slowest one.
     """
-    if min(x, y, z) < 0.0 or (x + y) == 0.0 or (x + z) == 0.0 or (y + z) == 0.0:
+    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
+    lowest, middle, _ = np.sort([x, y, z], axis=0)
+    if np.any((lowest < 0.0) | (middle == 0.0)):
         raise DomainError("carlson_rf needs nonnegative arguments, at most one zero")
-    xn, yn, zn = float(x), float(y), float(z)
+    xn, yn, zn = x, y, z
     a0 = an = (xn + yn + zn) / 3.0
-    q = (3.0 * _EPS) ** -0.125 * max(abs(a0 - xn), abs(a0 - yn), abs(a0 - zn))
+    q = (3.0 * _EPS) ** -0.125 * np.maximum(np.maximum(abs(a0 - xn), abs(a0 - yn)), abs(a0 - zn))
     fn = 1.0
     for _ in range(_MAX_DUPLICATIONS):
-        if q < abs(an) * fn:
+        if np.all(q < abs(an) * fn):
             break
-        rx, ry, rz = math.sqrt(xn), math.sqrt(yn), math.sqrt(zn)
+        rx, ry, rz = np.sqrt(xn), np.sqrt(yn), np.sqrt(zn)
         lam = rx * ry + rx * rz + ry * rz
         an = (an + lam) / 4.0
         xn = (xn + lam) / 4.0
@@ -66,26 +72,27 @@ def carlson_rf(x: float, y: float, z: float) -> float:
         + e3 * (1.0 / 14.0 + 3.0 * e3 / 104.0)
         + e2 * (-0.1 + e2 / 24.0 - 3.0 * e3 / 44.0 - 5.0 * e2 * e2 / 208.0 + e2 * e3 / 16.0)
     )
-    return series / math.sqrt(an)
+    return (series / np.sqrt(an))[()]
 
 
-def carlson_rd(x: float, y: float, z: float) -> float:
+def carlson_rd(x, y, z):
     """Carlson symmetric integral R_D(x,y,z) by the duplication theorem.
 
     R_D(x,y,z) = (3/2) ∫₀^∞ dt / (√((t+x)(t+y)) (t+z)^{3/2}),
-    x,y ≥ 0 with at most one of them zero, z > 0.
+    x,y ≥ 0 with at most one of them zero, z > 0. Broadcasts like R_F.
     """
-    if min(x, y) < 0.0 or (x + y) == 0.0 or z <= 0.0:
+    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
+    if np.any((np.minimum(x, y) < 0.0) | (x + y == 0.0) | (z <= 0.0)):
         raise DomainError("carlson_rd needs x,y >= 0 (at most one zero) and z > 0")
-    xn, yn, zn = float(x), float(y), float(z)
+    xn, yn, zn = x, y, z
     a0 = an = (xn + yn + 3.0 * zn) / 5.0
-    q = (0.25 * _EPS) ** -0.125 * max(abs(a0 - xn), abs(a0 - yn), abs(a0 - zn))
+    q = (0.25 * _EPS) ** -0.125 * np.maximum(np.maximum(abs(a0 - xn), abs(a0 - yn)), abs(a0 - zn))
     fn = 1.0
     tail = 0.0
     for _ in range(_MAX_DUPLICATIONS):
-        if q * fn < abs(an):
+        if np.all(q * fn < abs(an)):
             break
-        rx, ry, rz = math.sqrt(xn), math.sqrt(yn), math.sqrt(zn)
+        rx, ry, rz = np.sqrt(xn), np.sqrt(yn), np.sqrt(zn)
         lam = rx * ry + rx * rz + ry * rz
         tail += fn / (rz * (zn + lam))
         an = (an + lam) / 4.0
@@ -116,26 +123,43 @@ def carlson_rd(x: float, y: float, z: float) -> float:
         + 45.0 * e2 * e2 * e3 / 272.0
         - 9.0 * (e3 * e4 + e2 * e5) / 68.0
     )
-    return 3.0 * tail + fn * series / (an * math.sqrt(an))
+    return (3.0 * tail + fn * series / (an * np.sqrt(an)))[()]
 
 
-def elliptic_e(m: float) -> float:
+def elliptic_e(m):
     """Complete elliptic integral of the second kind, parameter convention.
 
-    E(m) = R_F(0, 1−m, 1) − (m/3)·R_D(0, 1−m, 1) for m < 1; E(1) = 1 exactly
-    (the Carlson identity degenerates there). Relative accuracy is a few ulp,
-    well inside the 1e-12 contract.
+    E(m) = R_F(0, 1−m, 1) − (m/3)·R_D(0, 1−m, 1) for m < 1; E(0) = π/2 and
+    E(1) = 1 exactly (the Carlson identity degenerates at m = 1). Relative
+    accuracy is a few ulp, well inside the 1e-12 contract.
     """
-    if not math.isfinite(m):
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
         raise InvalidArgumentError("parameter m must be finite")
-    if m > 1.0:
-        raise DomainError(f"elliptic_e requires m <= 1, got {m!r}")
-    if m == 1.0:
-        return 1.0
-    if m == 0.0:
-        return math.pi / 2.0
-    y = 1.0 - m
-    return carlson_rf(0.0, y, 1.0) - (m / 3.0) * carlson_rd(0.0, y, 1.0)
+    if np.any(m > 1.0):
+        raise DomainError(f"elliptic_e requires m <= 1, got {float(m[m > 1.0][0])!r}")
+    y = np.where(m == 1.0, 1.0, 1.0 - m)
+    value = carlson_rf(0.0, y, 1.0) - (m / 3.0) * carlson_rd(0.0, y, 1.0)
+    return np.where(m == 1.0, 1.0, np.where(m == 0.0, math.pi / 2.0, value))[()]
+
+
+def elliptic_e_incomplete(phi, m):
+    """Incomplete elliptic integral E(φ|m) of the second kind. With φ = kπ + r,
+    |r| ≤ π/2, quasi-periodicity and DLMF 19.25.9 give, for c = cos²r and
+    y = 1 − m sin²r,
+
+        E(φ|m) = 2k·E(m) + sin r·R_F(c, y, 1) − (m/3)·sin³r·R_D(c, y, 1).
+    """
+    e_complete = elliptic_e(m)  # also validates m
+    m, phi = np.asarray(m, dtype=float), np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(phi)):
+        raise InvalidArgumentError("amplitude phi must be finite")
+    k = np.rint(phi / math.pi)
+    r = phi - k * math.pi
+    s, c = np.sin(r), np.cos(r) ** 2
+    y = 1.0 - m * s * s
+    return (2.0 * k * e_complete + s * carlson_rf(c, y, 1.0)
+            - (m / 3.0) * s ** 3 * carlson_rd(c, y, 1.0))[()]
 
 
 def adaptive_simpson(
@@ -143,14 +167,13 @@ def adaptive_simpson(
     a: float,
     b: float,
     tol: float = 1e-10,
-    max_depth: int = 50,
 ) -> QuadratureResult:
     """Adaptive Simpson quadrature of f over [a, b].
 
     Each panel is accepted when the Richardson estimate |S_half − S_whole|/15
     is below its share of the tolerance, and the accepted value includes the
     extrapolation correction. Raises ConvergenceError when a panel would need
-    subdividing past ``max_depth`` levels.
+    subdividing past ``_MAX_DEPTH`` levels.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise InvalidArgumentError("integration bounds must be finite with a < b")
@@ -179,9 +202,9 @@ def adaptive_simpson(
         delta = left + right - whole
         if abs(delta) <= 15.0 * tol_here:
             return left + right + delta / 15.0, abs(delta) / 15.0
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise ConvergenceError(
-                f"adaptive_simpson exceeded depth {max_depth} on [{lo!r}, {hi!r}]"
+                f"adaptive_simpson exceeded depth {_MAX_DEPTH} on [{lo!r}, {hi!r}]"
             )
         lval, lerr = recurse(lo, mid, flo, flm, fmid, left, tol_here / 2.0, depth + 1)
         rval, rerr = recurse(mid, hi, fmid, frm, fhi, right, tol_here / 2.0, depth + 1)

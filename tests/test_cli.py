@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 import blochcurve.fields as fields_mod
 import blochcurve.geometry as geometry_mod
-from blochcurve.cli import SERIES_COLUMNS, SWEEP_COLUMNS, main
+from blochcurve import ExtremaSummary, ScenarioParams, extrema_summary, geodesic_efficiency
+from blochcurve.cli import SERIES_COLUMNS, SWEEP_COLUMNS, _render, main
 from mutants import corrupted_field, flip_h_y, two_terms_only
 
 PI_TXT = "3.141592653589793"
@@ -204,6 +207,40 @@ class TestSweep:
         assert main(["sweep", "--nu0-list", "1,abc"]) == 2
         assert main(["sweep", "--nu0-list", ""]) == 2
         assert main(["sweep", "--nu0-list", "-1"]) == 2
+        assert main(["sweep", "--nu0-list", "1,2,-3,4"]) == 2
+        assert "nu0[2]" in capsys.readouterr().err
+
+    def test_summary_columns_follow_the_dataclass(self):
+        # cmd_sweep writes the summary fields in declaration order
+        assert SWEEP_COLUMNS[2:-1] == tuple(f.name for f in dataclasses.fields(ExtremaSummary))
+
+    def test_columns_match_one_value_at_a_time(self, tmp_path):
+        nu0 = [0.0, 1e-3, 0.37, 1.0, 2.0, 45.0, 999.0]
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--omega0", "0.8", "--nu0-list", ",".join(map(repr, nu0)),
+                     "--out", str(out)]) == 0
+        _, rows = parse_csv(out.read_text())
+        for n, row in zip(nu0, rows):
+            p = ScenarioParams(0.8, n)
+            expected = (0.8, n, *dataclasses.astuple(extrema_summary(p)),
+                        geodesic_efficiency(p))
+            got = [row[c] for c in SWEEP_COLUMNS]
+            assert got == pytest.approx(expected, rel=2e-15, abs=0.0)
+
+
+class TestRender:
+    def test_matches_per_value_formatting(self):
+        # every value as f"{x:.17g}", signed zeros, non-finite values and
+        # subnormals included
+        values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
+                  1.0 / 3.0, -1e300, 123456789.0, 0.1, 2.0 ** 60]
+        columns = [np.array(values), np.array(values[::-1])]
+        names = ("a", "b")
+        expected = "a,b\n" + "".join(
+            f"{x:.17g},{y:.17g}\n" for x, y in zip(values, values[::-1]))
+        assert _render(columns, names, "csv") == expected
+        objects = [f'{{"a": {x:.17g}, "b": {y:.17g}}}' for x, y in zip(values, values[::-1])]
+        assert _render(columns, names, "json") == "[\n  " + ",\n  ".join(objects) + "\n]\n"
 
 
 class TestErrorPaths:

@@ -12,6 +12,7 @@ from blochcurve import (
     TimeGrid,
     Trajectory,
     TwoParameterField,
+    adaptive_simpson,
     analytic_bloch,
     analytic_state,
     analytic_state_derivative,
@@ -25,6 +26,7 @@ from blochcurve import (
     integrate_schrodinger,
     pauli_compose,
     pauli_decompose,
+    speed,
     speed_efficiency,
     synthesize_hamiltonian,
     transport_phase_closed,
@@ -306,15 +308,34 @@ class TestArcLengthClosed:
         # one drive period traces arc E(-r^2/4) * 4 / pi * ... reduced form:
         # s(pi/2w) = E(-r^2/4)/w at r = nu0/w = 1
         assert arc_length_closed(P11, math.pi / 2.0) == pytest.approx(
-            elliptic_e(-0.25), abs=1e-9
+            elliptic_e(-0.25), abs=1e-14
         )
         assert arc_length_closed(P11, math.pi / 4.0) == pytest.approx(
-            elliptic_e(-0.25) / 2.0, abs=1e-9
+            elliptic_e(-0.25) / 2.0, abs=1e-14
         )
+
+    @pytest.mark.parametrize("w, n", [(0.7, 1.3), (1.0, 50.0), (1e-3, 1.0)])
+    def test_matches_quadrature_of_the_speed(self, w, n):
+        p = ScenarioParams(w, n)
+        ts = np.array([0.3, 1.9, 4.4, 7.0]) * math.pi / (2.0 * w)
+        closed = arc_length_closed(p, ts)
+        for t, s in zip(ts.tolist(), closed.tolist()):
+            quad = adaptive_simpson(lambda u: speed(p, u), 0.0, t, tol=1e-12).value
+            assert abs(s - quad) <= 1e-12 * quad
+
+    @pytest.mark.parametrize("w, n", [(1.0, 1.0), (1.0, 50.0), (1e-3, 1.0)])
+    def test_nondecreasing_across_the_seams(self, w, n):
+        # 2 w t crosses (k + 1/2) pi, where the elliptic reduction switches sides
+        p = ScenarioParams(w, n)
+        centre = (np.arange(0, 10) + 0.5) * math.pi / (2.0 * w)
+        t = np.stack([centre - 1e-13 / w, centre, centre + 1e-13 / w], axis=-1).ravel()
+        assert np.all(np.diff(arc_length_closed(p, t)) >= 0.0)
 
     def test_rejects_negative_time(self):
         with pytest.raises(InvalidArgumentError):
             arc_length_closed(P11, -1.0)
+        with pytest.raises(InvalidArgumentError):
+            arc_length_closed(P11, np.array([1.0, -1.0, 2.0]))
 
 
 class TestSynthesizeHamiltonian:

@@ -31,6 +31,21 @@ class TestScenarioParams:
         with pytest.raises(InvalidArgumentError):
             ScenarioParams(math.inf, 1.0)
 
+    def test_accepts_an_array_of_drive_strengths(self):
+        p = ScenarioParams(1.0, [0.0, 0.5, 2.0])
+        assert isinstance(p.nu0, np.ndarray)
+        assert p.nu0.tolist() == [0.0, 0.5, 2.0]
+        assert ScenarioParams(1.0, np.float64(0.5)).nu0 == 0.5
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    def test_array_error_names_the_offending_entry(self, bad):
+        with pytest.raises(InvalidArgumentError, match=rf"nu0\[2\] .*{bad!r}"):
+            ScenarioParams(1.0, np.array([0.5, 1.0, bad, 3.0]))
+
+    def test_rejects_arrays_beyond_one_dimension(self):
+        with pytest.raises(InvalidArgumentError):
+            ScenarioParams(1.0, np.ones((2, 2)))
+
 
 class TestBuiltinField:
     def test_value_at_origin(self):

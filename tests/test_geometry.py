@@ -485,6 +485,12 @@ def _efficiency(t):
     return speed_efficiency(s.h0 + 0.3, s.h, analytic_bloch(ScenarioParams(1.1, 0.4), t))
 
 
+def _summary_row(nu0):
+    # every field of the summary, one row per drive strength
+    summary = extrema_summary(ScenarioParams(0.7, nu0))
+    return np.stack(np.broadcast_arrays(*dataclasses.astuple(summary)), axis=-1)
+
+
 ARRAY_VALUED = {
     "two_parameter_field": _field_pair,
     "parallel_transverse_ratio": lambda t: parallel_transverse_ratio(P_GENERIC, t),
@@ -503,6 +509,10 @@ ARRAY_VALUED = {
     "analytic_state_derivative": lambda t: analytic_state_derivative(P_GENERIC, t),
     "analytic_bloch": lambda t: analytic_bloch(P_GENERIC, t),
     "pauli_compose": lambda t: pauli_compose(0.5 * t, two_parameter_field(P_GENERIC, t).h),
+    "arc_length_closed": lambda t: arc_length_closed(P_GENERIC, t),
+    "elliptic_e": lambda t: elliptic_e(1.0 - t),
+    "extrema_summary": _summary_row,
+    "geodesic_efficiency": lambda t: geodesic_efficiency(ScenarioParams(0.7, t)),
 }
 
 

@@ -12,7 +12,17 @@ from blochcurve import (
     carlson_rf,
     carlson_rd,
     elliptic_e,
+    elliptic_e_incomplete,
 )
+
+SCENARIO_PARAMETERS = (-2.5e5, -625.0, -1.0, -0.25, 0.0, 0.5, 0.99)
+
+
+def legendre_quadrature(phi, m):
+    def integrand(theta):
+        return math.sqrt(1.0 - m * math.sin(theta) ** 2)
+
+    return adaptive_simpson(integrand, 0.0, phi, tol=1e-12).value
 
 
 class TestCarlson:
@@ -57,6 +67,19 @@ class TestCarlson:
             carlson_rf(-1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             carlson_rf(0.0, 0.0, 1.0)
+        with pytest.raises(DomainError):
+            carlson_rf(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1.0)
+
+    def test_array_arguments_broadcast(self):
+        # one call over an array gives each entry's value and keeps the
+        # domain checks entry by entry
+        y = np.array([0.5, 1.0, 4.0, 2.5e5])
+        rf = carlson_rf(0.0, y, 1.0)
+        rd = carlson_rd(0.0, y, 1.0)
+        assert rf.shape == rd.shape == (4,)
+        for k, yk in enumerate(y.tolist()):
+            assert rf[k] == pytest.approx(carlson_rf(0.0, yk, 1.0), rel=1e-15)
+            assert rd[k] == pytest.approx(carlson_rd(0.0, yk, 1.0), rel=1e-15)
 
     def test_rd_domain(self):
         with pytest.raises(DomainError):
@@ -65,12 +88,20 @@ class TestCarlson:
             carlson_rd(0.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             carlson_rd(-0.5, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            carlson_rd(np.array([1.0, -1.0]), 1.0, 1.0)
 
 
 class TestEllipticE:
     def test_endpoint_values(self):
         assert elliptic_e(0.0) == pytest.approx(math.pi / 2.0, abs=1e-15)
         assert elliptic_e(1.0) == 1.0
+        # exact inside arrays too: a far entry makes every entry take many more
+        # duplication steps, and the Carlson value at m = 0 would then miss pi/2
+        vals = elliptic_e(np.array([-3.0, 0.0, 0.5, 1.0, -1e30]))
+        assert vals[1] == math.pi / 2.0
+        assert vals[3] == 1.0
+        assert vals[0] == pytest.approx(elliptic_e(-3.0), rel=1e-15)
 
     def test_pinned_negative_parameters(self):
         assert elliptic_e(-0.25) == pytest.approx(1.6647918053913379, abs=1e-13)
@@ -98,6 +129,50 @@ class TestEllipticE:
             elliptic_e(1.5)
         with pytest.raises(InvalidArgumentError):
             elliptic_e(math.inf)
+        with pytest.raises(DomainError, match="1.5"):
+            elliptic_e(np.array([0.5, 1.5]))
+        with pytest.raises(InvalidArgumentError):
+            elliptic_e(np.array([0.5, math.nan]))
+
+
+class TestEllipticEIncomplete:
+    @pytest.mark.parametrize("m", SCENARIO_PARAMETERS)
+    def test_matches_scipy(self, m):
+        special = pytest.importorskip("scipy.special")
+        phi = np.linspace(0.0, 60.0, 2401)
+        got = elliptic_e_incomplete(phi, m)
+        ref = special.ellipeinc(phi, m)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+    @pytest.mark.parametrize("phi, m", [
+        (0.3, -4.0), (1.2, 0.5), (3.5, -4.0), (7.9, -0.25), (12.0, 0.5),
+        (20.0, 0.99), (5.0, -625.0),
+    ])
+    def test_matches_legendre_integral(self, phi, m):
+        value = elliptic_e_incomplete(phi, m)
+        assert abs(value - legendre_quadrature(phi, m)) <= 1e-10 * max(1.0, value)
+
+    @pytest.mark.parametrize("m", SCENARIO_PARAMETERS)
+    def test_odd_in_phi_and_zero_at_origin(self, m):
+        phi = np.array([0.4, 2.0, 9.3])
+        assert np.array_equal(elliptic_e_incomplete(-phi, m), -elliptic_e_incomplete(phi, m))
+        assert elliptic_e_incomplete(0.0, m) == 0.0
+
+    @pytest.mark.parametrize("m", SCENARIO_PARAMETERS)
+    def test_nondecreasing_across_the_seams(self, m):
+        # the reduction switches from r = +pi/2 to r = -pi/2 (and k by one) at
+        # phi = (k + 1/2) pi; the two sides must still be ordered
+        centre = (np.arange(0, 19) + 0.5) * math.pi
+        phi = np.stack([centre - 1e-13, centre, centre + 1e-13], axis=-1).ravel()
+        assert np.all(np.diff(elliptic_e_incomplete(phi, m)) >= 0.0)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            elliptic_e_incomplete(1.0, 1.5)
+        with pytest.raises(InvalidArgumentError):
+            elliptic_e_incomplete(math.inf, 0.5)
+        with pytest.raises(InvalidArgumentError):
+            elliptic_e_incomplete(1.0, math.nan)
 
 
 class TestAdaptiveSimpson:
