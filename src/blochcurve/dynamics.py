@@ -2,12 +2,12 @@
 analytic reference solutions for the built-in scenario, transport phase, arc
 length, and Hamiltonian synthesis from a parallel-transported trajectory.
 
-Both integrators are fixed-step classical RK4 for y′ = G(t)y with per-step
-renormalization: G = −iH for the state, G = 2[h]× for the Bloch vector, each
-sampled once at every node and midpoint before the loop. The
-pre-renormalization norm drift is logged and a per-step drift above
-``DRIFT_LIMIT`` raises IntegrationInstabilityError (the right fix is a
-smaller dt, not a looser limit).
+Both integrators are fixed-step classical RK4 for y′ = G(t)y: G = −iH for the
+state (real 4x4, on (Re ψ, Im ψ)), G = 2[h]× for the Bloch vector. Every RK4
+step is a matrix y ↦ M·y; all are built at once and the states are
+renormalized prefix products of them. A step's norm drift on its unit start
+state is logged, and one above ``DRIFT_LIMIT`` raises
+IntegrationInstabilityError (the right fix is a smaller dt, not a looser limit).
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def hamiltonian_at(spec: FieldSpec, t) -> np.ndarray:
 
 
 def integrate_schrodinger(spec: FieldSpec, psi0, grid: TimeGrid) -> Trajectory:
-    """Integrate i dψ/dt = H(t)ψ on the grid with per-step renormalization.
+    """Integrate i dψ/dt = H(t)ψ on the grid, renormalized at every node.
 
     Fills ``beta`` with the trapezoidal accumulation of ⟨ψ|H|ψ⟩ and ``arc``
     with the trapezoidal accumulation of the speed v = √(⟨H²⟩ − ⟨H⟩²).
@@ -190,7 +190,9 @@ def integrate_schrodinger(spec: FieldSpec, psi0, grid: TimeGrid) -> Trajectory:
     dt = grid.dt
     h_nodes = hamiltonian_at(spec, times)
     h_half = hamiltonian_at(spec, times[:-1] + 0.5 * dt)
-    states, max_drift = _integrate(-1j * h_nodes, -1j * h_half, psi, times, dt)
+    y, max_drift = _integrate(_schrodinger_generator(h_nodes), _schrodinger_generator(h_half),
+                              np.concatenate([psi.real, psi.imag]), times, dt)
+    states = y[:, :2] + 1j * y[:, 2:]
 
     hpsi = np.einsum("nij,nj->ni", h_nodes, states)
     energy = np.einsum("ni,ni->n", states.conj(), hpsi).real
@@ -209,12 +211,13 @@ def integrate_schrodinger(spec: FieldSpec, psi0, grid: TimeGrid) -> Trajectory:
     )
 
 
-def bloch_step(spec: FieldSpec, a: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One raw RK4 step of the precession equation ȧ = 2 h × a (dt may be
-    negative). No renormalization; callers decide.
-    """
-    g = _precession_generator(spec.sample(np.array([t, t + 0.5 * dt, t + dt])).h)
-    return _rk4_step(g[0], g[1], g[2], np.asarray(a, dtype=float).reshape(3), dt)
+def bloch_step(spec: FieldSpec, a, t, dt: float) -> np.ndarray:
+    """Raw RK4 steps of ȧ = 2 h × a (dt may be negative) from the rows of ``a``
+    (..., 3) at the times ``t`` (...). No renormalization; callers decide."""
+    t = np.asarray(t, dtype=float)[..., None] + np.array([0.0, 0.5 * dt, dt])
+    g = _precession_generator(spec.sample(t).h)
+    m = _rk4_propagators(g[..., ::2, :, :], g[..., 1:2, :, :], dt)[..., 0, :, :]
+    return (m @ np.asarray(a, dtype=float)[..., None])[..., 0]
 
 
 def integrate_bloch(spec: FieldSpec, a0, grid: TimeGrid) -> np.ndarray:
@@ -235,45 +238,51 @@ def integrate_bloch(spec: FieldSpec, a0, grid: TimeGrid) -> np.ndarray:
     return _integrate(g_nodes, g_half, a, times, dt)[0]
 
 
+def _schrodinger_generator(h: np.ndarray) -> np.ndarray:
+    """G = −iH as the real 4x4 matrix acting on (Re ψ, Im ψ), one per H."""
+    return np.block([[h.imag, h.real], [-h.real, h.imag]])
+
+
 def _precession_generator(h: np.ndarray) -> np.ndarray:
     """Matrices G = 2[h]× with G·a = 2 h × a, one per row of h: row i of
     [h]× is e_i × h."""
     return 2.0 * np.cross(np.eye(3), h[..., None, :])
 
 
-def _rk4_step(g0, g_half, g1, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of y′ = G(t)y, given G at the step's start,
-    midpoint and end."""
-    k1 = g0 @ y
-    k2 = g_half @ (y + 0.5 * dt * k1)
-    k3 = g_half @ (y + 0.5 * dt * k2)
-    k4 = g1 @ (y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_propagators(g_nodes, g_half, dt: float) -> np.ndarray:
+    """The matrices M of the classical RK4 steps y ↦ M·y of y′ = G(t)y, all at
+    once, from G at the n + 1 nodes and n midpoints (on axis −3)."""
+    eye = np.eye(g_nodes.shape[-1])
+    k1 = g_nodes[..., :-1, :, :]
+    k2 = g_half @ (eye + 0.5 * dt * k1)
+    k3 = g_half @ (eye + 0.5 * dt * k2)
+    k4 = g_nodes[..., 1:, :, :] @ (eye + dt * k3)
+    return eye + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _integrate(g_nodes, g_half, y0, times, dt) -> tuple[np.ndarray, float]:
-    """RK4 for y′ = G(t)y with G presampled at every node and midpoint.
-
-    Each step is renormalized; its pre-renormalization norm drift is logged
-    and a drift above ``DRIFT_LIMIT`` raises IntegrationInstabilityError.
-    Returns the unit-norm rows and the largest drift seen.
-    """
-    out = np.empty((len(times),) + y0.shape, dtype=y0.dtype)
-    out[0] = y = y0
-    max_drift = 0.0
-    for i in range(len(times) - 1):
-        raw = _rk4_step(g_nodes[i], g_half[i], g_nodes[i + 1], y, dt)
-        norm = float(np.linalg.norm(raw))
-        drift = abs(norm - 1.0)
-        if drift > DRIFT_LIMIT:
-            raise IntegrationInstabilityError(
-                f"norm drift {drift:.3e} at t = {float(times[i + 1])!r} exceeds "
-                f"{DRIFT_LIMIT:.1e}; reduce the step size"
-            )
-        max_drift = max(max_drift, drift)
-        y = raw / norm
-        out[i + 1] = y
-    return out, max_drift
+    """RK4 for y′ = G(t)y, G presampled at every node and midpoint: the states
+    are the renormalized prefix products P_n·y₀, P_n = M_{n−1}⋯M₀, found in
+    ⌈log₂ n⌉ doubling rounds. The first step whose drift |‖M_n·ŷ_n‖ − 1| on its
+    unit start state ŷ_n exceeds ``DRIFT_LIMIT`` or is not finite raises
+    IntegrationInstabilityError (later products may overflow). Returns the
+    unit-norm rows and the largest drift."""
+    m = _rk4_propagators(g_nodes, g_half, dt)
+    prefix, s = m.copy(), 1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while s < len(prefix):
+            prefix[s:] = prefix[s:] @ prefix[:-s]
+            s *= 2
+        raw = np.concatenate(([y0], prefix @ y0))
+        out = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+        drift = np.abs(np.linalg.norm((m @ out[:-1, :, None])[..., 0], axis=-1) - 1.0)
+    i = int(np.argmax(~(drift <= DRIFT_LIMIT)))  # the first bad step, or 0
+    if not drift[i] <= DRIFT_LIMIT:
+        raise IntegrationInstabilityError(
+            f"norm drift {drift[i]:.3e} at t = {float(times[i + 1])!r} exceeds "
+            f"{DRIFT_LIMIT:.1e}; reduce the step size"
+        )
+    return out, float(drift.max())
 
 
 def arc_length_closed(params: ScenarioParams, t):

@@ -197,8 +197,8 @@ def _check_consistency_identity(ctx, tol):
     k = _general_nodes(traj)
     t = traj.times[k]
     a = traj.bloch[k]
-    a_p = np.array([dynamics.bloch_step(spec, row, tt, d) for row, tt in zip(a, t)])
-    a_m = np.array([dynamics.bloch_step(spec, row, tt, -d) for row, tt in zip(a, t)])
+    a_p = dynamics.bloch_step(spec, a, t, d)
+    a_m = dynamics.bloch_step(spec, a, t, -d)
     lhs = (np.einsum("nk,nk->n", a_p, spec.sample(t + d).h)
            - np.einsum("nk,nk->n", a_m, spec.sample(t - d).h)) / (2 * d)
     rhs = np.einsum("nk,nk->n", a, spec.sample(t).h_dot)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,9 +30,12 @@ from blochcurve import (
     speed,
     speed_efficiency,
     synthesize_hamiltonian,
+    tilted_field_fixture,
     transport_phase_closed,
     two_parameter_field,
 )
+
+import reference_rk4
 
 P11 = ScenarioParams(1.0, 1.0)
 SPEC11 = TwoParameterField(P11)
@@ -277,6 +281,84 @@ class TestIntegrateBloch:
     def test_flags_norm_drift_on_coarse_grid(self):
         with pytest.raises(IntegrationInstabilityError, match=r"at t = [0-9.]+[; ]"):
             integrate_bloch(tilted_field(), (0.0, 0.0, 1.0), TimeGrid(0.0, 50.0, 20))
+
+
+def _reference_cases():
+    """(spec, psi0, grid) on which the integrators must match the per-step
+    loop; the step counts 1, 2, 3 and 1023–1025 sit on the seams of the
+    prefix-product doubling."""
+    tilted, psi0 = tilted_field_fixture()
+    yield pytest.param(SPEC11, analytic_state(P11, 0.0), TimeGrid(0.0, 2.0 * math.pi, 6283),
+                       id="scenario-6283")
+    yield pytest.param(tilted, psi0, TimeGrid(0.0, 3.0, 3000), id="tilted-3000")
+    for steps in (1, 2, 3, 1023, 1024, 1025):
+        yield pytest.param(tilted, psi0, TimeGrid(0.0, steps / 1000.0, steps),
+                           id=f"tilted-{steps}")
+
+
+def _unstable_cases():
+    """(spec, psi0, grid, t of the first unstable step of the Schrödinger and
+    of the Bloch integration)."""
+    tilted, psi0 = tilted_field_fixture()
+    # every step is unstable; the unrenormalized product overflows
+    yield tilted, psi0, TimeGrid(0.0, 5000.0, 400), 12.5, 12.5
+    # weak early, strong late: the first unstable step lies mid-grid
+    ramp = CallableField(h=lambda t: (0.0, 0.0, 0.01 * t ** 3),
+                         h_dot=lambda t: (0.0, 0.0, 0.03 * t ** 2))
+    yield ramp, np.array([1.0, 1.0j]) / math.sqrt(2.0), TimeGrid(0.0, 10.0, 50), 5.0, 4.0
+
+
+class TestAgainstPerStepLoop:
+    """Both integrators against the per-step RK4 loop in reference_rk4.py."""
+
+    @pytest.mark.parametrize("spec, psi0, grid", list(_reference_cases()))
+    def test_states_rows_and_drift_match(self, spec, psi0, grid):
+        states, drift = reference_rk4.schrodinger(spec, psi0, grid)
+        traj = integrate_schrodinger(spec, psi0, grid)
+        assert np.max(np.abs(traj.states - states)) <= 1e-13
+        rows = np.array([np.asarray(bloch_vector(s)) for s in states])
+        assert np.max(np.abs(traj.bloch - rows)) <= 1e-13
+        assert abs(traj.max_norm_drift - drift) <= 1e-15
+
+        a0 = np.asarray(bloch_vector(psi0))
+        rows, _ = reference_rk4.bloch(spec, a0, grid)
+        assert np.max(np.abs(integrate_bloch(spec, a0, grid) - rows)) <= 1e-13
+
+    @pytest.mark.parametrize("spec, psi0, grid, t_state, t_bloch", list(_unstable_cases()),
+                             ids=["overflow", "mid-grid"])
+    def test_instability_names_the_same_step(self, spec, psi0, grid, t_state, t_bloch):
+        a0 = np.asarray(bloch_vector(psi0))
+        for integrate, reference, y0, t in (
+            (integrate_schrodinger, reference_rk4.schrodinger, psi0, t_state),
+            (integrate_bloch, reference_rk4.bloch, a0, t_bloch),
+        ):
+            with pytest.raises(IntegrationInstabilityError) as expected:
+                reference(spec, y0, grid)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(IntegrationInstabilityError) as got:
+                    integrate(spec, y0, grid)
+            assert str(got.value) == str(expected.value)
+            assert f"at t = {t!r} exceeds" in str(got.value)
+
+
+def test_bloch_step_on_rows_matches_per_row_calls():
+    spec = tilted_field()
+    a = RNG.normal(size=(4, 5, 3))
+    t = RNG.uniform(0.0, 3.0, size=(4, 5))
+    for dt in (1e-3, -0.2):
+        stepped = bloch_step(spec, a, t, dt)
+        assert stepped.shape == (4, 5, 3)
+        per_row = np.array([[bloch_step(spec, a[i, j], float(t[i, j]), dt)
+                             for j in range(5)] for i in range(4)])
+        assert np.max(np.abs(stepped - per_row)) <= 1e-15
+    # a scalar call is one step of the per-step loop, whose renormalization
+    # changes nothing here: the drift is below 1e-16
+    a0 = np.array([0.0, 0.6, 0.8])
+    rows, _ = reference_rk4.bloch(spec, a0, TimeGrid(1.0, 1.001, 1))
+    stepped = bloch_step(spec, a0, 1.0, 0.001)
+    assert stepped.shape == (3,)
+    assert np.max(np.abs(stepped - rows[1])) <= 1e-14
 
 
 def test_observable_rate_identity_along_generic_drive():
