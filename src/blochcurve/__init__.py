@@ -14,8 +14,6 @@ from .dynamics import (
     analytic_state,
     analytic_state_derivative,
     arc_length_closed,
-    bloch_step,
-    hamiltonian_at,
     integrate_bloch,
     integrate_schrodinger,
     synthesize_hamiltonian,
@@ -24,7 +22,6 @@ from .dynamics import (
 from .errors import (
     BlochCurveError,
     ContractViolationError,
-    ConvergenceError,
     DomainError,
     IntegrationInstabilityError,
     InvalidArgumentError,
@@ -57,9 +54,6 @@ from .geometry import (
     speed_efficiency,
 )
 from .qubit_core import (
-    BlochVector,
-    PauliDecomp,
-    QubitState,
     bloch_vector,
     expectation,
     fidelity,
@@ -68,10 +62,6 @@ from .qubit_core import (
     state_from_angles,
 )
 from .special_functions import (
-    QuadratureResult,
-    adaptive_simpson,
-    carlson_rd,
-    carlson_rf,
     elliptic_e,
     elliptic_e_incomplete,
 )
@@ -79,18 +69,15 @@ from .validation import (
     DEFAULT_TOLERANCES,
     CheckResult,
     run_battery,
-    tilted_field_fixture,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BlochCurveError",
-    "BlochVector",
     "CallableField",
     "CheckResult",
     "ContractViolationError",
-    "ConvergenceError",
     "DEFAULT_TOLERANCES",
     "DomainError",
     "ExtremaSummary",
@@ -99,9 +86,6 @@ __all__ = [
     "IntegrationInstabilityError",
     "InvalidArgumentError",
     "NumericalConsistencyError",
-    "PauliDecomp",
-    "QuadratureResult",
-    "QubitState",
     "ScenarioParams",
     "SingularityError",
     "TimeGrid",
@@ -109,15 +93,11 @@ __all__ = [
     "TwoParameterField",
     "UndefinedEfficiencyError",
     "acceleration",
-    "adaptive_simpson",
     "analytic_bloch",
     "analytic_state",
     "analytic_state_derivative",
     "arc_length_closed",
-    "bloch_step",
     "bloch_vector",
-    "carlson_rd",
-    "carlson_rf",
     "curvature_bloch",
     "curvature_closed",
     "curvature_expectation",
@@ -130,7 +110,6 @@ __all__ = [
     "geodesic_efficiency_generic",
     "h_parallel_sq",
     "h_transverse_sq",
-    "hamiltonian_at",
     "integrate_bloch",
     "integrate_schrodinger",
     "parallel_transverse_ratio",
@@ -142,7 +121,6 @@ __all__ = [
     "speed_efficiency",
     "state_from_angles",
     "synthesize_hamiltonian",
-    "tilted_field_fixture",
     "transport_phase_closed",
     "two_parameter_field",
 ]

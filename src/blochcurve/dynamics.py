@@ -23,7 +23,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .fields import FieldSpec, ScenarioParams
-from .qubit_core import QubitState, pauli_compose
+from .qubit_core import bloch_vector, pauli_compose
 from .special_functions import elliptic_e_incomplete
 
 DRIFT_LIMIT = 1e-6          # per-step norm drift that flags instability
@@ -92,9 +92,6 @@ class Trajectory:
                           ("states", states), ("bloch", bloch),
                           ("beta", beta), ("arc", arc)):
             object.__setattr__(self, name, val)
-
-    def state_at(self, i: int) -> QubitState:
-        return QubitState.from_vector(self.states[i], renormalize=True)
 
     @property
     def n_nodes(self) -> int:
@@ -204,7 +201,7 @@ def integrate_schrodinger(spec: FieldSpec, psi0, grid: TimeGrid) -> Trajectory:
         grid=grid,
         times=times,
         states=states,
-        bloch=_bloch_rows(states),
+        bloch=bloch_vector(states),
         beta=beta,
         arc=arc,
         max_norm_drift=max_drift,
@@ -300,24 +297,20 @@ def synthesize_hamiltonian(m, m_dot, gauge_atol: float = TRANSPORT_GAUGE_ATOL) -
     parallel-transported state at maximal speed.
 
     Requires the transport gauge ⟨m|ṁ⟩ = 0 within ``gauge_atol``; under that
-    condition H is Hermitian, traceless, and satisfies i ṁ = H m.
+    condition H is Hermitian, traceless, and satisfies i ṁ = H m. States
+    (..., 2) broadcast to a stack of operators (..., 2, 2); the first node
+    that breaks the gauge raises.
     """
-    mv = np.asarray(m, dtype=complex).reshape(2)
-    md = np.asarray(m_dot, dtype=complex).reshape(2)
-    overlap = complex(np.vdot(mv, md))
-    if abs(overlap) > gauge_atol:
+    mv, md = np.broadcast_arrays(np.asarray(m, dtype=complex), np.asarray(m_dot, dtype=complex))
+    if mv.shape[-1:] != (2,):
+        raise InvalidArgumentError(f"expected 2 amplitudes on the last axis, got shape {mv.shape}")
+    overlap = np.abs(np.sum(mv.conj() * md, axis=-1))
+    broken = ~(overlap <= gauge_atol)
+    if np.any(broken):
+        k = int(np.argmax(broken))
         raise ContractViolationError(
-            f"not parallel-transported: |<m|dm/dt>| = {abs(overlap):.3e}"
+            f"not parallel-transported at node {k}: |<m|dm/dt>| = {float(overlap.flat[k]):.3e}"
         )
-    return 1j * (np.outer(md, mv.conj()) - np.outer(mv, md.conj()))
-
-
-def _bloch_rows(states: np.ndarray) -> np.ndarray:
-    cross = np.conjugate(states[:, 0]) * states[:, 1]
-    return np.column_stack(
-        (
-            2.0 * cross.real,
-            2.0 * cross.imag,
-            np.abs(states[:, 0]) ** 2 - np.abs(states[:, 1]) ** 2,
-        )
-    )
+    ket_bra = md[..., :, None] * mv.conj()[..., None, :]
+    bra_ket = mv[..., :, None] * md.conj()[..., None, :]
+    return 1j * (ket_bra - bra_ket)

@@ -28,7 +28,7 @@ from .errors import (
     UndefinedEfficiencyError,
 )
 from .fields import FieldSpec, ScenarioParams
-from .qubit_core import IDENTITY, pauli_compose
+from .qubit_core import IDENTITY, fidelity, pauli_compose
 from .special_functions import elliptic_e
 
 EPSILON_SINGULAR = 1e-12   # denominator / speed floor below which curvature is undefined
@@ -250,7 +250,7 @@ def geodesic_efficiency_generic(traj: dynamics.Trajectory) -> float:
     s_total = float(traj.arc[-1])
     if s_total <= 0.0:
         raise UndefinedEfficiencyError("zero arc length; efficiency undefined")
-    overlap = min(abs(complex(np.vdot(traj.states[0], traj.states[-1]))), 1.0)
+    overlap = min(fidelity(traj.states[0], traj.states[-1]), 1.0)
     return 2.0 * math.acos(overlap) / (2.0 * s_total)
 
 

@@ -1,137 +1,65 @@
-"""Pure-state and Pauli-algebra primitives for a single qubit.
+"""Array-valued state, Bloch-vector and Pauli primitives for a single qubit.
 
 Conventions: ℏ = 1; a 2x2 Hermitian operator is stored as the pair (h0, h)
-with M = h0·I + h·σ; pure states live on the unit Bloch sphere. Global phase
-is never canonicalized, state comparisons go through ``fidelity``.
+with M = h0·I + h·σ; a pure state is its amplitude pair (α, β) on the last
+axis of a complex array, a Bloch vector its three components on the last axis
+of a real one. Leading axes (a time grid) broadcast, so one call serves one
+state or a whole trajectory. Global phase is never canonicalized, state
+comparisons go through ``fidelity``.
+
+Tolerances that compare operator entries are relative to max(1, max|M_ij|),
+so a Hermitian operator is accepted whatever its scale.
 """
 
 from __future__ import annotations
-
-import cmath
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolationError, InvalidArgumentError, NumericalConsistencyError
 
 IDENTITY = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-STATE_NORM_ATOL = 1e-12   # construction-time normalization tolerance
-BLOCH_NORM_ATOL = 1e-10   # unit-length tolerance for pure-state Bloch vectors
-HERMITICITY_ATOL = 1e-12
-EXPECTATION_IMAG_ATOL = 1e-12
+BLOCH_NORM_ATOL = 1e-10   # unit-length tolerance for pure states
+HERMITICITY_RTOL = 1e-12  # max|M − M†| over max(1, max|M_ij|)
+EXPECTATION_IMAG_RTOL = 1e-12  # |Im⟨ψ|M|ψ⟩| over max(1, max|M_ij|)
 
 
-@dataclass(frozen=True)
-class QubitState:
-    """Normalized pure state α|0⟩ + β|1⟩.
-
-    Construction asserts |α|² + |β|² = 1 within ``STATE_NORM_ATOL``;
-    renormalization is the caller's job (integrators renormalize per step).
-    """
-
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self):
-        a, b = complex(self.alpha), complex(self.beta)
-        if not (cmath.isfinite(a) and cmath.isfinite(b)):
-            raise InvalidArgumentError("state amplitudes must be finite")
-        norm_sq = abs(a) ** 2 + abs(b) ** 2
-        if abs(norm_sq - 1.0) > STATE_NORM_ATOL:
-            raise ContractViolationError(
-                f"state not normalized: |alpha|^2+|beta|^2 = {norm_sq!r}"
-            )
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-
-    @classmethod
-    def from_vector(cls, vec, renormalize: bool = False) -> "QubitState":
-        v = np.asarray(vec, dtype=complex).reshape(2)
-        if renormalize:
-            n = np.linalg.norm(v)
-            if n == 0.0:
-                raise InvalidArgumentError("cannot renormalize the zero vector")
-            v = v / n
-        return cls(complex(v[0]), complex(v[1]))
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta], dtype=complex)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array([self.alpha, self.beta], dtype=dtype or complex)
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    """Real 3-vector a with ρ = (I + a·σ)/2; unit length for pure states."""
-
-    x: float
-    y: float
-    z: float
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array([self.x, self.y, self.z], dtype=dtype or float)
-
-    def __iter__(self):
-        return iter((self.x, self.y, self.z))
-
-
-@dataclass(frozen=True)
-class PauliDecomp:
-    """Coefficients (h0, h) of M = h0·I + h·σ. Unpacks as ``h0, h = decomp``."""
-
-    h0: float
-    h: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "h", np.asarray(self.h, dtype=float).reshape(3))
-
-    def __iter__(self):
-        return iter((self.h0, self.h))
-
-
-def state_from_angles(theta: float, phi: float) -> QubitState:
+def state_from_angles(theta, phi) -> np.ndarray:
     """State at polar angle θ and azimuth φ on the Bloch sphere:
-    cos(θ/2)|0⟩ + e^{iφ} sin(θ/2)|1⟩.
+    cos(θ/2)|0⟩ + e^{iφ} sin(θ/2)|1⟩, shape (..., 2) for broadcast θ, φ.
     """
-    if not (math.isfinite(theta) and math.isfinite(phi)):
+    half = np.asarray(theta, dtype=float) / 2.0
+    phi = np.asarray(phi, dtype=float)
+    if not (np.all(np.isfinite(half)) and np.all(np.isfinite(phi))):
         raise InvalidArgumentError("angles must be finite")
-    return QubitState(
-        complex(math.cos(theta / 2.0)),
-        cmath.exp(1j * phi) * math.sin(theta / 2.0),
-    )
+    return np.stack(np.broadcast_arrays(np.cos(half), np.exp(1j * phi) * np.sin(half)), axis=-1)
 
 
-def _state_vector(state) -> np.ndarray:
-    if isinstance(state, QubitState):
-        return state.vector()
-    v = np.asarray(state, dtype=complex).reshape(2)
-    if not np.all(np.isfinite(v.view(float))):
+def _pure_states(state) -> np.ndarray:
+    """``state`` as a complex (..., 2) array of finite, normalized rows."""
+    psi = np.asarray(state, dtype=complex)
+    if psi.shape[-1:] != (2,):
+        raise InvalidArgumentError(f"expected 2 amplitudes on the last axis, got shape {psi.shape}")
+    if not np.all(np.isfinite(psi)):
         raise InvalidArgumentError("state amplitudes must be finite")
-    return v
+    norm_sq = np.abs(psi[..., 0]) ** 2 + np.abs(psi[..., 1]) ** 2
+    off = ~(np.abs(norm_sq - 1.0) <= BLOCH_NORM_ATOL)
+    if np.any(off):
+        bad = float(norm_sq.flat[int(np.argmax(off))])
+        raise ContractViolationError(f"state not normalized: norm^2 = {bad!r}")
+    return psi
 
 
-def bloch_vector(state) -> BlochVector:
-    """Bloch vector a = (⟨σx⟩, ⟨σy⟩, ⟨σz⟩) of a pure state.
-
-    Accepts a QubitState or a length-2 complex sequence; raw sequences must
-    be normalized within ``BLOCH_NORM_ATOL``.
+def bloch_vector(state) -> np.ndarray:
+    """Bloch vector a = (⟨σx⟩, ⟨σy⟩, ⟨σz⟩) = (2 Re ᾱβ, 2 Im ᾱβ, |α|² − |β|²)
+    of each pure state (..., 2), shape (..., 3). Every row must be normalized
+    within ``BLOCH_NORM_ATOL``.
     """
-    v = _state_vector(state)
-    norm_sq = float(np.real(np.vdot(v, v)))
-    if abs(norm_sq - 1.0) > BLOCH_NORM_ATOL:
-        raise ContractViolationError(f"state not normalized: norm^2 = {norm_sq!r}")
-    cross = np.conjugate(v[0]) * v[1]
-    return BlochVector(
-        2.0 * cross.real,
-        2.0 * cross.imag,
-        abs(v[0]) ** 2 - abs(v[1]) ** 2,
+    psi = _pure_states(state)
+    cross = np.conjugate(psi[..., 0]) * psi[..., 1]
+    return np.stack(
+        [2.0 * cross.real, 2.0 * cross.imag, np.abs(psi[..., 0]) ** 2 - np.abs(psi[..., 1]) ** 2],
+        axis=-1,
     )
 
 
@@ -157,39 +85,51 @@ def pauli_compose(h0, h) -> np.ndarray:
     return m
 
 
-def pauli_decompose(matrix, atol: float = HERMITICITY_ATOL) -> PauliDecomp:
+def _operator_scale(m: np.ndarray) -> np.ndarray:
+    """max(1, max|M_ij|) of each 2x2 matrix in the stack."""
+    return np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
+
+
+def pauli_decompose(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Invert ``pauli_compose``: h0 = tr(M)/2, h_k = tr(M σ_k)/2.
 
-    Raises ContractViolationError if M is not Hermitian within ``atol``.
+    Maps a stack (..., 2, 2) to the pair (h0 of shape (...), h of shape
+    (..., 3)). Raises ContractViolationError if a matrix is not Hermitian
+    within ``HERMITICITY_RTOL`` relative to its scale.
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.shape != (2, 2):
-        raise InvalidArgumentError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > atol:
+    if m.shape[-2:] != (2, 2):
+        raise InvalidArgumentError(f"expected 2x2 matrices, got shape {m.shape}")
+    skew = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), axis=(-2, -1))
+    if np.any(~(skew <= HERMITICITY_RTOL * _operator_scale(m))):
         raise ContractViolationError("matrix is not Hermitian within tolerance")
-    h0 = 0.5 * np.trace(m).real
-    h = np.array([0.5 * np.trace(m @ s).real for s in PAULI])
-    return PauliDecomp(h0, h)
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    h0 = 0.5 * (m00.real + m11.real)
+    h = 0.5 * np.stack([m01.real + m10.real, m10.imag - m01.imag, m00.real - m11.real], axis=-1)
+    return h0[()], h
 
 
-def expectation(matrix, state, imag_atol: float = EXPECTATION_IMAG_ATOL) -> float:
-    """Real expectation value ⟨ψ|M|ψ⟩ of a Hermitian M.
+def expectation(matrix, state):
+    """Real expectation value ⟨ψ|M|ψ⟩ of a Hermitian M in each pure state;
+    a stack (..., 2, 2) against states (..., 2) reduces to shape (...).
 
-    The imaginary part must vanish within ``imag_atol``; a larger residue
-    means M was not Hermitian (or the caller fed garbage) and raises
-    NumericalConsistencyError.
+    The imaginary part must vanish within ``EXPECTATION_IMAG_RTOL`` relative
+    to the operator's scale; a larger residue means M was not Hermitian (or
+    the caller fed garbage) and raises NumericalConsistencyError.
     """
     m = np.asarray(matrix, dtype=complex)
-    v = _state_vector(state)
-    val = complex(np.vdot(v, m @ v))
-    if abs(val.imag) > imag_atol:
+    psi = _pure_states(state)
+    val = np.sum(psi.conj() * (m @ psi[..., None])[..., 0], axis=-1)
+    residue = np.abs(val.imag)
+    if np.any(~(residue <= EXPECTATION_IMAG_RTOL * _operator_scale(m))):
         raise NumericalConsistencyError(
-            f"expectation has imaginary residue {val.imag!r}"
+            f"expectation has imaginary residue {float(np.max(residue))!r}"
         )
-    return val.real
+    return val.real[()]
 
 
-def fidelity(state_a, state_b) -> float:
-    """|⟨a|b⟩| between two pure states; 1 iff equal up to global phase."""
-    va, vb = _state_vector(state_a), _state_vector(state_b)
-    return abs(complex(np.vdot(va, vb)))
+def fidelity(state_a, state_b):
+    """|⟨a|b⟩| between pure states, reduced over the last axis; 1 iff equal
+    up to global phase."""
+    va, vb = _pure_states(state_a), _pure_states(state_b)
+    return np.abs(np.sum(va.conj() * vb, axis=-1))[()]

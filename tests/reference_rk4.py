@@ -9,8 +9,8 @@ written out as −iHψ and 2 h × a rather than as generator matrices.
 
 import numpy as np
 
-from blochcurve import IntegrationInstabilityError, hamiltonian_at
-from blochcurve.dynamics import DRIFT_LIMIT
+from blochcurve import IntegrationInstabilityError
+from blochcurve.dynamics import DRIFT_LIMIT, hamiltonian_at
 
 
 def _loop(rhs, nodes, half, y0, times, dt):

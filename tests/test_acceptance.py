@@ -20,7 +20,6 @@ from blochcurve import (
     analytic_bloch,
     analytic_state,
     analytic_state_derivative,
-    adaptive_simpson,
     curvature_bloch,
     curvature_closed,
     curvature_expectation,
@@ -38,6 +37,7 @@ from blochcurve import (
     two_parameter_field,
 )
 from blochcurve.cli import main as cli_main
+from blochcurve.special_functions import adaptive_simpson
 from mutants import corrupted_field, flip_h_y, two_terms_only
 
 P11 = ScenarioParams(1.0, 1.0)

@@ -13,16 +13,13 @@ from blochcurve import (
     TimeGrid,
     Trajectory,
     TwoParameterField,
-    adaptive_simpson,
     analytic_bloch,
     analytic_state,
     analytic_state_derivative,
     arc_length_closed,
-    bloch_step,
     bloch_vector,
     elliptic_e,
     fidelity,
-    hamiltonian_at,
     integrate_bloch,
     integrate_schrodinger,
     pauli_compose,
@@ -30,10 +27,12 @@ from blochcurve import (
     speed,
     speed_efficiency,
     synthesize_hamiltonian,
-    tilted_field_fixture,
     transport_phase_closed,
     two_parameter_field,
 )
+from blochcurve.dynamics import bloch_step, hamiltonian_at
+from blochcurve.special_functions import adaptive_simpson
+from blochcurve.validation import tilted_field_fixture
 
 import reference_rk4
 
@@ -89,7 +88,7 @@ class TestTrajectoryContract:
     def test_accepts_valid(self):
         traj = Trajectory(**self._valid_kwargs())
         assert traj.n_nodes == 2
-        assert fidelity(traj.state_at(0), [1.0, 0.0]) == pytest.approx(1.0)
+        assert fidelity(traj.states[0], [1.0, 0.0]) == pytest.approx(1.0)
 
     def test_rejects_unnormalized_states(self):
         kw = self._valid_kwargs()
@@ -179,10 +178,9 @@ class TestAnalyticBloch:
         )
 
     def test_matches_state_projection(self):
-        for t in RNG.uniform(0.0, 2.0 * math.pi, size=100):
-            via_state = np.asarray(bloch_vector(analytic_state(P11, float(t))))
-            direct = np.asarray(analytic_bloch(P11, float(t)))
-            assert np.max(np.abs(via_state - direct)) <= 1e-12
+        t = RNG.uniform(0.0, 2.0 * math.pi, size=100)
+        via_state = bloch_vector(analytic_state(P11, t))
+        assert np.max(np.abs(via_state - analytic_bloch(P11, t))) <= 1e-12
 
 
 class TestIntegrateSchrodinger:
@@ -254,7 +252,7 @@ class TestIntegrateBloch:
         grid = TimeGrid(0.0, 3.0, 3000)
         psi0 = np.array([math.cos(0.35), math.sin(0.35) * np.exp(0.4j)])
         traj = integrate_schrodinger(spec, psi0, grid)
-        rows = integrate_bloch(spec, np.asarray(bloch_vector(psi0)), grid)
+        rows = integrate_bloch(spec, bloch_vector(psi0), grid)
         assert np.max(np.abs(rows - traj.bloch)) <= 1e-6
 
     def test_precession_rate_is_twice_the_field(self):
@@ -316,18 +314,18 @@ class TestAgainstPerStepLoop:
         states, drift = reference_rk4.schrodinger(spec, psi0, grid)
         traj = integrate_schrodinger(spec, psi0, grid)
         assert np.max(np.abs(traj.states - states)) <= 1e-13
-        rows = np.array([np.asarray(bloch_vector(s)) for s in states])
+        rows = bloch_vector(states)
         assert np.max(np.abs(traj.bloch - rows)) <= 1e-13
         assert abs(traj.max_norm_drift - drift) <= 1e-15
 
-        a0 = np.asarray(bloch_vector(psi0))
+        a0 = bloch_vector(psi0)
         rows, _ = reference_rk4.bloch(spec, a0, grid)
         assert np.max(np.abs(integrate_bloch(spec, a0, grid) - rows)) <= 1e-13
 
     @pytest.mark.parametrize("spec, psi0, grid, t_state, t_bloch", list(_unstable_cases()),
                              ids=["overflow", "mid-grid"])
     def test_instability_names_the_same_step(self, spec, psi0, grid, t_state, t_bloch):
-        a0 = np.asarray(bloch_vector(psi0))
+        a0 = bloch_vector(psi0)
         for integrate, reference, y0, t in (
             (integrate_schrodinger, reference_rk4.schrodinger, psi0, t_state),
             (integrate_bloch, reference_rk4.bloch, a0, t_bloch),
@@ -451,7 +449,7 @@ class TestSynthesizeHamiltonian:
         m = analytic_state(P11, t)
         md = analytic_state_derivative(P11, t)
         h0, h = pauli_decompose(synthesize_hamiltonian(m, md))
-        assert speed_efficiency(h0, h, np.asarray(bloch_vector(m))) == pytest.approx(
+        assert speed_efficiency(h0, h, bloch_vector(m)) == pytest.approx(
             1.0, abs=1e-12
         )
 

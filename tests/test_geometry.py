@@ -18,27 +18,32 @@ from blochcurve import (
     analytic_state,
     analytic_state_derivative,
     arc_length_closed,
+    bloch_vector,
     curvature_bloch,
     curvature_closed,
     curvature_expectation,
     elliptic_e,
+    expectation,
     extrema_summary,
+    fidelity,
     geodesic_efficiency,
     geodesic_efficiency_generic,
     h_parallel_sq,
     h_transverse_sq,
     integrate_schrodinger,
-    pauli_compose,
     parallel_transverse_ratio,
+    pauli_compose,
+    pauli_decompose,
     scenario_records,
     speed,
     speed_efficiency,
     state_from_angles,
-    tilted_field_fixture,
+    synthesize_hamiltonian,
     transport_phase_closed,
     two_parameter_field,
 )
 from blochcurve.geometry import KAPPA2_CLIP_FLOOR, SERIES_COLUMNS, _clip_nonneg
+from blochcurve.validation import tilted_field_fixture
 
 P11 = ScenarioParams(1.0, 1.0)
 SPEC11 = TwoParameterField(P11)
@@ -188,13 +193,8 @@ class TestCurvatureExpectation:
     def test_stationary_field_keeps_only_kurtosis_terms(self):
         h = np.array([1.0, 0.0, 0.5])
         spec = constant_field(h)
-        psi = state_from_angles(0.7, 0.3).vector()
-        a = np.array([
-            2.0 * (psi[0].conjugate() * psi[1]).real,
-            2.0 * (psi[0].conjugate() * psi[1]).imag,
-            abs(psi[0]) ** 2 - abs(psi[1]) ** 2,
-        ])
-        ah = float(a @ h)
+        psi = state_from_angles(0.7, 0.3)
+        ah = float(bloch_vector(psi) @ h)
         v = math.sqrt(float(h @ h) - ah * ah)
         dh = (pauli_compose(0.0, h) - ah * np.eye(2)) / v
         dh2 = dh @ dh
@@ -214,7 +214,7 @@ class TestCurvatureExpectation:
 
     def test_scalar_part_of_hamiltonian_drops_out(self):
         h = (0.9, 0.2, 0.4)
-        psi = state_from_angles(1.1, -0.5).vector()
+        psi = state_from_angles(1.1, -0.5)
         bare = curvature_expectation(constant_field(h), psi, 0.0)
         shifted = curvature_expectation(constant_field(h, h0=5.0), psi, 0.0)
         assert bare == pytest.approx(shifted, abs=1e-8)
@@ -232,7 +232,7 @@ class TestCurvatureExpectation:
         # only the node at t = 1.0 holds the sigma_z eigenstate
         spec = constant_field((0.0, 0.0, 1.0))
         t = np.array([0.0, 0.5, 1.0, 1.5])
-        psi = np.array([state_from_angles(th, 0.2).vector() for th in (0.4, 1.0, 0.0, 2.0)])
+        psi = state_from_angles(np.array([0.4, 1.0, 0.0, 2.0]), 0.2)
         with pytest.raises(SingularityError) as exc:
             curvature_expectation(spec, psi, t)
         assert exc.value.t == 1.0
@@ -485,6 +485,11 @@ def _efficiency(t):
     return speed_efficiency(s.h0 + 0.3, s.h, analytic_bloch(ScenarioParams(1.1, 0.4), t))
 
 
+def _decomposed(t):
+    h0, h = pauli_decompose(pauli_compose(0.5 * t, two_parameter_field(P_GENERIC, t).h))
+    return np.concatenate([np.expand_dims(h0, -1), h], axis=-1)
+
+
 def _summary_row(nu0):
     # every field of the summary, one row per drive strength
     summary = extrema_summary(ScenarioParams(0.7, nu0))
@@ -513,6 +518,18 @@ ARRAY_VALUED = {
     "elliptic_e": lambda t: elliptic_e(1.0 - t),
     "extrema_summary": _summary_row,
     "geodesic_efficiency": lambda t: geodesic_efficiency(ScenarioParams(0.7, t)),
+    "state_from_angles": lambda t: state_from_angles(t, 2.0 * t - 1.0),
+    "bloch_vector": lambda t: bloch_vector(analytic_state(P_GENERIC, t)),
+    "fidelity": lambda t: fidelity(
+        analytic_state(P_GENERIC, t), analytic_state(ScenarioParams(1.1, 0.4), t)
+    ),
+    "expectation": lambda t: expectation(
+        pauli_compose(0.5 * t, two_parameter_field(P_GENERIC, t).h), analytic_state(P_GENERIC, t)
+    ),
+    "pauli_decompose": _decomposed,
+    "synthesize_hamiltonian": lambda t: synthesize_hamiltonian(
+        analytic_state(P_GENERIC, t), analytic_state_derivative(P_GENERIC, t)
+    ),
 }
 
 

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from blochcurve import (
-    ConvergenceError,
     DomainError,
     InvalidArgumentError,
-    QuadratureResult,
-    adaptive_simpson,
-    carlson_rf,
-    carlson_rd,
     elliptic_e,
     elliptic_e_incomplete,
+)
+from blochcurve.errors import ConvergenceError
+from blochcurve.special_functions import (
+    QuadratureResult,
+    adaptive_simpson,
+    carlson_rd,
+    carlson_rf,
 )
 
 SCENARIO_PARAMETERS = (-2.5e5, -625.0, -1.0, -0.25, 0.0, 0.5, 0.99)

@@ -9,10 +9,10 @@ from blochcurve import (
     InvalidArgumentError,
     ScenarioParams,
     TimeGrid,
+    bloch_vector,
     run_battery,
-    tilted_field_fixture,
 )
-from blochcurve.validation import DEFAULT_TOLERANCES, merge_tolerances
+from blochcurve.validation import DEFAULT_TOLERANCES, merge_tolerances, tilted_field_fixture
 from mutants import corrupted_field, flip_h_y, scale_h_dot_z, two_terms_only
 
 P11 = ScenarioParams(1.0, 1.0)
@@ -49,12 +49,7 @@ class TestTiltedFixture:
         assert abs(float(np.linalg.norm(psi0)) - 1.0) <= 1e-12
         s = spec.sample(0.0)
         assert s.h0 != 0.0
-        a = np.array([
-            2.0 * (psi0[0].conjugate() * psi0[1]).real,
-            2.0 * (psi0[0].conjugate() * psi0[1]).imag,
-            abs(psi0[0]) ** 2 - abs(psi0[1]) ** 2,
-        ])
-        assert abs(float(a @ s.h)) > 1e-3
+        assert abs(float(bloch_vector(psi0) @ s.h)) > 1e-3
 
     def test_supplied_derivative_matches_stencil(self):
         spec, _ = tilted_field_fixture()
