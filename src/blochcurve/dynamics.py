@@ -23,7 +23,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .fields import FieldSpec, ScenarioParams
-from .qubit_core import bloch_vector, pauli_compose
+from .qubit_core import _pure_states, bloch_vector, pauli_compose
 from .special_functions import elliptic_e_incomplete
 
 DRIFT_LIMIT = 1e-6          # per-step norm drift that flags instability
@@ -59,7 +59,8 @@ class TimeGrid:
 class Trajectory:
     """Integration output on a TimeGrid (arrays have ``steps + 1`` rows).
 
-    states : complex (n+1, 2), renormalized at every node
+    states : complex (n+1, 2), renormalized at every node (checked like
+             every pure state, by ``qubit_core._pure_states``)
     bloch  : float (n+1, 3) Bloch vectors of the states
     beta   : accumulated phase ∫₀ᵗ ⟨ψ|H|ψ⟩ dt' (trapezoidal); multiplying the
              solution by e^{iβ} yields the parallel-transported representative
@@ -77,13 +78,10 @@ class Trajectory:
 
     def __post_init__(self):
         n = self.grid.steps + 1
-        states = np.asarray(self.states, dtype=complex).reshape(n, 2)
+        states = _pure_states(np.asarray(self.states, dtype=complex).reshape(n, 2))
         bloch = np.asarray(self.bloch, dtype=float).reshape(n, 3)
         beta = np.asarray(self.beta, dtype=float).reshape(n)
         arc = np.asarray(self.arc, dtype=float).reshape(n)
-        norms = np.abs(states[:, 0]) ** 2 + np.abs(states[:, 1]) ** 2
-        if np.max(np.abs(norms - 1.0)) > 1e-10:
-            raise ContractViolationError("trajectory states must stay normalized")
         if beta[0] != 0.0 or arc[0] != 0.0:
             raise ContractViolationError("beta[0] and arc[0] must be 0")
         if np.any(np.diff(arc) < -1e-12):
@@ -178,10 +176,7 @@ def integrate_schrodinger(spec: FieldSpec, psi0, grid: TimeGrid) -> Trajectory:
     Fills ``beta`` with the trapezoidal accumulation of ⟨ψ|H|ψ⟩ and ``arc``
     with the trapezoidal accumulation of the speed v = √(⟨H²⟩ − ⟨H⟩²).
     """
-    psi = np.asarray(psi0, dtype=complex).reshape(2)
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-10:
-        raise InvalidArgumentError(f"psi0 not normalized: |psi0| = {norm!r}")
+    psi = _pure_states(np.asarray(psi0, dtype=complex).reshape(2))
 
     times = grid.times()
     dt = grid.dt

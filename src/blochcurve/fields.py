@@ -103,40 +103,52 @@ class TwoParameterField(FieldSpec):
 class CallableField(FieldSpec):
     """User-supplied field h(t) with optional analytic derivative.
 
-    ``h`` maps one float t to a length-3 sequence. When ``h_dot`` is omitted
-    the derivative comes from a 4th-order central stencil with step ``step``.
-    ``h0`` may be a constant or a callable. ``sample`` accepts an array of
-    times and calls the user's functions once per time.
+    ``h`` and ``h_dot`` take an array of times t and return three components
+    (x, y, z), each a scalar or an array that broadcasts to t's shape, so
+    ``lambda t: (np.sin(t), t * t, 1.0)`` or a constant tuple. ``h0`` is a
+    constant or a callable returning a scalar or an array shaped like t.
+    ``sample`` calls each user callable once per grid. When ``h_dot`` is
+    omitted the derivative comes from a 4th-order central stencil with step
+    ``step``, evaluated in that same single call of ``h``.
     """
 
-    h: Callable[[float], object]
+    h: Callable[[np.ndarray], object]
     h0: object = 0.0
-    h_dot: Optional[Callable[[float], object]] = None
+    h_dot: Optional[Callable[[np.ndarray], object]] = None
     step: float = 1e-4
 
     def __post_init__(self):
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise InvalidArgumentError("derivative step must be positive")
 
-    def h_value(self, t) -> np.ndarray:
-        return _pointwise(self.h, t, (3,))
-
     def sample(self, t) -> FieldSample:
         t = np.asarray(t, dtype=float)
         if self.h_dot is not None:
-            hd = _pointwise(self.h_dot, t, (3,))
+            h = _components(self.h, t)
+            hd = _components(self.h_dot, t)
         else:
-            hd = _central_stencil(self.h_value, t, self.step)
-        h0 = _pointwise(self.h0, t, ()) if callable(self.h0) else self.h0
-        return FieldSample(t, h0, self.h_value(t), hd)
+            # h at t and at the four stencil points t ± dt, t ± 2dt, in one call
+            d = self.step
+            offsets = np.array([0.0, -2.0 * d, -d, d, 2.0 * d]).reshape((5,) + (1,) * t.ndim)
+            h, h_m2, h_m1, h_p1, h_p2 = _components(self.h, t + offsets)
+            hd = (h_m2 - 8.0 * h_m1 + 8.0 * h_p1 - h_p2) / (12.0 * d)
+        h0 = self.h0(t) if callable(self.h0) else self.h0
+        return FieldSample(t, h0, h, hd)
 
 
-def _pointwise(fn: Callable[[float], object], t: np.ndarray, shape: tuple) -> np.ndarray:
-    """Evaluate a one-float user callable at every entry of t; the values,
-    each coerced to ``shape``, are stacked on the trailing axes."""
-    t = np.asarray(t, dtype=float)
-    values = [np.asarray(fn(u), dtype=float).reshape(shape) for u in t.ravel().tolist()]
-    return np.array(values).reshape(t.shape + shape)
+def _components(fn: Callable[[np.ndarray], object], t: np.ndarray) -> np.ndarray:
+    """Call a user field function once on the whole array t; its three
+    components, each broadcast to t's shape, are stacked on a trailing axis."""
+    parts = [np.asarray(c, dtype=float) for c in fn(t)]
+    if len(parts) != 3:
+        raise InvalidArgumentError(f"field function must return 3 components, got {len(parts)}")
+    try:
+        return np.stack([np.broadcast_to(c, t.shape) for c in parts], axis=-1)
+    except ValueError:
+        shapes = [c.shape for c in parts]
+        raise InvalidArgumentError(
+            f"field components of shapes {shapes} do not broadcast to t of shape {t.shape}"
+        ) from None
 
 
 def two_parameter_field(params: ScenarioParams, t) -> FieldSample:
@@ -173,16 +185,6 @@ def two_parameter_field(params: ScenarioParams, t) -> FieldSample:
         axis=-1,
     )
     return FieldSample(t, 0.0, h, h_dot)
-
-
-def _central_stencil(h_of_t: Callable, t: np.ndarray, dt: float) -> np.ndarray:
-    # 4th-order: (h(t-2dt) - 8h(t-dt) + 8h(t+dt) - h(t+2dt)) / (12 dt)
-    return (
-        h_of_t(t - 2.0 * dt)
-        - 8.0 * h_of_t(t - dt)
-        + 8.0 * h_of_t(t + dt)
-        - h_of_t(t + 2.0 * dt)
-    ) / (12.0 * dt)
 
 
 def h_parallel_sq(params: ScenarioParams, t):

@@ -28,12 +28,12 @@ from .errors import (
     UndefinedEfficiencyError,
 )
 from .fields import FieldSpec, ScenarioParams
-from .qubit_core import IDENTITY, fidelity, pauli_compose
+from .qubit_core import IDENTITY, _pure_states, fidelity, pauli_compose
 from .special_functions import elliptic_e
 
 EPSILON_SINGULAR = 1e-12   # denominator / speed floor below which curvature is undefined
 KAPPA2_CLIP_FLOOR = -1e-9  # analytic routes: clip [floor, 0) to 0, raise below
-EXPECT_IMAG_ATOL = 1e-8
+EXPECT_IMAG_RTOL = 1e-12  # |Im κ²| over max(1, |κ²|), operator route
 
 
 @dataclass(frozen=True)
@@ -157,25 +157,27 @@ def curvature_expectation(
 
         κ² = ⟨(Δh)⁴⟩ − ⟨(Δh)²⟩²  +  ⟨(Δh′)²⟩ − ⟨Δh′⟩²  +  i⟨[(Δh)², Δh′]⟩.
 
-    The total must be real within ``EXPECT_IMAG_ATOL`` and nonnegative within
-    ``KAPPA2_CLIP_FLOOR``. For a stationary H the Δh′ terms vanish and the
-    kurtosis-like first pair remains. Only 2x2 operators and expectation
-    values enter, so the route is independent of the Bloch-vector algebra.
+    The total must be real within ``EXPECT_IMAG_RTOL`` relative to
+    max(1, |κ²|) at each time and nonnegative within ``KAPPA2_CLIP_FLOOR``.
+    For a stationary H the Δh′ terms vanish and the kurtosis-like first pair
+    remains. Only 2x2 operators and expectation values enter, so the route is
+    independent of the Bloch-vector algebra. The operator products run in a
+    time-last layout (operators (2, 2, ...), states (2, ...)), each an
+    elementwise product summed over one index.
 
     ``t`` may be an array of times with ``state`` of shape t.shape + (2,);
     the field is sampled once for all of them. A SingularityError names the
     first time where the speed falls to ``eps_sing``.
     """
     t = np.asarray(t, dtype=float)
-    psi = np.asarray(state, dtype=complex)
+    psi = _pure_states(state)
     if psi.shape != t.shape + (2,):
         raise InvalidArgumentError(f"state must have shape {t.shape + (2,)}, got {psi.shape}")
-    if not np.all(np.abs(np.linalg.norm(psi, axis=-1) - 1.0) <= 1e-10):
-        raise InvalidArgumentError("state must be normalized")
 
     sample = spec.sample(t)
-    h = pauli_compose(sample.h0, sample.h)
-    h_dot = pauli_compose(0.0, sample.h_dot)
+    psi = np.moveaxis(psi, -1, 0)
+    h = np.moveaxis(pauli_compose(sample.h0, sample.h), (-2, -1), (0, 1))
+    h_dot = np.moveaxis(pauli_compose(0.0, sample.h_dot), (-2, -1), (0, 1))
     hpsi = _apply(h, psi)
     hdpsi = _apply(h_dot, psi)
     e = _braket(psi, hpsi).real
@@ -193,21 +195,23 @@ def curvature_expectation(
     # ½⟨ḢH + HḢ⟩ = Re⟨Hψ|Ḣψ⟩
     v_dot = (_braket(hpsi, hdpsi).real - e * e_dot) / v
 
-    e, e_dot, v, v_dot = (x[..., None, None] for x in (e, e_dot, v, v_dot))
-    dh = (h - e * IDENTITY) / v
-    dh_prime = ((h_dot - e_dot * IDENTITY) / v - dh * (v_dot / v)) / v
+    eye = IDENTITY.reshape(IDENTITY.shape + (1,) * t.ndim)
+    dh = (h - e * eye) / v
+    dh_prime = ((h_dot - e_dot * eye) / v - dh * (v_dot / v)) / v
 
-    dh2 = dh @ dh
+    dh2 = _mm(dh, dh)
     total = (
-        _cexp(dh2 @ dh2, psi)
+        _cexp(_mm(dh2, dh2), psi)
         - _cexp(dh2, psi) ** 2
-        + _cexp(dh_prime @ dh_prime, psi)
+        + _cexp(_mm(dh_prime, dh_prime), psi)
         - _cexp(dh_prime, psi) ** 2
-        + 1j * _cexp(dh2 @ dh_prime - dh_prime @ dh2, psi)
+        + 1j * _cexp(_mm(dh2, dh_prime) - _mm(dh_prime, dh2), psi)
     )
-    if np.any(np.abs(total.imag) > EXPECT_IMAG_ATOL):
+    residue = np.abs(total.imag) / np.maximum(1.0, np.abs(total.real))
+    if np.any(~(residue <= EXPECT_IMAG_RTOL)):
         raise NumericalConsistencyError(
-            f"curvature has imaginary residue {float(np.max(np.abs(total.imag))):.3e}"
+            f"curvature has imaginary residue {float(np.max(residue)):.3e} "
+            f"relative to max(1, |kappa2|)"
         )
     return _clip_nonneg(total.real, KAPPA2_CLIP_FLOOR)
 
@@ -353,13 +357,19 @@ def _dot(x: np.ndarray, y: np.ndarray):
     return np.einsum("...k,...k->...", x, y)
 
 
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Operator product a·b of time-last stacks (2, 2, ...)."""
+    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
+
+
 def _apply(op: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    return (op @ psi[..., None])[..., 0]
+    """op·ψ for time-last operators (2, 2, ...) and states (2, ...)."""
+    return op[:, 0] * psi[0] + op[:, 1] * psi[1]
 
 
 def _braket(x: np.ndarray, y: np.ndarray):
-    """⟨x|y⟩ per leading index."""
-    return (x.conj()[..., None, :] @ y[..., None])[..., 0, 0]
+    """⟨x|y⟩ of time-last states (2, ...), per trailing index."""
+    return x[0].conj() * y[0] + x[1].conj() * y[1]
 
 
 def _cexp(op: np.ndarray, psi: np.ndarray):

@@ -25,13 +25,13 @@ from . import dynamics, fields, geometry
 from .errors import InvalidArgumentError
 from .fields import CallableField, ScenarioParams
 from .qubit_core import pauli_compose, pauli_decompose
-from .special_functions import adaptive_simpson, elliptic_e, elliptic_e_incomplete
+from .special_functions import elliptic_e, elliptic_e_incomplete
 
 _RNG_SEED = 1729  # fixed so successive runs produce byte-identical reports
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "decomposition": 1e-12,
-    "field_derivative": 1e-8,
+    "field_derivative": 1e-9,
     "route_agreement": 1e-10,
     "route_agreement_expect": 1e-10,
     "route_agreement_general": 1e-9,
@@ -82,18 +82,14 @@ def tilted_field_fixture() -> tuple[CallableField, np.ndarray]:
     The derivative is supplied analytically.
     """
     def h(t):
-        return np.array([
-            0.8 + 0.3 * math.sin(1.3 * t),
-            0.5 * math.cos(0.9 * t),
-            0.6 + 0.25 * math.sin(0.7 * t),
-        ])
+        return (0.8 + 0.3 * np.sin(1.3 * t),
+                0.5 * np.cos(0.9 * t),
+                0.6 + 0.25 * np.sin(0.7 * t))
 
     def h_dot(t):
-        return np.array([
-            0.39 * math.cos(1.3 * t),
-            -0.45 * math.sin(0.9 * t),
-            0.175 * math.cos(0.7 * t),
-        ])
+        return (0.39 * np.cos(1.3 * t),
+                -0.45 * np.sin(0.9 * t),
+                0.175 * np.cos(0.7 * t))
 
     psi0 = np.array([math.cos(0.35), cmath.exp(0.4j) * math.sin(0.35)])
     return CallableField(h=h, h0=0.2, h_dot=h_dot), psi0
@@ -285,17 +281,39 @@ def _check_extrema(ctx, tol):
     ]
 
 
-def _check_elliptic(ctx, tol):
-    def legendre(phi, m):
-        return adaptive_simpson(
-            lambda th: math.sqrt(1.0 - m * math.sin(th) ** 2), 0.0, phi, 1e-12).value
+def _legendre_e(phi, m):
+    """E(φ|m) = ∫₀^φ √(1 − m sin²θ) dθ straight from the Legendre form, for
+    broadcast arrays φ, m: a composite 16-point Gauss–Legendre rule on 8 equal
+    panels of [0, φ], all pairs in one array expression.
 
-    ms = [-4.0, -1.0, -0.25, 0.0, 0.5, 0.99]
-    worst = max(abs(e - legendre(math.pi / 2.0, m)) for e, m in zip(elliptic_e(ms), ms))
-    for phi, m in ((3.5, -4.0), (4.9, -0.25), (7.0, 0.5)):  # phi = k*pi + r, r of both signs
-        worst = max(worst, abs(elliptic_e_incomplete(phi, m) - legendre(phi, m)))
+    The 16 nodes and weights come from the Golub–Welsch eigenproblem of the
+    Legendre Jacobi matrix (they match ``np.polynomial.legendre.leggauss`` to
+    1e-15); importing ``numpy.polynomial`` would cost a fresh process more
+    than the whole check.
+    """
+    k = np.arange(1.0, 16.0)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 * vectors[0] ** 2
+    panels = 8
+    u = ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels).ravel()  # nodes in [0, 1]
+    weights = np.tile(w, panels) / (2.0 * panels)
+    phi = np.asarray(phi, dtype=float)[..., None]
+    m = np.asarray(m, dtype=float)[..., None]
+    return phi[..., 0] * np.sum(weights * np.sqrt(1.0 - m * np.sin(phi * u) ** 2), axis=-1)
+
+
+# E(m) at six m (phi = pi/2), then E(phi|m) at three phi = k*pi + r, r of both signs
+_ELLIPTIC_PHI = np.array([math.pi / 2.0] * 6 + [3.5, 4.9, 7.0])
+_ELLIPTIC_M = np.array([-4.0, -1.0, -0.25, 0.0, 0.5, 0.99, -4.0, -0.25, 0.5])
+
+
+def _check_elliptic(ctx, tol):
+    lib = np.concatenate([elliptic_e(_ELLIPTIC_M[:6]),
+                          elliptic_e_incomplete(_ELLIPTIC_PHI[6:], _ELLIPTIC_M[6:])])
+    worst = np.max(np.abs(lib - _legendre_e(_ELLIPTIC_PHI, _ELLIPTIC_M)))
     return [_result("elliptic", worst, tol,
-                    "E(m) at six m and E(phi|m) at three phi > pi vs direct quadrature")]
+                    "E(m) at six m and E(phi|m) at three phi > pi vs Gauss-Legendre quadrature")]
 
 
 def _check_synthesis(ctx, tol):
@@ -327,13 +345,14 @@ def _check_decomposition(ctx, tol):
 
 def _check_field_derivative(ctx, tol):
     stencil_spec = CallableField(
-        h=lambda tt: fields.two_parameter_field(ctx.params, tt).h, step=1e-4
+        h=lambda tt: np.moveaxis(fields.two_parameter_field(ctx.params, tt).h, -1, 0), step=1e-4
     )
     stride = max(1, len(ctx.times) // 25)
     numeric = stencil_spec.sample(ctx.times[::stride]).h_dot
-    worst = np.max(np.abs(numeric - ctx.sample.h_dot[::stride]))
+    scale = max(1.0, np.max(np.abs(ctx.sample.h_dot)))
+    worst = np.max(np.abs(numeric - ctx.sample.h_dot[::stride])) / scale
     return [_result("field_derivative", worst, tol,
-                    "analytic h_dot vs 5-point stencil at dt=1e-4")]
+                    "max |analytic h_dot - 5-point stencil at dt=1e-4| / max(1, max|h_dot|)")]
 
 
 def _check_arc(ctx, tol):

@@ -116,17 +116,17 @@ class TestCallableField:
         assert np.allclose(spec.sample(0.9).h_dot, (1.0, 0.0, 0.0), atol=1e-10)
 
     def test_stencil_accuracy_on_smooth_field(self):
-        spec = CallableField(h=lambda t: (math.sin(t), t * t, 1.0))
+        spec = CallableField(h=lambda t: (np.sin(t), t * t, 1.0))
         for t in (0.2, 1.0, 2.5):
             expected = (math.cos(t), 2.0 * t, 0.0)
             assert np.max(np.abs(spec.sample(t).h_dot - expected)) <= 1e-8
 
     def test_analytic_derivative_wins_when_given(self):
         spec = CallableField(
-            h=lambda t: (math.sin(t), 0.0, 0.0),
-            h_dot=lambda t: (math.cos(t), 0.0, 0.0),
+            h=lambda t: (np.sin(t), 0.0, 0.0),
+            h_dot=lambda t: (np.cos(t), 0.0, 0.0),
         )
-        assert spec.sample(0.4).h_dot[0] == math.cos(0.4)
+        assert spec.sample(0.4).h_dot[0] == np.cos(0.4)
 
     def test_scalar_part_constant_or_callable(self):
         assert CallableField(h=lambda t: (1, 0, 0), h0=0.7).sample(2.0).h0 == 0.7
@@ -135,7 +135,7 @@ class TestCallableField:
 
     def test_array_of_times_matches_per_point_samples(self):
         # stencil derivative and callable h0, on a 2-D grid of times
-        spec = CallableField(h=lambda t: (math.sin(t), t * t, 1.0), h0=lambda t: 2.0 * t)
+        spec = CallableField(h=lambda t: (np.sin(t), t * t, 1.0), h0=lambda t: 2.0 * t)
         t = np.array([[0.2, 1.0, 2.5], [-0.7, 0.0, 3.1]])
         whole = spec.sample(t)
         assert whole.h.shape == whole.h_dot.shape == (2, 3, 3)
@@ -149,6 +149,34 @@ class TestCallableField:
     def test_rejects_bad_step(self):
         with pytest.raises(InvalidArgumentError):
             CallableField(h=lambda t: (1, 0, 0), step=0.0)
+
+    def test_sample_calls_each_callable_once_per_grid(self):
+        calls = {"h": [], "h_dot": [], "h0": []}
+
+        def counted(name, fn):
+            def wrapped(t):
+                calls[name].append(np.shape(t))
+                return fn(t)
+            return wrapped
+
+        t = np.linspace(0.0, 2.0, 101)
+        spec = CallableField(h=counted("h", lambda t: (np.sin(t), t, 1.0)),
+                             h_dot=counted("h_dot", lambda t: (np.cos(t), 1.0, 0.0)),
+                             h0=counted("h0", lambda t: 0.5 * t))
+        spec.sample(t)
+        assert calls == {"h": [(101,)], "h_dot": [(101,)], "h0": [(101,)]}
+        # without h_dot the stencil points ride along in the one call of h
+        calls["h"].clear()
+        CallableField(h=counted("h", lambda t: (np.sin(t), t, 1.0))).sample(t)
+        assert calls["h"] == [(5, 101)]
+
+    def test_rejects_malformed_components(self):
+        t = np.linspace(0.0, 1.0, 4)
+        with pytest.raises(InvalidArgumentError, match="3 components"):
+            CallableField(h=lambda t: (t, t), h_dot=lambda t: (0, 0, 0)).sample(t)
+        with pytest.raises(InvalidArgumentError, match="broadcast"):
+            CallableField(h=lambda t: (t, np.zeros(3), 0.0),
+                          h_dot=lambda t: (0, 0, 0)).sample(t)
 
 
 class TestParallelTransverseSplit:

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochcurve import (
     CallableField,
+    ContractViolationError,
     InvalidArgumentError,
     NumericalConsistencyError,
     ScenarioParams,
@@ -169,12 +172,12 @@ class TestCurvatureBloch:
         from blochcurve import integrate_bloch
 
         spec = CallableField(
-            h=lambda t: (0.8 + 0.3 * math.sin(1.3 * t),
-                         0.5 * math.cos(0.9 * t),
-                         0.6 + 0.25 * math.sin(0.7 * t)),
-            h_dot=lambda t: (0.39 * math.cos(1.3 * t),
-                             -0.45 * math.sin(0.9 * t),
-                             0.175 * math.cos(0.7 * t)),
+            h=lambda t: (0.8 + 0.3 * np.sin(1.3 * t),
+                         0.5 * np.cos(0.9 * t),
+                         0.6 + 0.25 * np.sin(0.7 * t)),
+            h_dot=lambda t: (0.39 * np.cos(1.3 * t),
+                             -0.45 * np.sin(0.9 * t),
+                             0.175 * np.cos(0.7 * t)),
         )
         grid = TimeGrid(0.0, 3.0, 600)
         rows = integrate_bloch(spec, (0.0, 0.0, 1.0), grid)
@@ -220,8 +223,10 @@ class TestCurvatureExpectation:
         assert bare == pytest.approx(shifted, abs=1e-8)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(ContractViolationError):
             curvature_expectation(SPEC11, np.array([1.0, 1.0j]), 0.3)
+        with pytest.raises(InvalidArgumentError):  # one state for two times
+            curvature_expectation(SPEC11, analytic_state(P11, 0.3), np.array([0.3, 0.4]))
 
     def test_singular_on_field_eigenstate(self):
         spec = constant_field((0.0, 0.0, 1.0))
@@ -249,6 +254,32 @@ class TestCurvatureExpectation:
             via_bloch = curvature_bloch(traj.bloch[k], s.h, s.h_dot)
             via_expect = curvature_expectation(stencil_spec, traj.states[k], t)
             assert abs(via_expect - via_bloch) <= 1e-9 * max(1.0, abs(via_bloch))
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(log_omega0=st.floats(-4.0, 2.0), log_ratio=st.floats(-6.0, 3.0))
+def test_three_curvature_routes_agree_across_the_domain(log_omega0, log_ratio):
+    # nu0/omega0 over nine decades, on one period (kappa2 maximum and minimum
+    # included), to round-off relative to max(1, kappa2_max)
+    w = 10.0 ** log_omega0
+    p = ScenarioParams(w, w * 10.0 ** log_ratio)
+    t = TimeGrid(0.0, math.pi / (2.0 * w), 256).times()
+    s = two_parameter_field(p, t)
+    closed = curvature_closed(p, t)
+    via_bloch = curvature_bloch(analytic_bloch(p, t), s.h, s.h_dot)
+    via_expect = curvature_expectation(TwoParameterField(p), analytic_state(p, t), t)
+    bound = 1e-10 * max(1.0, 4.0 * (p.nu0 / w) ** 2)
+    for x, y in ((closed, via_bloch), (closed, via_expect), (via_bloch, via_expect)):
+        assert np.max(np.abs(x - y)) <= bound
+
+
+@pytest.mark.parametrize("omega0, nu0", [(1e-4, 1.0), (1e-3, 10.0)])
+def test_operator_route_holds_at_large_curvature(omega0, nu0):
+    # kappa2_max = 4e8: the imaginary round-off residue (about 1e-8 here) is
+    # judged relative to kappa2 at each node, not against a fixed 1e-8
+    cols = scenario_records(ScenarioParams(omega0, nu0), TimeGrid(0.0, 2.0 * math.pi, 2000))
+    diff = np.abs(cols["kappa2_expect"] - cols["kappa2_closed"])
+    assert np.max(diff) <= 1e-10 * 4.0 * (nu0 / omega0) ** 2
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 50.0])
@@ -333,8 +364,8 @@ class TestGeodesicEfficiencyGeneric:
 
     def test_never_exceeds_unity(self):
         spec = CallableField(
-            h=lambda t: (0.6, 0.4 * math.sin(t), 0.8),
-            h_dot=lambda t: (0.0, 0.4 * math.cos(t), 0.0),
+            h=lambda t: (0.6, 0.4 * np.sin(t), 0.8),
+            h_dot=lambda t: (0.0, 0.4 * np.cos(t), 0.0),
         )
         traj = integrate_schrodinger(spec, np.array([1.0, 0.0j]), TimeGrid(0, 2, 2000))
         assert geodesic_efficiency_generic(traj) <= 1.0 + 1e-9

@@ -7,9 +7,15 @@ from blochcurve import (
     ContractViolationError,
     InvalidArgumentError,
     NumericalConsistencyError,
+    ScenarioParams,
+    TimeGrid,
+    Trajectory,
+    TwoParameterField,
     bloch_vector,
+    curvature_expectation,
     expectation,
     fidelity,
+    integrate_schrodinger,
     pauli_compose,
     pauli_decompose,
     state_from_angles,
@@ -72,6 +78,24 @@ def test_bloch_vector_unit_norm():
 def test_bloch_vector_rejects_unnormalized_sequence():
     with pytest.raises(ContractViolationError):
         bloch_vector([0.5, 0.5])
+
+
+def test_unnormalized_state_is_one_error_at_every_entry_point():
+    psi = np.array([1.0, 1.0j])
+    spec = TwoParameterField(ScenarioParams(1.0, 1.0))
+    grid = TimeGrid(0.0, 1.0, 1)
+    entry_points = [
+        lambda: bloch_vector(psi),
+        lambda: fidelity(psi, [1.0, 0.0]),
+        lambda: expectation(np.eye(2), psi),
+        lambda: integrate_schrodinger(spec, psi, grid),
+        lambda: curvature_expectation(spec, psi, 0.3),
+        lambda: Trajectory(grid=grid, times=grid.times(), states=[psi, psi],
+                           bloch=np.zeros((2, 3)), beta=np.zeros(2), arc=np.zeros(2)),
+    ]
+    for call in entry_points:
+        with pytest.raises(ContractViolationError, match="not normalized"):
+            call()
 
 
 def test_pauli_round_trip_random():

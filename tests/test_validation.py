@@ -12,7 +12,15 @@ from blochcurve import (
     bloch_vector,
     run_battery,
 )
-from blochcurve.validation import DEFAULT_TOLERANCES, merge_tolerances, tilted_field_fixture
+from blochcurve.special_functions import adaptive_simpson
+from blochcurve.validation import (
+    _ELLIPTIC_M,
+    _ELLIPTIC_PHI,
+    DEFAULT_TOLERANCES,
+    _legendre_e,
+    merge_tolerances,
+    tilted_field_fixture,
+)
 from mutants import corrupted_field, flip_h_y, scale_h_dot_z, two_terms_only
 
 P11 = ScenarioParams(1.0, 1.0)
@@ -62,6 +70,16 @@ class TestTiltedFixture:
         assert np.max(np.abs(spec.sample(t).h_dot - stencil)) <= 1e-8
 
 
+def test_gauss_legendre_reference_matches_adaptive_simpson():
+    # the battery's one-shot Legendre-form reference against the adaptive rule
+    ref = _legendre_e(_ELLIPTIC_PHI, _ELLIPTIC_M)
+    assert ref.shape == (9,)
+    for value, phi, m in zip(ref, _ELLIPTIC_PHI, _ELLIPTIC_M):
+        quad = adaptive_simpson(
+            lambda th: math.sqrt(1.0 - m * math.sin(th) ** 2), 0.0, float(phi), tol=1e-12)
+        assert abs(value - quad.value) <= 1e-13, (phi, m)
+
+
 class TestBattery:
     def test_clean_run_passes_everything(self):
         results = run_battery(P11, GRID)
@@ -71,6 +89,19 @@ class TestBattery:
         assert bad == []
         for r in results:
             assert r.residual <= r.tolerance
+
+    @pytest.mark.parametrize("omega0, nu0", [(1e-4, 1.0), (1e-3, 10.0)])
+    def test_passes_at_large_curvature(self, omega0, nu0):
+        # kappa2_max = 4e8: the operator route's imaginary residue scales with it
+        results = run_battery(ScenarioParams(omega0, nu0), TimeGrid(0.0, 2.0 * math.pi, 2000))
+        assert [r.name for r in results if not r.passed] == []
+
+    def test_strong_drive_fails_only_the_integrator_check(self):
+        # at nu0 = 50 the stencil residual is relative to max|h_dot| = 626; at
+        # most RK4's accuracy at this step size is short
+        results = run_battery(ScenarioParams(1.0, 50.0), TimeGrid(0.0, 2.0 * math.pi, 6283))
+        assert {r.name for r in results if not r.passed} <= {"bloch_supnorm"}
+        assert by_name(results)["field_derivative"].residual <= 1e-10
 
     def test_tightened_tolerance_fails_the_one_check(self):
         results = run_battery(P11, TimeGrid(0.0, math.pi, 300),
