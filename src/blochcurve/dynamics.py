@@ -2,11 +2,12 @@
 analytic reference solutions for the built-in scenario, transport phase, arc
 length, and Hamiltonian synthesis from a parallel-transported trajectory.
 
-Both integrators are fixed-step classical RK4 for y′ = G(t)y: G = −iH for the
-state (real 4x4, on (Re ψ, Im ψ)), G = 2[h]× for the Bloch vector. Every RK4
-step is a matrix y ↦ M·y; all are built at once and the states are
-renormalized prefix products of them. A step's norm drift on its unit start
-state is logged, and one above ``DRIFT_LIMIT`` raises
+Both integrators take fixed 4th-order Magnus steps, one exponent ω per step
+from the field at the step's two Gauss points: exp(−iω·σ) (times the phase of
+h₀) for the state, the rotation by 2|ω| about ω for the Bloch vector. Every
+step is exactly unitary or orthogonal, so nothing is renormalized; all steps
+are built at once and the states are prefix products of them. A step whose
+embedded error estimate exceeds ``STEP_ERROR_LIMIT`` raises
 IntegrationInstabilityError (the right fix is a smaller dt, not a looser limit).
 """
 
@@ -23,11 +24,14 @@ from .errors import (
     InvalidArgumentError,
 )
 from .fields import FieldSpec, ScenarioParams
-from .qubit_core import _pure_states, bloch_vector, pauli_compose
+from .qubit_core import IDENTITY, _pure_states, bloch_vector, pauli_compose
 from .special_functions import elliptic_e_incomplete
 
-DRIFT_LIMIT = 1e-6          # per-step norm drift that flags instability
+STEP_ERROR_LIMIT = 1e-2      # per-step |ω − dt·h(t + dt/2)| that flags an unresolved step
 TRANSPORT_GAUGE_ATOL = 1e-8  # |⟨m|ṁ⟩| bound for Hamiltonian synthesis
+
+_GAUSS = math.sqrt(3.0) / 6.0  # offsets ±√3/6 of a unit step's Gauss points from its midpoint
+_STEP_POINTS = 0.5 + np.array([-_GAUSS, 0.0, _GAUSS])  # where a step samples the field
 
 
 @dataclass(frozen=True)
@@ -59,13 +63,13 @@ class TimeGrid:
 class Trajectory:
     """Integration output on a TimeGrid (arrays have ``steps + 1`` rows).
 
-    states : complex (n+1, 2), renormalized at every node (checked like
-             every pure state, by ``qubit_core._pure_states``)
+    states : complex (n+1, 2) unit states (checked like every pure state,
+             by ``qubit_core._pure_states``)
     bloch  : float (n+1, 3) Bloch vectors of the states
     beta   : accumulated phase ∫₀ᵗ ⟨ψ|H|ψ⟩ dt' (trapezoidal); multiplying the
              solution by e^{iβ} yields the parallel-transported representative
     arc    : accumulated arc length ∫₀ᵗ v dt', v = √(⟨H²⟩ − ⟨H⟩²) (trapezoidal)
-    max_norm_drift : largest per-step |norm − 1| seen before renormalization
+    max_step_error : largest per-step error estimate |ω − dt·h(t + dt/2)|
     """
 
     grid: TimeGrid
@@ -74,7 +78,7 @@ class Trajectory:
     bloch: np.ndarray
     beta: np.ndarray
     arc: np.ndarray
-    max_norm_drift: float = 0.0
+    max_step_error: float = 0.0
 
     def __post_init__(self):
         n = self.grid.steps + 1
@@ -171,49 +175,44 @@ def hamiltonian_at(spec: FieldSpec, t) -> np.ndarray:
 
 
 def integrate_schrodinger(spec: FieldSpec, psi0, grid: TimeGrid) -> Trajectory:
-    """Integrate i dψ/dt = H(t)ψ on the grid, renormalized at every node.
+    """Integrate i dψ/dt = H(t)ψ on the grid with exactly unitary Magnus-4 steps.
 
-    Fills ``beta`` with the trapezoidal accumulation of ⟨ψ|H|ψ⟩ and ``arc``
-    with the trapezoidal accumulation of the speed v = √(⟨H²⟩ − ⟨H⟩²).
+    Fills ``beta`` with the trapezoidal accumulation of ⟨ψ|H|ψ⟩ = h₀ + h·a
+    and ``arc`` with the trapezoidal accumulation of the speed
+    v = √(h·h − (h·a)²), which h₀ does not enter.
     """
     psi = _pure_states(np.asarray(psi0, dtype=complex).reshape(2))
 
-    times = grid.times()
-    dt = grid.dt
-    h_nodes = hamiltonian_at(spec, times)
-    h_half = hamiltonian_at(spec, times[:-1] + 0.5 * dt)
-    y, max_drift = _integrate(_schrodinger_generator(h_nodes), _schrodinger_generator(h_half),
-                              np.concatenate([psi.real, psi.imag]), times, dt)
-    states = y[:, :2] + 1j * y[:, 2:]
+    times, dt = grid.times(), grid.dt
+    omega, phase, error = _magnus_steps(spec, times[:-1], dt)
+    c, v = _quaternions(omega)
+    u = c[:, None, None] * IDENTITY - 1j * pauli_compose(0.0, v)
+    y = _integrate(np.block([[u.real, -u.imag], [u.imag, u.real]]), error,
+                   np.concatenate([psi.real, psi.imag]), times)
+    # h₀ only moves the global phase; per-step factors would compound their round-off
+    states = (y[:, :2] + 1j * y[:, 2:]) * np.exp(-1j * np.cumsum(np.append(0.0, phase)))[:, None]
+    bloch = bloch_vector(states)
 
-    hpsi = np.einsum("nij,nj->ni", h_nodes, states)
-    energy = np.einsum("ni,ni->n", states.conj(), hpsi).real
-    h2 = np.einsum("ni,ni->n", hpsi.conj(), hpsi).real  # ⟨H²⟩ for Hermitian H
-    speed = np.sqrt(np.maximum(h2 - energy * energy, 0.0))
+    s = spec.sample(times)
+    ha = np.einsum("nk,nk->n", s.h, bloch)
+    speed = np.sqrt(np.maximum(np.einsum("nk,nk->n", s.h, s.h) - ha * ha, 0.0))
+    energy = s.h0 + ha
     beta = np.concatenate(([0.0], np.cumsum(0.5 * dt * (energy[:-1] + energy[1:]))))
     arc = np.concatenate(([0.0], np.cumsum(0.5 * dt * (speed[:-1] + speed[1:]))))
-    return Trajectory(
-        grid=grid,
-        times=times,
-        states=states,
-        bloch=bloch_vector(states),
-        beta=beta,
-        arc=arc,
-        max_norm_drift=max_drift,
-    )
+    return Trajectory(grid=grid, times=times, states=states, bloch=bloch, beta=beta, arc=arc,
+                      max_step_error=float(error.max()))
 
 
 def bloch_step(spec: FieldSpec, a, t, dt: float) -> np.ndarray:
-    """Raw RK4 steps of ȧ = 2 h × a (dt may be negative) from the rows of ``a``
-    (..., 3) at the times ``t`` (...). No renormalization; callers decide."""
-    t = np.asarray(t, dtype=float)[..., None] + np.array([0.0, 0.5 * dt, dt])
-    g = _precession_generator(spec.sample(t).h)
-    m = _rk4_propagators(g[..., ::2, :, :], g[..., 1:2, :, :], dt)[..., 0, :, :]
-    return (m @ np.asarray(a, dtype=float)[..., None])[..., 0]
+    """Magnus-4 steps of ȧ = 2 h × a (dt may be negative) from the rows of
+    ``a`` (..., 3) at the times ``t`` (...): each is a rotation, so lengths
+    are kept. The error estimate is not checked; callers decide."""
+    omega, _, _ = _magnus_steps(spec, t, dt)
+    return (_rotations(*_quaternions(omega)) @ np.asarray(a, dtype=float)[..., None])[..., 0]
 
 
 def integrate_bloch(spec: FieldSpec, a0, grid: TimeGrid) -> np.ndarray:
-    """Integrate the precession equation ȧ = 2 h × a with RK4.
+    """Integrate the precession equation ȧ = 2 h × a with Magnus-4 rotations.
 
     The factor 2 is the h·σ ↔ rotation-rate correspondence (Ω = 2h); the
     scalar part h₀ only moves the global phase and does not enter. Returns an
@@ -224,57 +223,57 @@ def integrate_bloch(spec: FieldSpec, a0, grid: TimeGrid) -> np.ndarray:
         raise InvalidArgumentError("a0 must be a unit vector")
 
     times = grid.times()
-    dt = grid.dt
-    g_nodes = _precession_generator(spec.sample(times).h)
-    g_half = _precession_generator(spec.sample(times[:-1] + 0.5 * dt).h)
-    return _integrate(g_nodes, g_half, a, times, dt)[0]
+    omega, _, error = _magnus_steps(spec, times[:-1], grid.dt)
+    return _integrate(_rotations(*_quaternions(omega)), error, a, times)
 
 
-def _schrodinger_generator(h: np.ndarray) -> np.ndarray:
-    """G = −iH as the real 4x4 matrix acting on (Re ψ, Im ψ), one per H."""
-    return np.block([[h.imag, h.real], [-h.real, h.imag]])
+def _magnus_steps(spec: FieldSpec, t, dt: float):
+    """Magnus-4 exponents of the steps from the times ``t`` (any shape) to
+    t + dt, from one field sample at their Gauss points t₁, t₂ and midpoints:
+
+        ω = (dt/2)(h₁ + h₂) + (√3/6)·dt²·(h₂ × h₁),   φ = (dt/2)(h₀₁ + h₀₂)
+
+    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151): a step is
+    e^{−iφ}·exp(−iω·σ) to 4th order. Also returns the embedded error
+    estimate |ω − dt·h(t + dt/2)|, the distance to the midpoint step."""
+    s = spec.sample(np.asarray(t, dtype=float)[..., None] + dt * _STEP_POINTS)
+    h1, h_mid, h2 = np.moveaxis(s.h, -2, 0)
+    omega = 0.5 * dt * (h1 + h2) + _GAUSS * dt * dt * np.cross(h2, h1)
+    phase = 0.5 * dt * (s.h0[..., 0] + s.h0[..., 2])
+    return omega, phase, np.linalg.norm(omega - dt * h_mid, axis=-1)
 
 
-def _precession_generator(h: np.ndarray) -> np.ndarray:
-    """Matrices G = 2[h]× with G·a = 2 h × a, one per row of h: row i of
-    [h]× is e_i × h."""
-    return 2.0 * np.cross(np.eye(3), h[..., None, :])
+def _quaternions(omega: np.ndarray):
+    """cos|ω| and (sin|ω|/|ω|)·ω, the unit quaternion of exp(−iω·σ)."""
+    norm = np.linalg.norm(omega, axis=-1)
+    return np.cos(norm), np.sinc(norm / np.pi)[..., None] * omega
 
 
-def _rk4_propagators(g_nodes, g_half, dt: float) -> np.ndarray:
-    """The matrices M of the classical RK4 steps y ↦ M·y of y′ = G(t)y, all at
-    once, from G at the n + 1 nodes and n midpoints (on axis −3)."""
-    eye = np.eye(g_nodes.shape[-1])
-    k1 = g_nodes[..., :-1, :, :]
-    k2 = g_half @ (eye + 0.5 * dt * k1)
-    k3 = g_half @ (eye + 0.5 * dt * k2)
-    k4 = g_nodes[..., 1:, :, :] @ (eye + dt * k3)
-    return eye + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rotations(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rotation matrices (c² − v·v)I + 2vvᵀ + 2c[v]× of the unit quaternions
+    (c, v): exp(−iω·σ) turns the Bloch vector by 2|ω| about ω (Rodrigues)."""
+    eye = np.eye(3)  # row i of np.cross(eye, v) is e_i × v, so it is [v]×
+    return ((c * c - np.einsum("...k,...k->...", v, v))[..., None, None] * eye
+            + 2.0 * v[..., :, None] * v[..., None, :]
+            + 2.0 * c[..., None, None] * np.cross(eye, v[..., None, :]))
 
 
-def _integrate(g_nodes, g_half, y0, times, dt) -> tuple[np.ndarray, float]:
-    """RK4 for y′ = G(t)y, G presampled at every node and midpoint: the states
-    are the renormalized prefix products P_n·y₀, P_n = M_{n−1}⋯M₀, found in
-    ⌈log₂ n⌉ doubling rounds. The first step whose drift |‖M_n·ŷ_n‖ − 1| on its
-    unit start state ŷ_n exceeds ``DRIFT_LIMIT`` or is not finite raises
-    IntegrationInstabilityError (later products may overflow). Returns the
-    unit-norm rows and the largest drift."""
-    m = _rk4_propagators(g_nodes, g_half, dt)
-    prefix, s = m.copy(), 1
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while s < len(prefix):
-            prefix[s:] = prefix[s:] @ prefix[:-s]
-            s *= 2
-        raw = np.concatenate(([y0], prefix @ y0))
-        out = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
-        drift = np.abs(np.linalg.norm((m @ out[:-1, :, None])[..., 0], axis=-1) - 1.0)
-    i = int(np.argmax(~(drift <= DRIFT_LIMIT)))  # the first bad step, or 0
-    if not drift[i] <= DRIFT_LIMIT:
+def _integrate(m: np.ndarray, error: np.ndarray, y0, times) -> np.ndarray:
+    """Rows y_k = P_k·y₀, P_k = M_{k−1}⋯M₀, of the norm-keeping step matrices
+    M (overwritten by their prefix products in ⌈log₂ n⌉ doubling rounds). The
+    first step whose error estimate exceeds ``STEP_ERROR_LIMIT`` (or is not
+    finite) raises IntegrationInstabilityError instead."""
+    i = int(np.argmax(~(error <= STEP_ERROR_LIMIT)))  # the first bad step, or 0
+    if not error[i] <= STEP_ERROR_LIMIT:
         raise IntegrationInstabilityError(
-            f"norm drift {drift[i]:.3e} at t = {float(times[i + 1])!r} exceeds "
-            f"{DRIFT_LIMIT:.1e}; reduce the step size"
+            f"step error estimate {error[i]:.3e} at t = {float(times[i + 1])!r} exceeds "
+            f"{STEP_ERROR_LIMIT:.1e}; reduce the step size"
         )
-    return out, float(drift.max())
+    s = 1
+    while s < len(m):
+        m[s:] = m[s:] @ m[:-s]
+        s *= 2
+    return np.concatenate(([y0], m @ y0))
 
 
 def arc_length_closed(params: ScenarioParams, t):

@@ -38,7 +38,7 @@ class SingularityError(BlochCurveError):
 
 
 class IntegrationInstabilityError(BlochCurveError):
-    """Per-step norm drift exceeded the stability threshold; reduce dt."""
+    """A step's error estimate exceeded the resolution threshold; reduce dt."""
 
 
 class ConvergenceError(BlochCurveError):

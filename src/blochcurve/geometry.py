@@ -152,8 +152,9 @@ def curvature_expectation(
         v̇ = (⟨ḢH + HḢ⟩ − 2⟨H⟩⟨Ḣ⟩) / (2v),
         Δh′ = [(Ḣ − ⟨Ḣ⟩)/v − Δh·v̇/v] / v.
 
-    The identity part ḣ₀·I of Ḣ shifts ⟨Ḣ⟩ by ḣ₀ and ⟨ḢH + HḢ⟩ by 2ḣ₀⟨H⟩,
-    so it cancels from both v̇ and Ḣ − ⟨Ḣ⟩; only ḣ enters. Then
+    The identity parts h₀·I of H and ḣ₀·I of Ḣ cancel exactly from Δh, v,
+    v̇ and Δh′, so H = h·σ and Ḣ = ḣ·σ are composed from the vector parts
+    alone (keeping h₀ would only cost round-off when |h₀| ≫ |h|). Then
 
         κ² = ⟨(Δh)⁴⟩ − ⟨(Δh)²⟩²  +  ⟨(Δh′)²⟩ − ⟨Δh′⟩²  +  i⟨[(Δh)², Δh′]⟩.
 
@@ -176,7 +177,7 @@ def curvature_expectation(
 
     sample = spec.sample(t)
     psi = np.moveaxis(psi, -1, 0)
-    h = np.moveaxis(pauli_compose(sample.h0, sample.h), (-2, -1), (0, 1))
+    h = np.moveaxis(pauli_compose(0.0, sample.h), (-2, -1), (0, 1))
     h_dot = np.moveaxis(pauli_compose(0.0, sample.h_dot), (-2, -1), (0, 1))
     hpsi = _apply(h, psi)
     hdpsi = _apply(h_dot, psi)

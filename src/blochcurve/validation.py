@@ -4,9 +4,10 @@ Every identity the library promises is re-checked here against an independent
 computation: the three curvature routes against each other, integrated
 dynamics against the closed-form solution, efficiency and orthogonality
 constants, periodicity, extrema locations, quadrature against the elliptic
-integral, and Hamiltonian synthesis against the driving field. Each check
-reports a measured residual and the tolerance it was held to, so a report
-reads as evidence rather than a verdict.
+integral, Hamiltonian synthesis against the driving field, and the
+integrator's convergence order on step halving. Each check reports a
+measured residual and the tolerance it was held to, so a report reads as
+evidence rather than a verdict.
 
 Checks call into :mod:`fields` and :mod:`geometry` through the module objects
 on purpose: corrupting one formula (as the mutation tests do) must propagate
@@ -24,7 +25,7 @@ import numpy as np
 from . import dynamics, fields, geometry
 from .errors import InvalidArgumentError
 from .fields import CallableField, ScenarioParams
-from .qubit_core import pauli_compose, pauli_decompose
+from .qubit_core import bloch_vector, pauli_compose, pauli_decompose
 from .special_functions import elliptic_e, elliptic_e_incomplete
 
 _RNG_SEED = 1729  # fixed so successive runs produce byte-identical reports
@@ -48,6 +49,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "synthesis": 1e-6,
     "synthesis_trace": 1e-12,
     "arc_agreement": 1e-6,
+    "integrator_order": 0.1,
 }
 
 
@@ -344,15 +346,18 @@ def _check_decomposition(ctx, tol):
 
 
 def _check_field_derivative(ctx, tol):
+    # the step scales with the field's fastest angular rate, 4ω₀ + ν₀
     stencil_spec = CallableField(
-        h=lambda tt: np.moveaxis(fields.two_parameter_field(ctx.params, tt).h, -1, 0), step=1e-4
+        h=lambda tt: np.moveaxis(fields.two_parameter_field(ctx.params, tt).h, -1, 0),
+        step=1e-3 / (4.0 * ctx.params.omega0 + ctx.params.nu0),
     )
     stride = max(1, len(ctx.times) // 25)
     numeric = stencil_spec.sample(ctx.times[::stride]).h_dot
     scale = max(1.0, np.max(np.abs(ctx.sample.h_dot)))
     worst = np.max(np.abs(numeric - ctx.sample.h_dot[::stride])) / scale
     return [_result("field_derivative", worst, tol,
-                    "max |analytic h_dot - 5-point stencil at dt=1e-4| / max(1, max|h_dot|)")]
+                    "max |analytic h_dot - 5-point stencil at dt=1e-3/(4*omega0+nu0)|"
+                    " / max(1, max|h_dot|)")]
 
 
 def _check_arc(ctx, tol):
@@ -362,6 +367,16 @@ def _check_arc(ctx, tol):
     worst = np.max(np.abs(ctx.traj.arc[k] - (closed[1:] - closed[0])))
     return [_result("arc_agreement", worst, tol,
                     "trapezoidal arc length vs closed-form ½E(2ω₀t|m)")]
+
+
+def _check_integrator_order(ctx, tol):
+    spec, psi0 = tilted_field_fixture()
+    a0 = bloch_vector(psi0)
+    end = [dynamics.integrate_bloch(spec, a0, dynamics.TimeGrid(0.0, 3.0, n))[-1]
+           for n in (100, 200, 400)]
+    order = math.log2(np.linalg.norm(end[0] - end[1]) / np.linalg.norm(end[1] - end[2]))
+    return [_result("integrator_order", abs(order - 4.0), tol,
+                    f"|p - 4|, p = {order:.3f} from 100/200/400 Bloch steps on a tilted field")]
 
 
 _CHECKS = [
@@ -380,4 +395,5 @@ _CHECKS = [
     ("elliptic", _check_elliptic),
     ("synthesis", _check_synthesis),
     ("arc_agreement", _check_arc),
+    ("integrator_order", _check_integrator_order),
 ]

@@ -1,8 +1,8 @@
 """Deliberately broken library functions for the mutation tests.
 
-Each mutant must be caught by the validation battery. They work on one node
-or on a whole grid alike: vector components sit on the last axis, so
-``h[..., 1]`` is the y component of every node.
+Each mutant must be caught by the validation battery. The field mutants
+work on one node or on a whole grid alike: vector components sit on the last
+axis, so ``h[..., 1]`` is the y component of every node.
 """
 
 import numpy as np
@@ -50,3 +50,9 @@ def two_terms_only(a, h, h_dot, eps_sing=1e-12):
     w = dot(av, hd)[..., None] * hv - ah[..., None] * hd
     num2 = (h2 * dot(hd, hd) - dot(hv, hd) ** 2) - dot(w, w)
     return 4.0 * ah * ah / den + num2 / den ** 3
+
+
+# Both Gauss points of the Magnus step moved onto the midpoint (monkeypatched
+# over ``blochcurve.dynamics._STEP_POINTS``): the exponential midpoint rule,
+# still exactly unitary but only 2nd order.
+MIDPOINT_NODES = np.array([0.5, 0.5, 0.5])

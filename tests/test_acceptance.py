@@ -139,8 +139,8 @@ def test_criterion_05_bloch_integrator_accuracy_and_order(capsys):
 
         sup = sup_error(6283)
         # order measured where truncation dominates; at dt=1e-3 the error
-        # already sits at the renormalization round-off floor (~1e-12) and
-        # halving measures nothing
+        # already sits near the round-off floor (~5e-13) and halving
+        # measures nothing
         coarse, fine = sup_error(314), sup_error(628)
         ratio = coarse / fine
         ok = sup <= 1e-6 and ratio >= 14.0

@@ -18,6 +18,7 @@ from blochcurve import (
     analytic_state_derivative,
     arc_length_closed,
     bloch_vector,
+    curvature_expectation,
     elliptic_e,
     fidelity,
     integrate_bloch,
@@ -34,7 +35,7 @@ from blochcurve.dynamics import bloch_step, hamiltonian_at
 from blochcurve.special_functions import adaptive_simpson
 from blochcurve.validation import tilted_field_fixture
 
-import reference_rk4
+import reference_magnus
 
 P11 = ScenarioParams(1.0, 1.0)
 SPEC11 = TwoParameterField(P11)
@@ -192,7 +193,7 @@ class TestIntegrateSchrodinger:
             for i, t in enumerate(traj.times)
         )
         assert worst >= 1.0 - 1e-6
-        assert traj.max_norm_drift <= 1e-9
+        assert traj.max_step_error <= 1e-9
 
     def test_transport_phase_stays_zero_on_builtin_drive(self):
         # <H> = 0 along the built-in path, so beta never accumulates
@@ -219,7 +220,7 @@ class TestIntegrateSchrodinger:
         with pytest.raises(ContractViolationError):
             integrate_schrodinger(SPEC11, np.array([1.0, 1.0j]), TimeGrid(0, 1, 10))
 
-    def test_flags_norm_drift_on_coarse_grid(self):
+    def test_flags_coarse_grid(self):
         with pytest.raises(IntegrationInstabilityError, match=r"at t = [0-9.]+[; ]"):
             integrate_schrodinger(
                 tilted_field(), np.array([1.0, 0.0j]), TimeGrid(0.0, 50.0, 25)
@@ -276,7 +277,7 @@ class TestIntegrateBloch:
         with pytest.raises(InvalidArgumentError):
             integrate_bloch(SPEC11, (0.0, 0.0, 0.5), TimeGrid(0, 1, 10))
 
-    def test_flags_norm_drift_on_coarse_grid(self):
+    def test_flags_coarse_grid(self):
         with pytest.raises(IntegrationInstabilityError, match=r"at t = [0-9.]+[; ]"):
             integrate_bloch(tilted_field(), (0.0, 0.0, 1.0), TimeGrid(0.0, 50.0, 20))
 
@@ -295,31 +296,32 @@ def _reference_cases():
 
 
 def _unstable_cases():
-    """(spec, psi0, grid, t of the first unstable step of the Schrödinger and
-    of the Bloch integration)."""
+    """(spec, psi0, grid, t of the first under-resolved step of the
+    Schrödinger and of the Bloch integration)."""
     tilted, psi0 = tilted_field_fixture()
-    # every step is unstable; the unrenormalized product overflows
+    # every step is under-resolved, so the first one raises
     yield tilted, psi0, TimeGrid(0.0, 5000.0, 400), 12.5, 12.5
-    # weak early, strong late: the first unstable step lies mid-grid
-    ramp = CallableField(h=lambda t: (0.0, 0.0, 0.01 * t ** 3),
-                         h_dot=lambda t: (0.0, 0.0, 0.03 * t ** 2))
-    yield ramp, np.array([1.0, 1.0j]) / math.sqrt(2.0), TimeGrid(0.0, 10.0, 50), 5.0, 4.0
+    # weak early, strong late, turning from z towards x: the first
+    # under-resolved step lies mid-grid
+    ramp = CallableField(h=lambda t: (0.1 * t ** 3, 0.0, 1.0),
+                         h_dot=lambda t: (0.3 * t ** 2, 0.0, 0.0))
+    yield ramp, np.array([1.0, 1.0j]) / math.sqrt(2.0), TimeGrid(0.0, 10.0, 50), 5.2, 5.2
 
 
 class TestAgainstPerStepLoop:
-    """Both integrators against the per-step RK4 loop in reference_rk4.py."""
+    """Both integrators against the per-step Magnus loop in reference_magnus.py."""
 
     @pytest.mark.parametrize("spec, psi0, grid", list(_reference_cases()))
     def test_states_rows_and_drift_match(self, spec, psi0, grid):
-        states, drift = reference_rk4.schrodinger(spec, psi0, grid)
+        states, error = reference_magnus.schrodinger(spec, psi0, grid)
         traj = integrate_schrodinger(spec, psi0, grid)
         assert np.max(np.abs(traj.states - states)) <= 1e-13
         rows = bloch_vector(states)
         assert np.max(np.abs(traj.bloch - rows)) <= 1e-13
-        assert abs(traj.max_norm_drift - drift) <= 1e-15
+        assert abs(traj.max_step_error - error) <= 1e-15
 
         a0 = bloch_vector(psi0)
-        rows, _ = reference_rk4.bloch(spec, a0, grid)
+        rows, _ = reference_magnus.bloch(spec, a0, grid)
         assert np.max(np.abs(integrate_bloch(spec, a0, grid) - rows)) <= 1e-13
 
     @pytest.mark.parametrize("spec, psi0, grid, t_state, t_bloch", list(_unstable_cases()),
@@ -327,8 +329,8 @@ class TestAgainstPerStepLoop:
     def test_instability_names_the_same_step(self, spec, psi0, grid, t_state, t_bloch):
         a0 = bloch_vector(psi0)
         for integrate, reference, y0, t in (
-            (integrate_schrodinger, reference_rk4.schrodinger, psi0, t_state),
-            (integrate_bloch, reference_rk4.bloch, a0, t_bloch),
+            (integrate_schrodinger, reference_magnus.schrodinger, psi0, t_state),
+            (integrate_bloch, reference_magnus.bloch, a0, t_bloch),
         ):
             with pytest.raises(IntegrationInstabilityError) as expected:
                 reference(spec, y0, grid)
@@ -350,13 +352,31 @@ def test_bloch_step_on_rows_matches_per_row_calls():
         per_row = np.array([[bloch_step(spec, a[i, j], float(t[i, j]), dt)
                              for j in range(5)] for i in range(4)])
         assert np.max(np.abs(stepped - per_row)) <= 1e-15
-    # a scalar call is one step of the per-step loop, whose renormalization
-    # changes nothing here: the drift is below 1e-16
+    # a scalar call is one step of the per-step loop
     a0 = np.array([0.0, 0.6, 0.8])
-    rows, _ = reference_rk4.bloch(spec, a0, TimeGrid(1.0, 1.001, 1))
+    rows, _ = reference_magnus.bloch(spec, a0, TimeGrid(1.0, 1.001, 1))
     stepped = bloch_step(spec, a0, 1.0, 0.001)
     assert stepped.shape == (3,)
     assert np.max(np.abs(stepped - rows[1])) <= 1e-14
+
+
+@pytest.mark.parametrize("h0", [1e2, 1e4, 1e7])
+def test_energy_offset_moves_only_the_global_phase(h0):
+    # h0 cancels exactly from the Bloch rows, the speed and kappa2; only the
+    # accumulated energy beta keeps it
+    tilted, psi0 = tilted_field_fixture()
+    grid = TimeGrid(0.0, 3.0, 3000)
+    k = np.arange(150, grid.steps, 300)
+    runs = []
+    for offset in (0.0, h0):
+        spec = CallableField(h=tilted.h, h0=offset, h_dot=tilted.h_dot)
+        traj = integrate_schrodinger(spec, psi0, grid)
+        runs.append((traj, curvature_expectation(spec, traj.states[k], traj.times[k])))
+    (ref, k2_ref), (traj, k2) = runs
+    assert np.max(np.abs(k2 - k2_ref) / k2_ref) <= 1e-12
+    assert np.max(np.abs(traj.bloch - ref.bloch)) <= 1e-12
+    assert np.max(np.abs(traj.arc - ref.arc)) <= 1e-12 * ref.arc[-1]
+    assert np.max(np.abs(traj.beta - ref.beta - h0 * traj.times)) <= 1e-12 * h0 * 3.0
 
 
 def test_observable_rate_identity_along_generic_drive():

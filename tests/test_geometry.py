@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blochcurve import (
@@ -33,6 +33,7 @@ from blochcurve import (
     geodesic_efficiency_generic,
     h_parallel_sq,
     h_transverse_sq,
+    integrate_bloch,
     integrate_schrodinger,
     parallel_transverse_ratio,
     pauli_compose,
@@ -271,6 +272,23 @@ def test_three_curvature_routes_agree_across_the_domain(log_omega0, log_ratio):
     bound = 1e-10 * max(1.0, 4.0 * (p.nu0 / w) ** 2)
     for x, y in ((closed, via_bloch), (closed, via_expect), (via_bloch, via_expect)):
         assert np.max(np.abs(x - y)) <= bound
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(log_omega0=st.floats(-4.0, 2.0), log_ratio=st.floats(-6.0, math.log10(50.0)))
+@example(log_omega0=-4.0, log_ratio=math.log10(50.0))
+@example(log_omega0=2.0, log_ratio=math.log10(50.0))
+def test_integrators_track_the_closed_form_across_the_domain(log_omega0, log_ratio):
+    # t up to 2*pi/omega0 at omega0*dt = 1e-3, so nu0*dt reaches 0.05 at the
+    # nu0/omega0 = 50 corner (classical RK4 misses the bound there, 1.96e-6)
+    w = 10.0 ** log_omega0
+    p = ScenarioParams(w, w * 10.0 ** log_ratio)
+    grid = TimeGrid(0.0, 2.0 * math.pi / w, 6283)
+    t = grid.times()
+    traj = integrate_schrodinger(TwoParameterField(p), analytic_state(p, 0.0), grid)
+    rows = integrate_bloch(TwoParameterField(p), analytic_bloch(p, 0.0), grid)
+    assert np.max(np.abs(traj.states - analytic_state(p, t))) <= 1e-6
+    assert np.max(np.abs(rows - analytic_bloch(p, t))) <= 1e-6
 
 
 @pytest.mark.parametrize("omega0, nu0", [(1e-4, 1.0), (1e-3, 10.0)])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import blochcurve.dynamics as dynamics_mod
 import blochcurve.fields as fields_mod
 import blochcurve.geometry as geometry_mod
 from blochcurve import (
@@ -21,7 +22,7 @@ from blochcurve.validation import (
     merge_tolerances,
     tilted_field_fixture,
 )
-from mutants import corrupted_field, flip_h_y, scale_h_dot_z, two_terms_only
+from mutants import MIDPOINT_NODES, corrupted_field, flip_h_y, scale_h_dot_z, two_terms_only
 
 P11 = ScenarioParams(1.0, 1.0)
 GRID = TimeGrid(0.0, math.pi, 500)
@@ -96,12 +97,27 @@ class TestBattery:
         results = run_battery(ScenarioParams(omega0, nu0), TimeGrid(0.0, 2.0 * math.pi, 2000))
         assert [r.name for r in results if not r.passed] == []
 
-    def test_strong_drive_fails_only_the_integrator_check(self):
-        # at nu0 = 50 the stencil residual is relative to max|h_dot| = 626; at
-        # most RK4's accuracy at this step size is short
+    @pytest.mark.parametrize("omega0, nu0", [(1.0, 200.0), (100.0, 100.0), (1.0, 1000.0)])
+    def test_passes_at_fast_drive(self, omega0, nu0):
+        # the stencil step scales with the fastest rate 4*omega0 + nu0; a fixed
+        # 1e-4 fails field_derivative at all three
+        results = run_battery(ScenarioParams(omega0, nu0), TimeGrid(0.0, 2.0 * math.pi, 62830))
+        assert [r.name for r in results if not r.passed] == []
+
+    def test_strong_drive_passes_everything(self):
+        # at nu0 = 50 the stencil residual is relative to max|h_dot| = 626,
+        # and the Magnus steps keep bloch_supnorm near 5e-8
         results = run_battery(ScenarioParams(1.0, 50.0), TimeGrid(0.0, 2.0 * math.pi, 6283))
-        assert {r.name for r in results if not r.passed} <= {"bloch_supnorm"}
+        assert [r.name for r in results if not r.passed] == []
         assert by_name(results)["field_derivative"].residual <= 1e-10
+
+    def test_midpoint_nodes_fail_only_the_order_check(self, monkeypatch):
+        # the exponential midpoint rule is unitary and accurate enough at
+        # dt = 1e-3 for every other check; only its order (2, not 4) shows
+        monkeypatch.setattr(dynamics_mod, "_STEP_POINTS", MIDPOINT_NODES)
+        results = run_battery(P11, TimeGrid(0.0, 2.0 * math.pi, 6283))
+        assert [r.name for r in results if not r.passed] == ["integrator_order"]
+        assert by_name(results)["integrator_order"].residual == pytest.approx(2.0, abs=0.01)
 
     def test_tightened_tolerance_fails_the_one_check(self):
         results = run_battery(P11, TimeGrid(0.0, math.pi, 300),
