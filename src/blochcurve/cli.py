@@ -129,8 +129,8 @@ def cmd_sweep(omega0: float, nu0_values: list[float], out: str | None, fmt: str)
     """One extrema/efficiency summary row per drive strength, input order."""
     params = fields.ScenarioParams(omega0, nu0_values)
     summary = geometry.extrema_summary(params)
-    columns = np.broadcast_arrays(params.omega0, params.nu0, *vars(summary).values(),
-                                  geometry.geodesic_efficiency(params))
+    columns = (params.omega0, params.nu0, *vars(summary).values(),
+               geometry.geodesic_efficiency(params))
     _write_text(out, _render(columns, SWEEP_COLUMNS, fmt))
     return 0
 
@@ -202,7 +202,7 @@ def _parse_config_file(path: str, keys, takes_tol: bool) -> dict[str, str]:
 
 
 def _parse_nu0_list(text: str) -> list[float]:
-    items = [piece.strip() for piece in text.split(",") if piece.strip()]
+    items = [p for p in map(str.strip, text.split(",")) if p]
     if not items:
         raise InvalidArgumentError("--nu0-list must contain at least one value")
     return [_cast(piece, float, "nu0-list") for piece in items]
@@ -216,14 +216,21 @@ def _cast(value, cast, key):
 
 
 def _render(columns, names, fmt: str) -> str:
-    """CSV or JSON text, one row per entry of the 1-D ``columns``, as ``%.17g``."""
-    rows = (row.tolist() for row in np.column_stack(columns))
+    """CSV or JSON text, one row per entry of the 1-D ``columns``, as ``%.17g``.
+
+    A 0-d column holds the same value on every row: it is formatted once and
+    written into the row template, so only the 1-D columns (at least one)
+    are formatted per row. The bytes equal those of the broadcast column.
+    """
+    formats = ["%.17g" % c if np.ndim(c) == 0 else "%.17g" for c in columns]
+    rows = (row.tolist() for row in np.column_stack([c for c in columns if np.ndim(c)]))
     if fmt == "csv":
-        row_format = ",".join(["%.17g"] * len(names))
+        row_format = ",".join(formats)
         lines = [",".join(names)]
         lines.extend(row_format % tuple(row) for row in rows)
-        return "\n".join(lines) + "\n"
-    row_format = "{" + ", ".join(f'"{c}": %.17g' for c in names) + "}"
+        lines.append("")
+        return "\n".join(lines)
+    row_format = "{" + ", ".join(f'"{c}": {f}' for c, f in zip(names, formats)) + "}"
     objects = (row_format % tuple(row) for row in rows)
     return "[\n  " + ",\n  ".join(objects) + "\n]\n"
 

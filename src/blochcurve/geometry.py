@@ -110,12 +110,16 @@ def curvature_bloch(a, h, h_dot, eps_sing: float = EPSILON_SINGULAR):
 
     When a·h = a·ḣ = 0 this collapses to [h²ḣ² − (h·ḣ)²]/h⁶. D ≤ ``eps_sing``
     means a is (numerically) collinear with h, i.e. an instantaneous
-    eigenstate with zero speed, where curvature is undefined. Vectors carry
-    their components on the last axis; leading axes (a time grid) broadcast.
+    eigenstate with zero speed, where curvature is undefined. κ² is
+    projective, so a is rescaled to unit length after the check. Vectors
+    carry their components on the last axis; leading axes (a time grid)
+    broadcast.
     """
     av, hv, hd = _vec3(a), _vec3(h), _vec3(h_dot)
-    if not np.all(np.abs(_dot(av, av) - 1.0) <= 1e-9):
+    a2 = _dot(av, av)
+    if not np.all(np.abs(a2 - 1.0) <= 1e-9):
         raise InvalidArgumentError("Bloch vector a must have unit length")
+    av = av / np.sqrt(a2)[..., None]
 
     h2 = _dot(hv, hv)
     ah = _dot(av, hv)
@@ -167,8 +171,10 @@ def curvature_expectation(
     elementwise product summed over one index.
 
     ``t`` may be an array of times with ``state`` of shape t.shape + (2,);
-    the field is sampled once for all of them. A SingularityError names the
-    first time where the speed falls to ``eps_sing``.
+    the field is sampled once for all of them. κ² is projective, so each
+    state is divided by its norm after the contract check. A
+    SingularityError names the first time where the speed falls to
+    ``eps_sing``.
     """
     t = np.asarray(t, dtype=float)
     psi = _pure_states(state)
@@ -177,6 +183,7 @@ def curvature_expectation(
 
     sample = spec.sample(t)
     psi = np.moveaxis(psi, -1, 0)
+    psi = psi / np.sqrt(_braket(psi, psi).real)
     h = np.moveaxis(pauli_compose(0.0, sample.h), (-2, -1), (0, 1))
     h_dot = np.moveaxis(pauli_compose(0.0, sample.h_dot), (-2, -1), (0, 1))
     hpsi = _apply(h, psi)

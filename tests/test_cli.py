@@ -1,13 +1,21 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import blochcurve.fields as fields_mod
 import blochcurve.geometry as geometry_mod
-from blochcurve import ExtremaSummary, ScenarioParams, extrema_summary, geodesic_efficiency
+from blochcurve import (
+    ExtremaSummary,
+    ScenarioParams,
+    TimeGrid,
+    extrema_summary,
+    geodesic_efficiency,
+    scenario_records,
+)
 from blochcurve.cli import SERIES_COLUMNS, SWEEP_COLUMNS, _render, main
 from mutants import corrupted_field, flip_h_y, two_terms_only
 
@@ -227,6 +235,19 @@ class TestSweep:
             got = [row[c] for c in SWEEP_COLUMNS]
             assert got == pytest.approx(expected, rel=2e-15, abs=0.0)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("nu0_list", ["0,1e-3,0.37,45,999", "1"])
+    def test_bytes_equal_the_broadcast_render(self, tmp_path, nu0_list, fmt):
+        # the omega0-only columns reach _render as 0-d values; the text is
+        # the one of every column broadcast to a row each
+        out = tmp_path / "sweep.txt"
+        assert main(["sweep", "--omega0", "0.8", "--nu0-list", nu0_list,
+                     "--format", fmt, "--out", str(out)]) == 0
+        p = ScenarioParams(0.8, [float(x) for x in nu0_list.split(",")])
+        columns = np.broadcast_arrays(p.omega0, p.nu0, *vars(extrema_summary(p)).values(),
+                                      geodesic_efficiency(p))
+        assert out.read_bytes().decode() == _render(columns, SWEEP_COLUMNS, fmt)
+
 
 class TestRender:
     def test_matches_per_value_formatting(self):
@@ -241,6 +262,29 @@ class TestRender:
         assert _render(columns, names, "csv") == expected
         objects = [f'{{"a": {x:.17g}, "b": {y:.17g}}}' for x, y in zip(values, values[::-1])]
         assert _render(columns, names, "json") == "[\n  " + ",\n  ".join(objects) + "\n]\n"
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0 / 3.0])
+    def test_scalar_column_renders_as_its_broadcast(self, value):
+        varying = np.array([1.5, -2.0, 0.1])
+        names = ("a", "s", "b")
+        for scalar in (value, np.float64(value), np.array(value)):
+            for fmt in ("csv", "json"):
+                broadcast = np.broadcast_arrays(varying, scalar, varying[::-1])
+                assert (_render([varying, scalar, varying[::-1]], names, fmt)
+                        == _render(broadcast, names, fmt))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_is_bounded_by_the_output(self, fmt):
+        # one copy of the text plus the per-row strings, not a second copy
+        columns = list(scenario_records(ScenarioParams(1.0, 1.0),
+                                        TimeGrid(0.0, 2.0 * math.pi, 19999)).values())
+        tracemalloc.start()
+        try:
+            text = _render(columns, SERIES_COLUMNS, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text)
 
 
 class TestErrorPaths:

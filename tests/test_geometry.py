@@ -257,6 +257,24 @@ class TestCurvatureExpectation:
             assert abs(via_expect - via_bloch) <= 1e-9 * max(1.0, abs(via_bloch))
 
 
+@pytest.mark.parametrize("delta", [1e-11, 4e-11])
+def test_routes_ignore_a_norm_deviation_the_contract_admits(delta):
+    # kappa2 is projective: a state with |psi|^2 = 1 + delta (inside
+    # BLOCH_NORM_ATOL) has the kappa2 of its normalized ray in both routes
+    spec, psi0 = tilted_field_fixture()
+    traj = integrate_schrodinger(spec, psi0, TimeGrid(0.0, 3.0, 3000))
+    k = np.arange(150, 3000, 300)
+    t = traj.times[k]
+    s = spec.sample(t)
+    via_bloch = curvature_bloch(traj.bloch[k], s.h, s.h_dot)
+    via_expect = curvature_expectation(spec, traj.states[k], t)
+    off_bloch = curvature_bloch(traj.bloch[k] * (1.0 + delta), s.h, s.h_dot)
+    off_expect = curvature_expectation(spec, traj.states[k] * math.sqrt(1.0 + delta), t)
+    assert np.max(np.abs(off_bloch - via_bloch) / np.abs(via_bloch)) <= 1e-13
+    assert np.max(np.abs(off_expect - via_expect) / np.abs(via_expect)) <= 1e-13
+    assert np.max(np.abs(off_bloch - off_expect) / np.maximum(1.0, np.abs(off_expect))) <= 1e-12
+
+
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
 @given(log_omega0=st.floats(-4.0, 2.0), log_ratio=st.floats(-6.0, 3.0))
 def test_three_curvature_routes_agree_across_the_domain(log_omega0, log_ratio):
