@@ -3,10 +3,10 @@ analytic reference solutions for the built-in scenario, transport phase, arc
 length, and Hamiltonian synthesis from a parallel-transported trajectory.
 
 Both integrators take fixed 4th-order Magnus steps, one exponent ω per step
-from the field at the step's two Gauss points: exp(−iω·σ) (times the phase of
-h₀) for the state, the rotation by 2|ω| about ω for the Bloch vector. Every
-step is exactly unitary or orthogonal, so nothing is renormalized; all steps
-are built at once and the states are prefix products of them. A step whose
+from the field at the step's two Gauss points, and hold every step and every
+propagator as one unit quaternion (c, v), U = cI − iv·σ (h₀ adds only a
+phase): the propagators are prefix products of the steps, the states are Uψ₀
+and the Bloch rows a₀ turned by U. Nothing is renormalized. A step whose
 embedded error estimate exceeds ``STEP_ERROR_LIMIT`` raises
 IntegrationInstabilityError (the right fix is a smaller dt, not a looser limit).
 """
@@ -24,7 +24,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .fields import FieldSpec, ScenarioParams
-from .qubit_core import IDENTITY, _pure_states, bloch_vector, pauli_compose
+from .qubit_core import _pure_states, bloch_vector, pauli_compose
 from .special_functions import elliptic_e_incomplete
 
 STEP_ERROR_LIMIT = 1e-2      # per-step |ω − dt·h(t + dt/2)| that flags an unresolved step
@@ -184,13 +184,10 @@ def integrate_schrodinger(spec: FieldSpec, psi0, grid: TimeGrid) -> Trajectory:
     psi = _pure_states(np.asarray(psi0, dtype=complex).reshape(2))
 
     times, dt = grid.times(), grid.dt
-    omega, phase, error = _magnus_steps(spec, times[:-1], dt)
-    c, v = _quaternions(omega)
-    u = c[:, None, None] * IDENTITY - 1j * pauli_compose(0.0, v)
-    y = _integrate(np.block([[u.real, -u.imag], [u.imag, u.real]]), error,
-                   np.concatenate([psi.real, psi.imag]), times)
+    c, v, phase, error = _propagators(spec, times, dt)
     # h₀ only moves the global phase; per-step factors would compound their round-off
-    states = (y[:, :2] + 1j * y[:, 2:]) * np.exp(-1j * np.cumsum(np.append(0.0, phase)))[:, None]
+    states = ((c[:, None] * psi - 1j * (pauli_compose(0.0, v) @ psi))
+              * np.exp(-1j * np.cumsum(np.append(0.0, phase)))[:, None])
     bloch = bloch_vector(states)
 
     s = spec.sample(times)
@@ -208,7 +205,7 @@ def bloch_step(spec: FieldSpec, a, t, dt: float) -> np.ndarray:
     ``a`` (..., 3) at the times ``t`` (...): each is a rotation, so lengths
     are kept. The error estimate is not checked; callers decide."""
     omega, _, _ = _magnus_steps(spec, t, dt)
-    return (_rotations(*_quaternions(omega)) @ np.asarray(a, dtype=float)[..., None])[..., 0]
+    return _rotate(*_quaternions(omega), np.asarray(a, dtype=float))
 
 
 def integrate_bloch(spec: FieldSpec, a0, grid: TimeGrid) -> np.ndarray:
@@ -219,12 +216,11 @@ def integrate_bloch(spec: FieldSpec, a0, grid: TimeGrid) -> np.ndarray:
     (steps+1, 3) array of unit vectors.
     """
     a = np.asarray(a0, dtype=float).reshape(3)
-    if abs(float(np.linalg.norm(a)) - 1.0) > 1e-10:
-        raise InvalidArgumentError("a0 must be a unit vector")
+    if not abs(float(np.linalg.norm(a)) - 1.0) <= 1e-10:
+        raise InvalidArgumentError("a0 must be a finite unit vector")
 
-    times = grid.times()
-    omega, _, error = _magnus_steps(spec, times[:-1], grid.dt)
-    return _integrate(_rotations(*_quaternions(omega)), error, a, times)
+    c, v, _, _ = _propagators(spec, grid.times(), grid.dt)
+    return _rotate(c, v, a)
 
 
 def _magnus_steps(spec: FieldSpec, t, dt: float):
@@ -249,31 +245,35 @@ def _quaternions(omega: np.ndarray):
     return np.cos(norm), np.sinc(norm / np.pi)[..., None] * omega
 
 
-def _rotations(c: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotation matrices (c² − v·v)I + 2vvᵀ + 2c[v]× of the unit quaternions
-    (c, v): exp(−iω·σ) turns the Bloch vector by 2|ω| about ω (Rodrigues)."""
-    eye = np.eye(3)  # row i of np.cross(eye, v) is e_i × v, so it is [v]×
-    return ((c * c - np.einsum("...k,...k->...", v, v))[..., None, None] * eye
-            + 2.0 * v[..., :, None] * v[..., None, :]
-            + 2.0 * c[..., None, None] * np.cross(eye, v[..., None, :]))
-
-
-def _integrate(m: np.ndarray, error: np.ndarray, y0, times) -> np.ndarray:
-    """Rows y_k = P_k·y₀, P_k = M_{k−1}⋯M₀, of the norm-keeping step matrices
-    M (overwritten by their prefix products in ⌈log₂ n⌉ doubling rounds). The
-    first step whose error estimate exceeds ``STEP_ERROR_LIMIT`` (or is not
-    finite) raises IntegrationInstabilityError instead."""
+def _propagators(spec: FieldSpec, times, dt: float):
+    """Unit quaternions (c, v) of the propagators U_k = S_{k−1}⋯S₀ (U₀ = I) to
+    each of ``times``, and the steps' phases and error estimates. The Magnus
+    steps S become their prefix products in ⌈log₂ n⌉ doubling rounds of the
+    Hamilton product (c₁, v₁)(c₂, v₂) = (c₁c₂ − v₁·v₂, c₁v₂ + c₂v₁ + v₁ × v₂),
+    later step on the left. The first step whose error estimate exceeds
+    ``STEP_ERROR_LIMIT`` (or is not finite) raises IntegrationInstabilityError."""
+    omega, phase, error = _magnus_steps(spec, times[:-1], dt)
     i = int(np.argmax(~(error <= STEP_ERROR_LIMIT)))  # the first bad step, or 0
     if not error[i] <= STEP_ERROR_LIMIT:
         raise IntegrationInstabilityError(
             f"step error estimate {error[i]:.3e} at t = {float(times[i + 1])!r} exceeds "
             f"{STEP_ERROR_LIMIT:.1e}; reduce the step size"
         )
+    c, v = _quaternions(np.concatenate((np.zeros((1, 3)), omega)))
     s = 1
-    while s < len(m):
-        m[s:] = m[s:] @ m[:-s]
+    while s < len(omega):
+        c[s:], v[s:] = (c[s:] * c[:-s] - np.einsum("nk,nk->n", v[s:], v[:-s]),
+                        c[s:, None] * v[:-s] + c[:-s, None] * v[s:] + np.cross(v[s:], v[:-s]))
         s *= 2
-    return np.concatenate(([y0], m @ y0))
+    return c, v, phase, error
+
+
+def _rotate(c, v, a) -> np.ndarray:
+    """a turned by each unit quaternion (c, v), (c² − v·v)a + 2(v·a)v + 2c(v × a):
+    exp(−iω·σ) turns the Bloch vector by 2|ω| about ω (Rodrigues)."""
+    c = c[..., None]
+    return ((c * c - np.sum(v * v, axis=-1, keepdims=True)) * a
+            + 2.0 * np.sum(v * a, axis=-1, keepdims=True) * v + 2.0 * c * np.cross(v, a))
 
 
 def arc_length_closed(params: ScenarioParams, t):

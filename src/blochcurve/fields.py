@@ -200,14 +200,10 @@ def h_transverse_sq(params: ScenarioParams, t):
 
 
 def parallel_transverse_ratio(params: ScenarioParams, t):
-    """Ratio h∥²/h⊥² = 4 sin⁴(2ω₀t) / [sin²(4ω₀t) + 16(ω₀/ν₀)²].
+    """Ratio h∥²/h⊥² = 4 sin⁴(2ω₀t) / [sin²(4ω₀t) + 16(ω₀/ν₀)²], the quotient
+    of ``h_parallel_sq`` and ``h_transverse_sq`` (h⊥² ≥ ω₀² > 0).
 
     Zero identically in the geodesic limit ν₀ = 0 (no parallel component).
     Periodic with T = π/(2ω₀); maxima (1/4)(ν₀/ω₀)² at t = π/(4ω₀) + nT.
     """
-    w, n = params.omega0, params.nu0
-    if n == 0.0:
-        return np.zeros(np.shape(t))[()]
-    s2 = np.sin(2.0 * w * t)
-    s4 = np.sin(4.0 * w * t)
-    return 4.0 * s2**4 / (s4 * s4 + 16.0 * (w / n) ** 2)
+    return h_parallel_sq(params, t) / h_transverse_sq(params, t)

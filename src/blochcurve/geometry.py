@@ -99,7 +99,7 @@ def curvature_closed(params: ScenarioParams, t):
     return _clip_nonneg(value, KAPPA2_CLIP_FLOOR)
 
 
-def curvature_bloch(a, h, h_dot, eps_sing: float = EPSILON_SINGULAR):
+def curvature_bloch(a, h, h_dot):
     """Curvature coefficient from the Bloch vector a and the field pair (h, ḣ).
 
     With D = h² − (a·h)² the three contributions are
@@ -108,12 +108,12 @@ def curvature_bloch(a, h, h_dot, eps_sing: float = EPSILON_SINGULAR):
            + ( [h²ḣ² − (h·ḣ)²] − ‖(a·ḣ)h − (a·h)ḣ‖² ) / D³
            + 4(a·h)·[a·(h×ḣ)] / D².
 
-    When a·h = a·ḣ = 0 this collapses to [h²ḣ² − (h·ḣ)²]/h⁶. D ≤ ``eps_sing``
-    means a is (numerically) collinear with h, i.e. an instantaneous
-    eigenstate with zero speed, where curvature is undefined. κ² is
-    projective, so a is rescaled to unit length after the check. Vectors
-    carry their components on the last axis; leading axes (a time grid)
-    broadcast.
+    When a·h = a·ḣ = 0 this collapses to [h²ḣ² − (h·ḣ)²]/h⁶.
+    D ≤ ``EPSILON_SINGULAR`` means a is (numerically) collinear with h, i.e.
+    an instantaneous eigenstate with zero speed, where curvature is undefined.
+    κ² is projective, so a is rescaled to unit length after the check. Vectors
+    carry their (finite) components on the last axis; leading axes (a time
+    grid) broadcast.
     """
     av, hv, hd = _vec3(a), _vec3(h), _vec3(h_dot)
     a2 = _dot(av, av)
@@ -124,7 +124,7 @@ def curvature_bloch(a, h, h_dot, eps_sing: float = EPSILON_SINGULAR):
     h2 = _dot(hv, hv)
     ah = _dot(av, hv)
     den = h2 - ah * ah
-    if np.any(den <= eps_sing):
+    if np.any(den <= EPSILON_SINGULAR):
         raise SingularityError(
             "state is an instantaneous eigenstate (a collinear with h); "
             "curvature is undefined"
@@ -139,12 +139,7 @@ def curvature_bloch(a, h, h_dot, eps_sing: float = EPSILON_SINGULAR):
     return _clip_nonneg(term1 + term2 + term3, KAPPA2_CLIP_FLOOR)
 
 
-def curvature_expectation(
-    spec: FieldSpec,
-    state,
-    t,
-    eps_sing: float = EPSILON_SINGULAR,
-):
+def curvature_expectation(spec: FieldSpec, state, t):
     """Curvature coefficient from operator expectation values in ``state``.
 
     Builds Δh = (H − ⟨H⟩)/v as a 2x2 operator and its along-the-flow rate
@@ -174,7 +169,7 @@ def curvature_expectation(
     the field is sampled once for all of them. κ² is projective, so each
     state is divided by its norm after the contract check. A
     SingularityError names the first time where the speed falls to
-    ``eps_sing``.
+    ``EPSILON_SINGULAR``.
     """
     t = np.asarray(t, dtype=float)
     psi = _pure_states(state)
@@ -190,7 +185,7 @@ def curvature_expectation(
     hdpsi = _apply(h_dot, psi)
     e = _braket(psi, hpsi).real
     v = np.sqrt(np.maximum(_braket(hpsi, hpsi).real - e * e, 0.0))
-    singular = v <= eps_sing
+    singular = v <= EPSILON_SINGULAR
     if np.any(singular):
         k = int(np.argmax(singular))
         t_bad = float(t.flat[k])
@@ -231,10 +226,13 @@ def speed_efficiency(h0, h, a):
     the denominator the spectral norm of H (largest |eigenvalue|, from
     eig(H†H) = (h₀ ± ‖h‖)²). Equals 1 exactly when h₀ = 0 and a ⊥ h: all of
     the Hamiltonian drives the state. Vectors carry their components on the
-    last axis; leading axes (a time grid) broadcast against ``h0``.
+    last axis; leading axes (a time grid) broadcast against ``h0``. Every
+    input must be finite.
     """
     hv, av = _vec3(h), _vec3(a)
     h0 = np.asarray(h0, dtype=float)
+    if not np.all(np.isfinite(h0)):
+        raise InvalidArgumentError("h0 must be finite")
     h_sq = _dot(hv, hv)
     if np.any((h_sq == 0.0) & (h0 == 0.0)):
         raise UndefinedEfficiencyError("zero Hamiltonian has no speed efficiency")
@@ -326,7 +324,8 @@ def scenario_records(
     Returns one array per column of ``SERIES_COLUMNS``, in that order: the
     node times, the analytic Bloch vector, the field, speed, acceleration,
     the three curvature routes, h∥²/h⊥², η_SE, arc length and phase. The
-    field and the analytic solution are sampled once for the whole grid.
+    analytic solution is evaluated once for the whole grid, the field twice:
+    once here and once inside the operator route, which takes a FieldSpec.
     The three curvature columns come from the closed form, the Bloch-vector
     route on the analytic Bloch vector, and the exact operator route on the
     analytic state; none takes a step size. Arc length is the exact
@@ -358,6 +357,8 @@ def _vec3(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.shape[-1:] != (3,):
         raise InvalidArgumentError(f"expected 3 components on the last axis, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidArgumentError("vector components must be finite")
     return v
 
 

@@ -37,7 +37,7 @@ def corrupted_field(mutate):
     return corrupted
 
 
-def two_terms_only(a, h, h_dot, eps_sing=1e-12):
+def two_terms_only(a, h, h_dot):
     """``curvature_bloch`` without its chirality term 4(a·h)[a·(h×ḣ)]/D²."""
     av, hv, hd = (np.asarray(x, dtype=float) for x in (a, h, h_dot))
 

@@ -277,6 +277,13 @@ class TestIntegrateBloch:
         with pytest.raises(InvalidArgumentError):
             integrate_bloch(SPEC11, (0.0, 0.0, 0.5), TimeGrid(0, 1, 10))
 
+    @pytest.mark.parametrize("a0", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0)],
+                             ids=["nan", "inf"])
+    def test_rejects_non_finite_start(self, a0):
+        # |a| - 1 > tol is False for NaN, which let NaN rows through
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            integrate_bloch(SPEC11, a0, TimeGrid(0, 1, 10))
+
     def test_flags_coarse_grid(self):
         with pytest.raises(IntegrationInstabilityError, match=r"at t = [0-9.]+[; ]"):
             integrate_bloch(tilted_field(), (0.0, 0.0, 1.0), TimeGrid(0.0, 50.0, 20))
@@ -340,6 +347,16 @@ class TestAgainstPerStepLoop:
                     integrate(spec, y0, grid)
             assert str(got.value) == str(expected.value)
             assert f"at t = {t!r} exceeds" in str(got.value)
+
+
+def test_long_grid_keeps_unit_length():
+    # nothing is renormalized, so the round-off of 62830 composed steps must
+    # stay far inside the 1e-10 that Trajectory admits
+    grid = TimeGrid(0.0, 2.0 * math.pi, 62830)
+    traj = integrate_schrodinger(SPEC11, analytic_state(P11, 0.0), grid)
+    assert np.max(np.abs(np.sum(np.abs(traj.states) ** 2, axis=1) - 1.0)) <= 1e-11
+    rows = integrate_bloch(SPEC11, (0.0, 0.0, 1.0), grid)
+    assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) <= 1e-11
 
 
 def test_bloch_step_on_rows_matches_per_row_calls():

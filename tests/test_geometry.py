@@ -169,6 +169,15 @@ class TestCurvatureBloch:
         with pytest.raises(InvalidArgumentError):
             curvature_bloch((0.0, 0.0, 0.9), (1.0, 0.0, 0.0), np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_field(self, bad):
+        # a NaN field used to surface as "curvature nan is negative"
+        a, h, h_dot = (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.5, 0.0)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            curvature_bloch(a, (bad, 0.0, 0.0), h_dot)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            curvature_bloch(a, h, (0.0, bad, 0.0))
+
     def test_nonnegative_along_generic_drive(self):
         from blochcurve import integrate_bloch
 
@@ -360,6 +369,17 @@ class TestSpeedEfficiency:
     def test_undefined_for_zero_hamiltonian(self):
         with pytest.raises(UndefinedEfficiencyError):
             speed_efficiency(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("h0, h, a", [
+        (math.nan, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+        (np.array([0.0, math.inf]), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+        (0.0, (1.0, 0.0, 0.0), (math.nan, 0.0, 0.0)),
+        (0.0, (math.inf, 0.0, 0.0), (0.0, 0.0, 1.0)),
+    ], ids=["h0-nan", "h0-inf", "a-nan", "h-inf"])
+    def test_rejects_non_finite_inputs(self, h0, h, a):
+        # each of these used to return nan silently
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            speed_efficiency(h0, h, a)
 
 
 class TestGeodesicEfficiency:
