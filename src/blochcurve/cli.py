@@ -7,7 +7,7 @@ list of drive strengths.
 
 Output is deterministic byte for byte: floats are serialized with 17
 significant digits (round-trip exact for IEEE doubles), key order is fixed,
-and every randomized check uses a fixed seed.
+and every sampled check uses a fixed golden-ratio point sequence.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration or I/O error,
 3 numerical failure (singularity, instability, non-convergence).

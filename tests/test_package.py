@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import blochcurve
 
 PUBLIC_NAMES = [
@@ -58,3 +63,24 @@ def test_public_surface_is_pinned():
     assert sorted(blochcurve.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(blochcurve, name), name
+
+
+def test_commands_leave_numpy_random_unimported(tmp_path):
+    # numpy imports numpy.random lazily, and a fresh process pays ~18 ms for
+    # it; no command needs random numbers, so none may trigger that import
+    script = f"""
+import sys
+from blochcurve.cli import main
+codes = (
+    main(["simulate", "--steps", "50", "--out", {str(tmp_path / "s.csv")!r}]),
+    main(["validate", "--t-max", "3.141592653589793", "--steps", "300"]),
+    main(["sweep", "--nu0-list", "0.5,1", "--out", {str(tmp_path / "w.csv")!r}]),
+)
+print(codes, "numpy.random" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "(0, 0, 0) False"

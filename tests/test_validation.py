@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from blochcurve.validation import (
     _ELLIPTIC_PHI,
     DEFAULT_TOLERANCES,
     _legendre_e,
+    _refined_extrema,
     merge_tolerances,
     tilted_field_fixture,
 )
@@ -168,3 +170,74 @@ class TestBattery:
         res = by_name(run_battery(P11, TimeGrid(0.0, math.pi, 300)))
         assert not res["route_agreement"].passed
         assert math.isinf(res["route_agreement"].residual)
+
+
+class TestExtrema:
+    @pytest.mark.parametrize("omega0, nu0", [
+        (1.0, 0.3), (1.0, 1.0), (1.0, 50.0), (3.0, 1.0),
+        # v's top is flat to round-off over ~2e-6 of a period here; only
+        # locating it by the zero of acc keeps its time inside 1e-6
+        (1.0, 5e-3),
+    ])
+    def test_refined_extrema_match_closed_forms(self, omega0, nu0):
+        params = ScenarioParams(omega0, nu0)
+        ext = geometry_mod.extrema_summary(params)
+        period = ext.period
+        cases = [
+            (geometry_mod.speed, geometry_mod.acceleration,
+             (ext.v_max, ext.v_min), (ext.t_vmax, ext.t_vmin)),
+            (geometry_mod.acceleration, None,
+             (ext.acc_max, ext.acc_min), (ext.t_accmax, ext.t_accmin)),
+            (geometry_mod.curvature_closed, None,
+             (ext.kappa2_max, ext.kappa2_min), (ext.t_k2max, ext.t_k2min)),
+            (fields_mod.parallel_transverse_ratio, None, (ext.ratio_max, ext.ratio_min), None),
+        ]
+        for f, locate, values, times in cases:
+            t, y = _refined_extrema(params, f, locate)
+            assert np.all(np.abs(y - values) <= 1e-13 * max(1.0, ext.kappa2_max)), f.__name__
+            if times is not None:
+                lag = (t - times) % period
+                assert np.all(np.minimum(lag, period - lag) <= 1e-7 * period), f.__name__
+
+        # kappa2_max sits at t = 0; its window reaches below 0, and a time a
+        # hair under 0 (or a closed time of T) is the same extremum
+        t, _ = _refined_extrema(params, geometry_mod.curvature_closed)
+        assert -1e-7 * period <= t[0] <= 1e-7 * period
+
+    def test_times_compare_modulo_the_period(self, monkeypatch):
+        original = geometry_mod.extrema_summary
+
+        def at_period(params):
+            ext = original(params)
+            return dataclasses.replace(ext, t_vmin=ext.period, t_k2max=ext.period)
+
+        monkeypatch.setattr(geometry_mod, "extrema_summary", at_period)
+        res = by_name(run_battery(P11, TimeGrid(0.0, math.pi, 300)))
+        assert res["extrema_time"].residual <= 1e-8
+
+    def test_mutant_kill_set(self, monkeypatch):
+        # each mutant and the exact set of checks it fails
+        def scaled(module, name, factor):
+            original = getattr(module, name)
+            return module, name, lambda params, t: factor * original(params, t)
+
+        def late_acc_max():
+            original = geometry_mod.extrema_summary
+
+            def shifted(params):
+                ext = original(params)
+                return dataclasses.replace(ext, t_accmax=ext.t_accmax + 1e-5 * ext.period)
+
+            return geometry_mod, "extrema_summary", shifted
+
+        kill_set = [
+            (scaled(geometry_mod, "acceleration", 1.01), ["extrema_value"]),
+            (scaled(fields_mod, "parallel_transverse_ratio", 1.01), ["extrema_value"]),
+            # passed the former 1e-4 time tolerance
+            (late_acc_max(), ["extrema_time"]),
+        ]
+        for (module, name, mutant), caught in kill_set:
+            with monkeypatch.context() as m:
+                m.setattr(module, name, mutant)
+                results = run_battery(P11, TimeGrid(0.0, math.pi, 300))
+            assert [r.name for r in results if not r.passed] == caught, name
