@@ -167,13 +167,6 @@ def analytic_bloch(params: ScenarioParams, t) -> np.ndarray:
     return np.stack([s2 * np.cos(n * t), np.sin(n * t) * s2, np.cos(2.0 * w * t)], axis=-1)
 
 
-def hamiltonian_at(spec: FieldSpec, t) -> np.ndarray:
-    """H(t) = h₀(t)·I + h(t)·σ as a 2x2 complex matrix, or a stack of them
-    for an array of times."""
-    s = spec.sample(t)
-    return pauli_compose(s.h0, s.h)
-
-
 def integrate_schrodinger(spec: FieldSpec, psi0, grid: TimeGrid) -> Trajectory:
     """Integrate i dψ/dt = H(t)ψ on the grid with exactly unitary Magnus-4 steps.
 

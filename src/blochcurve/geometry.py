@@ -27,11 +27,11 @@ from .errors import (
     SingularityError,
     UndefinedEfficiencyError,
 )
-from .fields import FieldSpec, ScenarioParams
+from .fields import FieldSample, ScenarioParams
 from .qubit_core import IDENTITY, _pure_states, fidelity, pauli_compose
 from .special_functions import elliptic_e
 
-EPSILON_SINGULAR = 1e-12   # denominator / speed floor below which curvature is undefined
+EPSILON_SINGULAR = 1e-12   # floor of D/h² (Bloch route) and of the speed (operator route)
 KAPPA2_CLIP_FLOOR = -1e-9  # analytic routes: clip [floor, 0) to 0, raise below
 EXPECT_IMAG_RTOL = 1e-12  # |Im κ²| over max(1, |κ²|), operator route
 
@@ -109,8 +109,9 @@ def curvature_bloch(a, h, h_dot):
            + 4(a·h)·[a·(h×ḣ)] / D².
 
     When a·h = a·ḣ = 0 this collapses to [h²ḣ² − (h·ḣ)²]/h⁶.
-    D ≤ ``EPSILON_SINGULAR`` means a is (numerically) collinear with h, i.e.
-    an instantaneous eigenstate with zero speed, where curvature is undefined.
+    D ≤ ``EPSILON_SINGULAR``·h² means a is (numerically) collinear with h,
+    i.e. an instantaneous eigenstate with zero speed, where curvature is
+    undefined; the test is relative, so a weak field is not mistaken for one.
     κ² is projective, so a is rescaled to unit length after the check. Vectors
     carry their (finite) components on the last axis; leading axes (a time
     grid) broadcast.
@@ -124,7 +125,7 @@ def curvature_bloch(a, h, h_dot):
     h2 = _dot(hv, hv)
     ah = _dot(av, hv)
     den = h2 - ah * ah
-    if np.any(den <= EPSILON_SINGULAR):
+    if np.any(den <= EPSILON_SINGULAR * h2):
         raise SingularityError(
             "state is an instantaneous eigenstate (a collinear with h); "
             "curvature is undefined"
@@ -139,8 +140,9 @@ def curvature_bloch(a, h, h_dot):
     return _clip_nonneg(term1 + term2 + term3, KAPPA2_CLIP_FLOOR)
 
 
-def curvature_expectation(spec: FieldSpec, state, t):
-    """Curvature coefficient from operator expectation values in ``state``.
+def curvature_expectation(sample: FieldSample, state):
+    """Curvature coefficient from the field sample (H, Ḣ) and operator
+    expectation values in ``state``.
 
     Builds Δh = (H − ⟨H⟩)/v as a 2x2 operator and its along-the-flow rate
     Δh′ = [dΔh/dt]/v exactly from ψ, H and Ḣ = ḣ·σ. The expectation values
@@ -165,18 +167,16 @@ def curvature_expectation(spec: FieldSpec, state, t):
     time-last layout (operators (2, 2, ...), states (2, ...)), each an
     elementwise product summed over one index.
 
-    ``t`` may be an array of times with ``state`` of shape t.shape + (2,);
-    the field is sampled once for all of them. κ² is projective, so each
-    state is divided by its norm after the contract check. A
-    SingularityError names the first time where the speed falls to
-    ``EPSILON_SINGULAR``.
+    ``sample`` may hold an array of times, with ``state`` of shape
+    sample.t.shape + (2,). κ² is projective, so each state is divided by its
+    norm after the contract check. A SingularityError names the first time
+    of ``sample.t`` where the speed falls to ``EPSILON_SINGULAR``.
     """
-    t = np.asarray(t, dtype=float)
+    t = np.asarray(sample.t)
     psi = _pure_states(state)
     if psi.shape != t.shape + (2,):
         raise InvalidArgumentError(f"state must have shape {t.shape + (2,)}, got {psi.shape}")
 
-    sample = spec.sample(t)
     psi = np.moveaxis(psi, -1, 0)
     psi = psi / np.sqrt(_braket(psi, psi).real)
     h = np.moveaxis(pauli_compose(0.0, sample.h), (-2, -1), (0, 1))
@@ -324,8 +324,8 @@ def scenario_records(
     Returns one array per column of ``SERIES_COLUMNS``, in that order: the
     node times, the analytic Bloch vector, the field, speed, acceleration,
     the three curvature routes, h∥²/h⊥², η_SE, arc length and phase. The
-    analytic solution is evaluated once for the whole grid, the field twice:
-    once here and once inside the operator route, which takes a FieldSpec.
+    analytic solution and the field are each evaluated once for the whole
+    grid, and both curvature routes read that one field sample.
     The three curvature columns come from the closed form, the Bloch-vector
     route on the analytic Bloch vector, and the exact operator route on the
     analytic state; none takes a step size. Arc length is the exact
@@ -342,9 +342,7 @@ def scenario_records(
         acceleration(params, t),
         curvature_closed(params, t),
         curvature_bloch(a, sample.h, sample.h_dot),
-        curvature_expectation(
-            fields.TwoParameterField(params), dynamics.analytic_state(params, t), t
-        ),
+        curvature_expectation(sample, dynamics.analytic_state(params, t)),
         fields.parallel_transverse_ratio(params, t),
         speed_efficiency(sample.h0, sample.h, a),
         arc - arc[0],

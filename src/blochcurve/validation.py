@@ -40,7 +40,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "orthogonality": 1e-9,
     "eta_se": 1e-12,
     "periodicity": 1e-11,
-    "extrema_value": 1e-6,
+    "extrema_value": 1e-12,
     "extrema_time": 1e-6,
     "acc_at_extrema": 1e-9,
     "consistency_identity": 1e-6,
@@ -179,7 +179,7 @@ def _check_route_agreement(ctx, tol):
 
 
 def _check_route_expect(ctx, tol):
-    ke = geometry.curvature_expectation(ctx.spec, ctx.m_closed, ctx.times)
+    ke = geometry.curvature_expectation(ctx.sample, ctx.m_closed)
     worst = np.max(np.abs(ctx.kappa2_closed - ke))
     return [_result("route_agreement_expect", worst / ctx.scale, tol,
                     f"max |closed - expectation| / max(1, kappa2_max), {len(ctx.times)} nodes")]
@@ -194,7 +194,7 @@ def _check_route_general(ctx, tol):
     k = _general_nodes(traj)
     s = spec.sample(traj.times[k])
     kb = geometry.curvature_bloch(traj.bloch[k], s.h, s.h_dot)
-    ke = geometry.curvature_expectation(spec, traj.states[k], traj.times[k])
+    ke = geometry.curvature_expectation(s, traj.states[k])
     worst = np.max(np.abs(kb - ke) / np.maximum(1.0, np.abs(ke)))
     return [_result("route_agreement_general", worst, tol,
                     "field-vector vs expectation route on a tilted field, relative")]
@@ -300,8 +300,9 @@ def _check_extrema(ctx, tol):
     time_worst = 0.0
     for f, locate, closed_values, closed_times in cases:
         t, y = _refined_extrema(p, f, locate)
-        value_worst = max(value_worst, np.max(np.abs(y - closed_values)))
-        flat = y[0] - y[1] <= tol["extrema_value"]
+        scale = max(1.0, closed_values[0] - closed_values[1])
+        value_worst = max(value_worst, np.max(np.abs(y - closed_values)) / scale)
+        flat = (y[0] - y[1]) / scale <= tol["extrema_value"]
         if closed_times is not None and not flat:
             # circular distance: v_min and kappa2_max sit at t = 0 ≡ T
             lag = (t - closed_times) % s.period
@@ -311,8 +312,9 @@ def _check_extrema(ctx, tol):
     acc_resid = np.max(np.abs(geometry.acceleration(p, t_k2)))
     return [
         _result("extrema_value", value_worst, tol,
-                f"extrema bracketed on {_BRACKET_NODES} nodes per period, refined by"
-                f" {_ZOOMS} zooms of {_ZOOM_NODES} nodes, vs closed forms"),
+                "max |refined - closed| / max(1, closed max - closed min) per observable;"
+                f" extrema bracketed on {_BRACKET_NODES} nodes per period, refined by"
+                f" {_ZOOMS} zooms of {_ZOOM_NODES} nodes"),
         _result("extrema_time", time_worst, tol,
                 "extremum time offsets, modulo the period, as a fraction of it"),
         _result("acc_at_extrema", acc_resid, tol,

@@ -37,8 +37,8 @@ from blochcurve import (
     two_parameter_field,
 )
 from blochcurve.cli import main as cli_main
-from blochcurve.special_functions import adaptive_simpson
 from mutants import corrupted_field, flip_h_y, two_terms_only
+from reference_quadrature import adaptive_simpson
 
 P11 = ScenarioParams(1.0, 1.0)
 SPEC11 = TwoParameterField(P11)
@@ -104,7 +104,7 @@ def test_criterion_03_three_routes_agree(capsys, node_grid):
             psi = analytic_state(P11, t)
             worst_expect = max(
                 worst_expect,
-                abs(curvature_expectation(SPEC11, psi, t) - closed),
+                abs(curvature_expectation(s, psi) - closed),
             )
         elapsed = time.monotonic() - start
         ok = worst_bloch <= 1e-9 and worst_expect <= 1e-9 and elapsed <= 30.0

@@ -89,7 +89,7 @@ def test_unnormalized_state_is_one_error_at_every_entry_point():
         lambda: fidelity(psi, [1.0, 0.0]),
         lambda: expectation(np.eye(2), psi),
         lambda: integrate_schrodinger(spec, psi, grid),
-        lambda: curvature_expectation(spec, psi, 0.3),
+        lambda: curvature_expectation(spec.sample(0.3), psi),
         lambda: Trajectory(grid=grid, times=grid.times(), states=[psi, psi],
                            bloch=np.zeros((2, 3)), beta=np.zeros(2), arc=np.zeros(2)),
     ]

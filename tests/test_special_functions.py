@@ -10,12 +10,8 @@ from blochcurve import (
     elliptic_e_incomplete,
 )
 from blochcurve.errors import ConvergenceError
-from blochcurve.special_functions import (
-    QuadratureResult,
-    adaptive_simpson,
-    carlson_rd,
-    carlson_rf,
-)
+from blochcurve.special_functions import carlson_rd, carlson_rf
+from reference_quadrature import QuadratureResult, adaptive_simpson
 
 SCENARIO_PARAMETERS = (-2.5e5, -625.0, -1.0, -0.25, 0.0, 0.5, 0.99)
 

@@ -14,7 +14,6 @@ from blochcurve import (
     bloch_vector,
     run_battery,
 )
-from blochcurve.special_functions import adaptive_simpson
 from blochcurve.validation import (
     _ELLIPTIC_M,
     _ELLIPTIC_PHI,
@@ -25,6 +24,7 @@ from blochcurve.validation import (
     tilted_field_fixture,
 )
 from mutants import MIDPOINT_NODES, corrupted_field, flip_h_y, scale_h_dot_z, two_terms_only
+from reference_quadrature import adaptive_simpson
 
 P11 = ScenarioParams(1.0, 1.0)
 GRID = TimeGrid(0.0, math.pi, 500)
@@ -233,6 +233,9 @@ class TestExtrema:
         kill_set = [
             (scaled(geometry_mod, "acceleration", 1.01), ["extrema_value"]),
             (scaled(fields_mod, "parallel_transverse_ratio", 1.01), ["extrema_value"]),
+            # passed the former absolute 1e-6 value tolerance
+            (scaled(geometry_mod, "acceleration", 1.0 + 1e-7), ["extrema_value"]),
+            (scaled(fields_mod, "parallel_transverse_ratio", 1.0 + 1e-7), ["extrema_value"]),
             # passed the former 1e-4 time tolerance
             (late_acc_max(), ["extrema_time"]),
         ]
