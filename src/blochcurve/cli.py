@@ -7,7 +7,10 @@ list of drive strengths.
 
 Output is deterministic byte for byte: floats are serialized with 17
 significant digits (round-trip exact for IEEE doubles), key order is fixed,
-and every sampled check uses a fixed golden-ratio point sequence.
+and every sampled check uses a fixed golden-ratio point sequence. The
+``simulate`` and ``sweep`` tables hold exactly the bytes of ``'%.17g' % x``
+per value; ``_floattext`` computes them for whole columns with uint64 word
+arithmetic, and the commands stream the table in bounded chunks.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration or I/O error,
 3 numerical failure (singularity, instability, non-convergence).
@@ -18,8 +21,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-
-import numpy as np
 
 from . import dynamics, fields, geometry, validation
 from .errors import (
@@ -103,8 +104,10 @@ def main(argv=None) -> int:
 def cmd_simulate(params: fields.ScenarioParams, grid: dynamics.TimeGrid,
                  out: str | None, fmt: str) -> int:
     """Write one row per grid node with every scenario observable."""
+    from ._floattext import table_chunks  # here: validate renders no table
+
     columns = geometry.scenario_records(params, grid)
-    _write_text(out, _render(list(columns.values()), SERIES_COLUMNS, fmt))
+    _write_text(out, table_chunks(list(columns.values()), SERIES_COLUMNS, fmt))
     return 0
 
 
@@ -127,11 +130,13 @@ def cmd_validate(params: fields.ScenarioParams, grid: dynamics.TimeGrid,
 
 def cmd_sweep(omega0: float, nu0_values: list[float], out: str | None, fmt: str) -> int:
     """One extrema/efficiency summary row per drive strength, input order."""
+    from ._floattext import table_chunks
+
     params = fields.ScenarioParams(omega0, nu0_values)
     summary = geometry.extrema_summary(params)
     columns = (params.omega0, params.nu0, *vars(summary).values(),
                geometry.geodesic_efficiency(params))
-    _write_text(out, _render(columns, SWEEP_COLUMNS, fmt))
+    _write_text(out, table_chunks(columns, SWEEP_COLUMNS, fmt))
     return 0
 
 
@@ -205,7 +210,11 @@ def _parse_nu0_list(text: str) -> list[float]:
     items = [p for p in map(str.strip, text.split(",")) if p]
     if not items:
         raise InvalidArgumentError("--nu0-list must contain at least one value")
-    return [_cast(piece, float, "nu0-list") for piece in items]
+    try:
+        return list(map(float, items))
+    except ValueError:
+        # the slow path only names the bad piece
+        return [_cast(piece, float, "nu0-list") for piece in items]
 
 
 def _cast(value, cast, key):
@@ -218,29 +227,21 @@ def _cast(value, cast, key):
 def _render(columns, names, fmt: str) -> str:
     """CSV or JSON text, one row per entry of the 1-D ``columns``, as ``%.17g``.
 
-    A 0-d column holds the same value on every row: it is formatted once and
-    written into the row template, so only the 1-D columns (at least one)
-    are formatted per row. The bytes equal those of the broadcast column.
+    The whole text of ``_floattext.table_chunks``; the commands stream those
+    chunks instead of holding the table.
     """
-    formats = ["%.17g" % c if np.ndim(c) == 0 else "%.17g" for c in columns]
-    rows = (row.tolist() for row in np.column_stack([c for c in columns if np.ndim(c)]))
-    if fmt == "csv":
-        row_format = ",".join(formats)
-        lines = [",".join(names)]
-        lines.extend(row_format % tuple(row) for row in rows)
-        lines.append("")
-        return "\n".join(lines)
-    row_format = "{" + ", ".join(f'"{c}": {f}' for c, f in zip(names, formats)) + "}"
-    objects = (row_format % tuple(row) for row in rows)
-    return "[\n  " + ",\n  ".join(objects) + "\n]\n"
+    from ._floattext import table_chunks
+
+    return "".join(table_chunks(columns, names, fmt))
 
 
-def _write_text(out: str | None, text: str) -> None:
+def _write_text(out: str | None, chunks) -> None:
     if out is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 if __name__ == "__main__":

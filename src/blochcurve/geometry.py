@@ -31,7 +31,7 @@ from .fields import FieldSample, ScenarioParams
 from .qubit_core import IDENTITY, _pure_states, fidelity, pauli_compose
 from .special_functions import elliptic_e
 
-EPSILON_SINGULAR = 1e-12   # floor of D/h² (Bloch route) and of the speed (operator route)
+EPSILON_SINGULAR = 1e-12   # floor of D/h² = v²/h² in both curvature routes
 KAPPA2_CLIP_FLOOR = -1e-9  # analytic routes: clip [floor, 0) to 0, raise below
 EXPECT_IMAG_RTOL = 1e-12  # |Im κ²| over max(1, |κ²|), operator route
 
@@ -170,7 +170,9 @@ def curvature_expectation(sample: FieldSample, state):
     ``sample`` may hold an array of times, with ``state`` of shape
     sample.t.shape + (2,). κ² is projective, so each state is divided by its
     norm after the contract check. A SingularityError names the first time
-    of ``sample.t`` where the speed falls to ``EPSILON_SINGULAR``.
+    of ``sample.t`` where v² ≤ ``EPSILON_SINGULAR``·h² (h² = ⟨H²⟩). That is
+    the Bloch route's test on D, since D = v²; being relative, it does not
+    mistake a weak field for an eigenstate.
     """
     t = np.asarray(sample.t)
     psi = _pure_states(state)
@@ -185,13 +187,14 @@ def curvature_expectation(sample: FieldSample, state):
     hdpsi = _apply(h_dot, psi)
     e = _braket(psi, hpsi).real
     v = np.sqrt(np.maximum(_braket(hpsi, hpsi).real - e * e, 0.0))
-    singular = v <= EPSILON_SINGULAR
+    singular = v * v <= EPSILON_SINGULAR * (v * v + e * e)   # h² = ⟨H²⟩ = v² + ⟨H⟩²
     if np.any(singular):
         k = int(np.argmax(singular))
         t_bad = float(t.flat[k])
+        h_norm = math.hypot(float(v.flat[k]), float(e.flat[k]))
         raise SingularityError(
             f"evolution speed {float(v.flat[k]):.3e} below singular threshold "
-            f"at t = {t_bad!r}",
+            f"{math.sqrt(EPSILON_SINGULAR) * h_norm:.3e} at t = {t_bad!r}",
             t=t_bad,
         )
     e_dot = _braket(psi, hdpsi).real

@@ -309,7 +309,8 @@ def _check_extrema(ctx, tol):
             time_worst = max(time_worst, np.max(np.minimum(lag, s.period - lag)) / s.period)
 
     t_k2 = np.array([s.t_k2max, s.t_k2min])
-    acc_resid = np.max(np.abs(geometry.acceleration(p, t_k2)))
+    acc_scale = max(1.0, s.acc_max - s.acc_min)
+    acc_resid = np.max(np.abs(geometry.acceleration(p, t_k2))) / acc_scale
     return [
         _result("extrema_value", value_worst, tol,
                 "max |refined - closed| / max(1, closed max - closed min) per observable;"
@@ -318,7 +319,8 @@ def _check_extrema(ctx, tol):
         _result("extrema_time", time_worst, tol,
                 "extremum time offsets, modulo the period, as a fraction of it"),
         _result("acc_at_extrema", acc_resid, tol,
-                "|acc| at the curvature extremum times"),
+                "|acc| at the curvature extremum times / max(1, acc_max - acc_min)"
+                f" = {acc_scale:.3e}"),
     ]
 
 

@@ -18,6 +18,7 @@ from blochcurve import (
 )
 from blochcurve.cli import SERIES_COLUMNS, SWEEP_COLUMNS, _render, main
 from mutants import corrupted_field, flip_h_y, two_terms_only
+from reference_render import reference_render
 
 PI_TXT = "3.141592653589793"
 
@@ -101,6 +102,15 @@ class TestSimulate:
         for rec, row in zip(records[::17], rows[::17]):
             for key in SERIES_COLUMNS:
                 assert rec[key] == row[key]
+
+    def test_weak_drive_is_not_singular(self, tmp_path):
+        # |h| = 1e-13 far from an eigenstate used to exit 3 on the operator
+        # route's absolute speed floor
+        _, rows = parse_csv(run_simulate(tmp_path, "--omega0", "1e-13"))
+        for row in rows:
+            k2 = row["kappa2_closed"]
+            assert abs(row["kappa2_expect"] - k2) <= 1e-15 * 4e26
+            assert abs(row["kappa2_bloch"] - k2) <= 1e-15 * 4e26
 
     def test_route_columns_agree(self, tmp_path):
         _, rows = parse_csv(run_simulate(tmp_path, "--t-max", PI_TXT))
@@ -285,6 +295,41 @@ class TestRender:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * len(text)
+
+
+class TestAgainstReferenceRender:
+    # the per-row %-formatting renderer is the oracle for the streamed kernel
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("omega0, nu0, steps", [
+        (1.0, 1.0, 6283), (1.0, 0.0, 6283), (1.0, 50.0, 6283), (1e-3, 1.0, 2000),
+    ])
+    def test_simulate(self, tmp_path, fmt, omega0, nu0, steps):
+        out = tmp_path / "series.txt"
+        assert main(["simulate", "--omega0", repr(omega0), "--nu0", repr(nu0),
+                     "--steps", str(steps), "--format", fmt, "--out", str(out)]) == 0
+        columns = scenario_records(ScenarioParams(omega0, nu0), TimeGrid(0.0, 2.0 * math.pi, steps))
+        assert out.read_bytes().decode() == reference_render(list(columns.values()),
+                                                             SERIES_COLUMNS, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep(self, tmp_path, fmt):
+        nu0 = [0.0, *np.geomspace(1e-3, 1e3, 3001).tolist()]
+        out = tmp_path / "sweep.txt"
+        assert main(["sweep", "--omega0", "0.8", "--nu0-list", ",".join(map(repr, nu0)),
+                     "--format", fmt, "--out", str(out)]) == 0
+        p = ScenarioParams(0.8, nu0)
+        columns = (p.omega0, p.nu0, *vars(extrema_summary(p)).values(), geodesic_efficiency(p))
+        assert out.read_bytes().decode() == reference_render(columns, SWEEP_COLUMNS, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [["simulate", "--steps", "3000"],
+                                      ["sweep", "--nu0-list", "0,0.5,1,2,40"]])
+    def test_stdout_equals_the_file(self, tmp_path, capsys, fmt, argv):
+        out = tmp_path / "table.txt"
+        assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--format", fmt]) == 0
+        assert capsys.readouterr().out == out.read_text()
 
 
 class TestErrorPaths:

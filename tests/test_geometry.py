@@ -244,6 +244,20 @@ class TestCurvatureExpectation:
         with pytest.raises(SingularityError):
             curvature_expectation(spec.sample(0.0), np.array([1.0, 0.0j]))
 
+    def test_weak_drive_is_not_an_eigenstate(self):
+        # |h| ~ 1e-13 with v/|h| = 1 everywhere: an absolute speed floor of
+        # 1e-12 called this singular; v^2 <= eps*h^2 does not
+        p = ScenarioParams(1e-13, 1.0)
+        t = np.linspace(0.0, 2.0 * math.pi, 21)
+        got = curvature_expectation(two_parameter_field(p, t), analytic_state(p, t))
+        closed = curvature_closed(p, t)
+        assert np.max(np.abs(got - closed)) <= 1e-14 * np.max(closed)
+
+    def test_weak_field_eigenstate_is_still_singular(self):
+        spec = constant_field((0.0, 0.0, 1e-13))
+        with pytest.raises(SingularityError):
+            curvature_expectation(spec.sample(0.0), np.array([1.0, 0.0j]))
+
     def test_array_call_names_the_singular_time(self):
         # only the node at t = 1.0 holds the sigma_z eigenstate
         spec = constant_field((0.0, 0.0, 1.0))

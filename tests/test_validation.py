@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from blochcurve.validation import (
     _ELLIPTIC_M,
     _ELLIPTIC_PHI,
     DEFAULT_TOLERANCES,
+    _check_extrema,
     _legendre_e,
     _refined_extrema,
     merge_tolerances,
@@ -203,6 +205,16 @@ class TestExtrema:
         # hair under 0 (or a closed time of T) is the same extremum
         t, _ = _refined_extrema(params, geometry_mod.curvature_closed)
         assert -1e-7 * period <= t[0] <= 1e-7 * period
+
+    def test_acc_at_extrema_is_relative_to_the_acc_range(self):
+        # acc_max - acc_min = 1.96e8 here: |acc| = 6.1e-9 at the curvature
+        # extremum times is round-off, not a misplaced extremum
+        params = ScenarioParams(1e3, 1e5)
+        results = by_name(_check_extrema(SimpleNamespace(params=params), merge_tolerances(None)))
+        acc = results["acc_at_extrema"]
+        assert acc.passed, acc
+        assert acc.residual <= 1e-15
+        assert "1.960e+08" in acc.detail
 
     def test_times_compare_modulo_the_period(self, monkeypatch):
         original = geometry_mod.extrema_summary
