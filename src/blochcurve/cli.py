@@ -207,14 +207,15 @@ def _parse_config_file(path: str, keys, takes_tol: bool) -> dict[str, str]:
 
 
 def _parse_nu0_list(text: str) -> list[float]:
+    try:
+        return list(map(float, text.split(",")))  # float strips whitespace itself
+    except ValueError:
+        pass
+    # an empty piece (",," or a trailing comma) is skipped; a bad value is named
     items = [p for p in map(str.strip, text.split(",")) if p]
     if not items:
         raise InvalidArgumentError("--nu0-list must contain at least one value")
-    try:
-        return list(map(float, items))
-    except ValueError:
-        # the slow path only names the bad piece
-        return [_cast(piece, float, "nu0-list") for piece in items]
+    return [_cast(piece, float, "nu0-list") for piece in items]
 
 
 def _cast(value, cast, key):

@@ -221,9 +221,18 @@ class TestSweep:
         assert len(records) == 1
         assert list(records[0].keys()) == list(SWEEP_COLUMNS)
 
+    @pytest.mark.parametrize("loose, clean", [(" 0.5 , 1 ,", "0.5,1"), ("1,,2", "1,2")])
+    def test_blank_pieces_are_skipped(self, tmp_path, loose, clean):
+        out_loose, out_clean = tmp_path / "loose.csv", tmp_path / "clean.csv"
+        assert main(["sweep", "--nu0-list", loose, "--out", str(out_loose)]) == 0
+        assert main(["sweep", "--nu0-list", clean, "--out", str(out_clean)]) == 0
+        assert out_loose.read_bytes() == out_clean.read_bytes()
+
     def test_rejects_malformed_list(self, capsys):
         assert main(["sweep", "--nu0-list", "1,abc"]) == 2
+        assert "'abc'" in capsys.readouterr().err
         assert main(["sweep", "--nu0-list", ""]) == 2
+        assert main(["sweep", "--nu0-list", ","]) == 2
         assert main(["sweep", "--nu0-list", "-1"]) == 2
         assert main(["sweep", "--nu0-list", "1,2,-3,4"]) == 2
         assert "nu0[2]" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import blochcurve.special_functions as special_functions_mod
 from blochcurve import (
     DomainError,
     InvalidArgumentError,
@@ -68,6 +70,12 @@ class TestCarlson:
         with pytest.raises(DomainError):
             carlson_rf(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1.0)
 
+    @pytest.mark.parametrize("args", [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                                      (1.0, 2.0, -0.5), (2.0, -0.5, 1.0)])
+    def test_rf_domain_in_every_position(self, args):
+        with pytest.raises(DomainError):
+            carlson_rf(*args)
+
     def test_array_arguments_broadcast(self):
         # one call over an array gives each entry's value and keeps the
         # domain checks entry by entry
@@ -94,12 +102,37 @@ class TestEllipticE:
     def test_endpoint_values(self):
         assert elliptic_e(0.0) == pytest.approx(math.pi / 2.0, abs=1e-15)
         assert elliptic_e(1.0) == 1.0
-        # exact inside arrays too: a far entry makes every entry take many more
-        # duplication steps, and the Carlson value at m = 0 would then miss pi/2
+        # exact inside arrays too: a far entry keeps every entry iterating,
+        # and a Carlson value at m = 0 would then miss pi/2
         vals = elliptic_e(np.array([-3.0, 0.0, 0.5, 1.0, -1e30]))
         assert vals[1] == math.pi / 2.0
         assert vals[3] == 1.0
         assert vals[0] == pytest.approx(elliptic_e(-3.0), rel=1e-15)
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        m = np.concatenate([-np.logspace(30.0, -20.0, 301),
+                            np.linspace(0.0, 1.0, 200, endpoint=False),
+                            1.0 - 10.0 ** -np.arange(1.0, 16.0), [1.0 - 2.0 ** -52]])
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.ellipe(x)) for x in m.tolist()])
+        assert np.max(np.abs(elliptic_e(m) - ref) / ref) <= 1e-14
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(special_functions_mod, "_MAX_AGM_STEPS", 1)
+        with pytest.raises(ConvergenceError):
+            elliptic_e(-1.0)
+
+    def test_peak_memory_is_a_few_arrays(self):
+        # the sweep's parameters: m = -(nu0/omega0)^2/4 over six decades of nu0
+        m = -0.25 * np.logspace(-3.0, 3.0, 100_000) ** 2
+        tracemalloc.start()
+        try:
+            elliptic_e(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * m.nbytes
 
     def test_pinned_negative_parameters(self):
         assert elliptic_e(-0.25) == pytest.approx(1.6647918053913379, abs=1e-13)
