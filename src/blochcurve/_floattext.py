@@ -30,14 +30,15 @@ whole-array integer arithmetic:
    zero byte, so dropping every zero byte of a row of words leaves its text.
 
 ``table_chunks`` lays each table row out as the value words of its 1-D
-columns between constant separator words, and yields the text in chunks of
-a bounded number of values, so neither the table nor its text is ever held
-whole.
+columns between constant separator words. It takes the table as a stream of
+row blocks and yields the text in chunks of a bounded number of values, so
+neither the table nor its text is ever held whole.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Iterator
 
 import numpy as np
@@ -208,15 +209,8 @@ def _to_words(text: str) -> list[int]:
     return [int.from_bytes(raw[i:i + 8], "little") for i in range(0, len(raw), 8)]
 
 
-def table_chunks(columns, names, fmt: str) -> Iterator[str]:
-    """CSV or JSON text, one row per entry of the 1-D ``columns``, as ``%.17g``,
-    in chunks.
-
-    A 0-d column holds the same value on every row: it is formatted once and
-    becomes part of the constant text between the 1-D columns (at least
-    one). The bytes equal those of the broadcast column.
-    """
-    # the constant text of a row before, between and after its 1-D columns
+def _segments(columns, names, fmt: str) -> list[str]:
+    """The constant text of a row before, between and after its 1-D columns."""
     segments = [""]
     for j, (name, c) in enumerate(zip(names, columns)):
         if fmt == "csv":
@@ -228,9 +222,37 @@ def table_chunks(columns, names, fmt: str) -> Iterator[str]:
         else:
             segments[-1] += "%.17g" % c
     segments[-1] += "\n" if fmt == "csv" else "}"
-    varying = [np.asarray(c, dtype=np.float64) for c in columns if np.ndim(c)]
-    if not varying or any(v.ndim != 1 or len(v) != len(varying[0]) for v in varying):
-        raise ValueError("columns must be 0-d or 1-D of one length, at least one 1-D")
+    return segments
+
+
+def table_chunks(blocks, names, fmt: str) -> Iterator[str]:
+    """CSV or JSON text of a table given as consecutive row blocks, each
+    value as ``%.17g``, in chunks.
+
+    Each block is a sequence of columns, one per name, 1-D of one length
+    (at least one) or 0-d. A 0-d column holds the same value on every row:
+    it is formatted once and becomes part of the constant text between the
+    1-D columns, so every block must have the same 0-d columns. The bytes
+    equal those of the broadcast columns joined over the blocks. One block
+    is taken at a time and its text yielded in chunks of a bounded number
+    of values, so neither the table nor its text is ever held whole.
+    """
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    if first is None:
+        raise ValueError("a table needs at least one block")
+    segments = _segments(first, names, fmt)
+
+    def varying(columns):
+        v = [np.asarray(c, dtype=np.float64) for c in columns if np.ndim(c)]
+        if (not v or any(x.ndim != 1 or len(x) != len(v[0]) for x in v)
+                or _segments(columns, names, fmt) != segments):
+            raise ValueError("each block needs 0-d or 1-D columns of one length, at "
+                             "least one 1-D, and the 0-d columns of the first block")
+        return v
+
+    blocks = itertools.chain([varying(first)], map(varying, blocks))
+    del first  # the chain holds the first block only until it is rendered
 
     # Word layout: the first segment, then per value its 4 words and what its
     # following segment leaves after its first byte, which rides in byte 7
@@ -245,21 +267,23 @@ def table_chunks(columns, names, fmt: str) -> Iterator[str]:
         template += [0, 0, 0, 0] + _to_words(seg[1:])
     template = np.array(template, dtype=np.uint64)
     separators = np.array([ord(seg[0]) << 56 for seg in segments[1:]], dtype=np.uint64)
+    step = max(1, _CHUNK_VALUES // len(offsets))
 
     yield ",".join(names) + "\n" if fmt == "csv" else "[\n  "
-    n_rows = len(varying[0])
-    step = max(1, _CHUNK_VALUES // len(varying))
-    for start in range(0, n_rows, step):
-        block = np.stack([v[start:start + step] for v in varying], axis=1)
-        rows = len(block)
-        words = g17_words(block.ravel()).reshape(rows, len(varying), 4)
-        words[:, :, 3] |= separators
-        table = np.empty((rows, len(template)), dtype=np.uint64)
-        table[:] = template
-        for j, o in enumerate(offsets):
-            table[:, o:o + 4] = words[:, j]
-        if start == 0:
-            table[0, :lead] = first_row
-        yield table.astype("<u8", copy=False).tobytes().translate(None, b"\0").decode("ascii")
+    row0 = True
+    for columns in blocks:
+        for start in range(0, len(columns[0]), step):
+            chunk = np.stack([c[start:start + step] for c in columns], axis=1)
+            rows = len(chunk)
+            words = g17_words(chunk.ravel()).reshape(rows, len(columns), 4)
+            words[:, :, 3] |= separators
+            table = np.empty((rows, len(template)), dtype=np.uint64)
+            table[:] = template
+            for j, o in enumerate(offsets):
+                table[:, o:o + 4] = words[:, j]
+            if row0:
+                table[0, :lead] = first_row
+                row0 = False
+            yield table.astype("<u8", copy=False).tobytes().translate(None, b"\0").decode("ascii")
     if fmt == "json":
         yield "\n]\n"

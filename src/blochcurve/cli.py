@@ -10,7 +10,9 @@ significant digits (round-trip exact for IEEE doubles), key order is fixed,
 and every sampled check uses a fixed golden-ratio point sequence. The
 ``simulate`` and ``sweep`` tables hold exactly the bytes of ``'%.17g' % x``
 per value; ``_floattext`` computes them for whole columns with uint64 word
-arithmetic, and the commands stream the table in bounded chunks.
+arithmetic, and the commands stream the table in bounded chunks. ``sweep``
+streams end to end: it parses its list into one array, checks all of it,
+then computes and writes one block of rows at a time.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration or I/O error,
 3 numerical failure (singularity, instability, non-convergence).
@@ -21,6 +23,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+
+import numpy as np
 
 from . import dynamics, fields, geometry, validation
 from .errors import (
@@ -37,6 +41,9 @@ SWEEP_COLUMNS = (
     "kappa2_max", "kappa2_min", "t_k2max", "t_k2min",
     "ratio_max", "ratio_min", "period", "eta_ge",
 )
+
+_SWEEP_ROWS = 8192          # sweep rows computed and rendered per block
+_PARSE_SEGMENT = 1 << 16    # characters of --nu0-list parsed per step
 
 _DEFAULTS = {
     "omega0": 1.0,
@@ -107,7 +114,7 @@ def cmd_simulate(params: fields.ScenarioParams, grid: dynamics.TimeGrid,
     from ._floattext import table_chunks  # here: validate renders no table
 
     columns = geometry.scenario_records(params, grid)
-    _write_text(out, table_chunks(list(columns.values()), SERIES_COLUMNS, fmt))
+    _write_text(out, table_chunks([list(columns.values())], SERIES_COLUMNS, fmt))
     return 0
 
 
@@ -128,15 +135,20 @@ def cmd_validate(params: fields.ScenarioParams, grid: dynamics.TimeGrid,
     return 0
 
 
-def cmd_sweep(omega0: float, nu0_values: list[float], out: str | None, fmt: str) -> int:
-    """One extrema/efficiency summary row per drive strength, input order."""
+def cmd_sweep(omega0: float, nu0_values, out: str | None, fmt: str) -> int:
+    """One extrema/efficiency summary row per drive strength, input order.
+
+    The whole 1-D ``nu0_values`` is checked first, so every error comes
+    before ``out`` is opened. The closed forms, E(m) and the text then go
+    one block of ``_SWEEP_ROWS`` rows at a time, so memory beyond the
+    list itself does not grow with its length.
+    """
     from ._floattext import table_chunks
 
     params = fields.ScenarioParams(omega0, nu0_values)
-    summary = geometry.extrema_summary(params)
-    columns = (params.omega0, params.nu0, *vars(summary).values(),
-               geometry.geodesic_efficiency(params))
-    _write_text(out, table_chunks(columns, SWEEP_COLUMNS, fmt))
+    blocks = ((b.omega0, b.nu0, *vars(geometry.extrema_summary(b)).values(),
+               geometry.geodesic_efficiency(b)) for b in params.blocks(_SWEEP_ROWS))
+    _write_text(out, table_chunks(blocks, SWEEP_COLUMNS, fmt))
     return 0
 
 
@@ -206,16 +218,31 @@ def _parse_config_file(path: str, keys, takes_tol: bool) -> dict[str, str]:
     return mapping
 
 
-def _parse_nu0_list(text: str) -> list[float]:
+def _parse_nu0_list(text: str) -> np.ndarray:
+    """The comma-separated values as one float64 array.
+
+    The text is parsed in segments of about ``_PARSE_SEGMENT`` characters,
+    cut at commas, so no per-value object exists for the whole list at once.
+    """
+    values = np.empty(text.count(",") + 1)
+    done = start = 0
     try:
-        return list(map(float, text.split(",")))  # float strips whitespace itself
+        while start <= len(text):
+            end = text.find(",", start + _PARSE_SEGMENT)
+            end = len(text) if end < 0 else end
+            pieces = text[start:end].split(",")
+            # float strips whitespace itself
+            values[done:done + len(pieces)] = np.fromiter(map(float, pieces), float, len(pieces))
+            done += len(pieces)
+            start = end + 1
+        return values
     except ValueError:
         pass
     # an empty piece (",," or a trailing comma) is skipped; a bad value is named
     items = [p for p in map(str.strip, text.split(",")) if p]
     if not items:
         raise InvalidArgumentError("--nu0-list must contain at least one value")
-    return [_cast(piece, float, "nu0-list") for piece in items]
+    return np.array([_cast(piece, float, "nu0-list") for piece in items])
 
 
 def _cast(value, cast, key):
@@ -228,12 +255,13 @@ def _cast(value, cast, key):
 def _render(columns, names, fmt: str) -> str:
     """CSV or JSON text, one row per entry of the 1-D ``columns``, as ``%.17g``.
 
-    The whole text of ``_floattext.table_chunks``; the commands stream those
-    chunks instead of holding the table.
+    No command calls it: they stream ``_floattext.table_chunks``. It stays
+    only because ``bench/tracer.py`` wraps this name (its ``cli.render``
+    span), and goes when the benchmark drops that target.
     """
     from ._floattext import table_chunks
 
-    return "".join(table_chunks(columns, names, fmt))
+    return "".join(table_chunks([columns], names, fmt))
 
 
 def _write_text(out: str | None, chunks) -> None:

@@ -13,6 +13,7 @@ which is traceless by construction and periodic with T = π/(2ω₀).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -26,7 +27,9 @@ from .errors import InvalidArgumentError
 class ScenarioParams:
     """Angular rates of the built-in scenario: ω₀ = θ̇/2 > 0, ν₀ = φ̇ ≥ 0.
 
-    ν₀ = 0 is the geodesic limit (constant speed ω₀, zero curvature).
+    ν₀ = 0 is the geodesic limit (constant speed ω₀, zero curvature). The
+    domain also needs the period π/(2ω₀), ν₀² and the curvature peak
+    4(ν₀/ω₀)² to be finite doubles, so that no closed form overflows.
     A 1-D array ``nu0`` (each entry checked) is accepted only by
     ``geometry.extrema_summary`` and ``geometry.geodesic_efficiency``.
     """
@@ -35,17 +38,37 @@ class ScenarioParams:
     nu0: object
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega0) and self.omega0 > 0.0):
-            raise InvalidArgumentError(f"omega0 must be finite and > 0, got {self.omega0!r}")
+        w = self.omega0
+        if not (math.isfinite(w) and w > 0.0):
+            raise InvalidArgumentError(f"omega0 must be finite and > 0, got {w!r}")
+        if not math.isfinite(math.pi / (2.0 * w)):
+            raise InvalidArgumentError(f"omega0 = {w!r} is too small: pi/(2*omega0) overflows")
         nu0 = np.asarray(self.nu0, dtype=float)
         if nu0.ndim > 1:
             raise InvalidArgumentError(f"nu0 must be a scalar or 1-D, got shape {nu0.shape}")
-        bad = np.flatnonzero(~(np.isfinite(nu0) & (nu0 >= 0.0)))
+        with np.errstate(over="ignore"):
+            ok = (nu0 >= 0.0) & np.isfinite(nu0 * nu0)
+            kappa2_max = nu0 / w
+            kappa2_max *= 4.0 * kappa2_max
+            ok &= np.isfinite(kappa2_max)
+        bad = np.flatnonzero(~ok)
         if bad.size:
             name = f"nu0[{bad[0]}]" if nu0.ndim else "nu0"
+            value = float(nu0.flat[bad[0]])
+            if not (math.isfinite(value) and value >= 0.0):
+                raise InvalidArgumentError(f"{name} must be finite and >= 0, got {value!r}")
             raise InvalidArgumentError(
-                f"{name} must be finite and >= 0, got {float(nu0.flat[bad[0]])!r}")
+                f"{name} = {value!r} is out of range at omega0 = {w!r}: "
+                "nu0**2 and 4*(nu0/omega0)**2 must be finite")
         object.__setattr__(self, "nu0", nu0 if nu0.ndim else float(nu0))
+
+    def blocks(self, rows: int):
+        """Consecutive slices of at most ``rows`` entries of the 1-D ``nu0``,
+        each as params of its own; the entries are not checked again."""
+        for start in range(0, self.nu0.size, rows):
+            block = copy.copy(self)
+            object.__setattr__(block, "nu0", self.nu0[start:start + rows])
+            yield block
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,22 @@ _EPS = sys.float_info.epsilon
 _MAX_DUPLICATIONS = 120  # never reached in double precision; defensive bound
 _MAX_AGM_STEPS = 30  # every finite m <= 1 converges within 12; defensive bound
 _AGM_TOL = 1e-9  # |c_n| <= tol*a_n: the neglected tail is below 1e-33 of E(m)
+# largest argument, as a power of 2, that each Carlson form takes unscaled:
+# R_F's stopping bound is about 85x its largest argument, and R_D forms
+# powers 3/2 of its arguments
+_RF_TOP, _RD_TOP = 1000, 600
+
+
+def _scaled_down(x, y, z, top: int):
+    """Per entry the least k ≥ 0 that brings max(x, y, z)·4^−k below 2^top,
+    and the three arguments times 4^−k.
+
+    Powers of 4 keep every step of the duplication exact up to a power of 2,
+    so an entry with k = 0 is computed bit for bit as without the scaling.
+    """
+    _, e = np.frexp(np.maximum(np.maximum(x, y), z))
+    k = np.maximum(e - top + 1, 0) // 2
+    return k, np.ldexp(x, -2 * k), np.ldexp(y, -2 * k), np.ldexp(z, -2 * k)
 
 
 def carlson_rf(x, y, z):
@@ -33,13 +49,16 @@ def carlson_rf(x, y, z):
 
     R_F(x,y,z) = (1/2) ∫₀^∞ dt / √((t+x)(t+y)(t+z)), args ≥ 0, at most one 0.
     Arguments broadcast; every entry takes as many steps as the slowest one.
+    Entries from 2^1000 up go through R_F(λx, λy, λz) = λ^(−1/2)·R_F(x, y, z)
+    with λ a power of 4, so nothing overflows up to the largest double.
     """
     x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
     lowest = np.minimum(np.minimum(x, y), z)
-    # a sum of two nonnegative doubles is 0 only when both are 0
-    pair = np.minimum(np.minimum(x + y, x + z), y + z)
-    if np.any((lowest < 0.0) | (pair == 0.0)):
+    # the smallest pairwise maximum is the middle value: 0 when two are 0
+    middle = np.minimum(np.minimum(np.maximum(x, y), np.maximum(x, z)), np.maximum(y, z))
+    if np.any((lowest < 0.0) | (middle == 0.0)):
         raise DomainError("carlson_rf needs nonnegative arguments, at most one zero")
+    k, x, y, z = _scaled_down(x, y, z, _RF_TOP)
     xn, yn, zn = x, y, z
     a0 = an = (xn + yn + zn) / 3.0
     q = (3.0 * _EPS) ** -0.125 * np.maximum(np.maximum(abs(a0 - xn), abs(a0 - yn)), abs(a0 - zn))
@@ -66,18 +85,20 @@ def carlson_rf(x, y, z):
         + e3 * (1.0 / 14.0 + 3.0 * e3 / 104.0)
         + e2 * (-0.1 + e2 / 24.0 - 3.0 * e3 / 44.0 - 5.0 * e2 * e2 / 208.0 + e2 * e3 / 16.0)
     )
-    return (series / np.sqrt(an))[()]
+    return np.ldexp(series / np.sqrt(an), -k)[()]
 
 
 def carlson_rd(x, y, z):
     """Carlson symmetric integral R_D(x,y,z) by the duplication theorem.
 
     R_D(x,y,z) = (3/2) ∫₀^∞ dt / (√((t+x)(t+y)) (t+z)^{3/2}),
-    x,y ≥ 0 with at most one of them zero, z > 0. Broadcasts like R_F.
+    x,y ≥ 0 with at most one of them zero, z > 0. Broadcasts like R_F, and
+    entries from 2^600 up go through R_D(λx, λy, λz) = λ^(−3/2)·R_D(x, y, z).
     """
     x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
-    if np.any((np.minimum(x, y) < 0.0) | (x + y == 0.0) | (z <= 0.0)):
+    if np.any((np.minimum(x, y) < 0.0) | (np.maximum(x, y) == 0.0) | (z <= 0.0)):
         raise DomainError("carlson_rd needs x,y >= 0 (at most one zero) and z > 0")
+    k, x, y, z = _scaled_down(x, y, z, _RD_TOP)
     xn, yn, zn = x, y, z
     a0 = an = (xn + yn + 3.0 * zn) / 5.0
     q = (0.25 * _EPS) ** -0.125 * np.maximum(np.maximum(abs(a0 - xn), abs(a0 - yn)), abs(a0 - zn))
@@ -117,7 +138,7 @@ def carlson_rd(x, y, z):
         + 45.0 * e2 * e2 * e3 / 272.0
         - 9.0 * (e3 * e4 + e2 * e5) / 68.0
     )
-    return (3.0 * tail + fn * series / (an * np.sqrt(an)))[()]
+    return np.ldexp(3.0 * tail + fn * series / (an * np.sqrt(an)), -3 * k)[()]
 
 
 def elliptic_e(m):

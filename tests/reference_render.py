@@ -1,5 +1,5 @@
 """The per-row ``%``-formatting table renderer, kept as an independent oracle
-for the vectorized ``%.17g`` kernel behind ``blochcurve.cli._render``.
+for the vectorized ``%.17g`` kernel behind ``blochcurve._floattext.table_chunks``.
 
 Every row goes through one ``%`` expression whose template holds ``%.17g``
 per 1-D column and the already-formatted text of each 0-d column, so the

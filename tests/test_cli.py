@@ -2,10 +2,12 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import blochcurve.cli as cli_mod
 import blochcurve.fields as fields_mod
 import blochcurve.geometry as geometry_mod
 from blochcurve import (
@@ -16,11 +18,17 @@ from blochcurve import (
     geodesic_efficiency,
     scenario_records,
 )
-from blochcurve.cli import SERIES_COLUMNS, SWEEP_COLUMNS, _render, main
+from blochcurve._floattext import table_chunks
+from blochcurve.cli import SERIES_COLUMNS, SWEEP_COLUMNS, main
 from mutants import corrupted_field, flip_h_y, two_terms_only
 from reference_render import reference_render
 
 PI_TXT = "3.141592653589793"
+
+
+def render(blocks, names, fmt):
+    """The whole text that ``table_chunks`` streams for the row ``blocks``."""
+    return "".join(table_chunks(blocks, names, fmt))
 
 
 def run_simulate(tmp_path, *extra):
@@ -257,7 +265,7 @@ class TestSweep:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("nu0_list", ["0,1e-3,0.37,45,999", "1"])
     def test_bytes_equal_the_broadcast_render(self, tmp_path, nu0_list, fmt):
-        # the omega0-only columns reach _render as 0-d values; the text is
+        # the omega0-only columns reach table_chunks as 0-d values; the text is
         # the one of every column broadcast to a row each
         out = tmp_path / "sweep.txt"
         assert main(["sweep", "--omega0", "0.8", "--nu0-list", nu0_list,
@@ -265,7 +273,95 @@ class TestSweep:
         p = ScenarioParams(0.8, [float(x) for x in nu0_list.split(",")])
         columns = np.broadcast_arrays(p.omega0, p.nu0, *vars(extrema_summary(p)).values(),
                                       geodesic_efficiency(p))
-        assert out.read_bytes().decode() == _render(columns, SWEEP_COLUMNS, fmt)
+        assert out.read_bytes().decode() == render([columns], SWEEP_COLUMNS, fmt)
+
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--omega0", "1e-160", "--nu0", "1", "--steps", "4"], "nu0 = 1.0 "),
+        (["sweep", "--omega0", "1e-10", "--nu0-list", "1e160"], "nu0[0] = 1e+160 "),
+        (["sweep", "--omega0", "1e200", "--nu0-list", "1e200"], "nu0[0] = 1e+200 "),
+        (["sweep", "--omega0", "5e-324", "--nu0-list", "0"], "omega0 = 5e-324 "),
+        (["sweep", "--omega0", "1e-310", "--nu0-list", "1e-310"], "omega0 = 1e-310 "),
+    ])
+    def test_rejects_what_a_closed_form_would_overflow(self, tmp_path, capsys, argv, message):
+        # one error line, exit 2, no warning and no output file
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_out_of_range_last_value_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # every block is checked before --out is opened
+        monkeypatch.setattr(cli_mod, "_SWEEP_ROWS", 7)
+        out = tmp_path / "sweep.csv"
+        nu0 = ",".join(["1"] * 20 + ["1e200"])
+        assert main(["sweep", "--nu0-list", nu0, "--out", str(out)]) == 2
+        assert "nu0[20] = 1e+200" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSweepStream:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("count", [1, 7, 8, 15])
+    def test_blocks_join_into_the_whole_table(self, tmp_path, monkeypatch, fmt, count):
+        # block seams after 7 and 14 rows; the whole-array columns through
+        # the per-row reference renderer are the oracle
+        monkeypatch.setattr(cli_mod, "_SWEEP_ROWS", 7)
+        nu0 = np.geomspace(1e-3, 1e3, count).tolist()
+        out = tmp_path / "sweep.txt"
+        assert main(["sweep", "--omega0", "0.8", "--nu0-list", ",".join(map(repr, nu0)),
+                     "--format", fmt, "--out", str(out)]) == 0
+        p = ScenarioParams(0.8, nu0)
+        columns = (p.omega0, p.nu0, *vars(extrema_summary(p)).values(), geodesic_efficiency(p))
+        assert out.read_bytes().decode() == reference_render(columns, SWEEP_COLUMNS, fmt)
+
+    @pytest.mark.parametrize("segment", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("text", [
+        "0.5,1,2,4,8,16", " 0.5 , 1 ,", "1,,2", ",1,2,,", "1, ,2 ,\t3\n", "0.25,\n1e-3 ,  45,999,",
+        "1,abc", "1,2,3,x,4", "1,2,,3,-4", "", ",", " , ,",
+    ])
+    def test_parse_segments_do_not_change_the_result(self, tmp_path, monkeypatch, capsys,
+                                                      segment, text):
+        # blank pieces, whitespace and bad values on either side of a seam
+        def sweep(name):
+            out = tmp_path / name
+            code = main(["sweep", "--nu0-list", text, "--out", str(out)])
+            return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
+
+        whole = sweep("whole.csv")
+        monkeypatch.setattr(cli_mod, "_PARSE_SEGMENT", segment)
+        assert sweep("segmented.csv") == whole
+        pieces = [p.strip() for p in text.split(",") if p.strip()]
+        try:
+            expected = [float(p) for p in pieces]
+        except ValueError:
+            expected = None
+        if expected and min(expected) >= 0.0:
+            assert whole[0] == 0
+            assert cli_mod._parse_nu0_list(text).tolist() == expected
+        else:
+            assert whole[0] == 2 and whole[2] is None and whole[1].startswith("error: ")
+
+    def test_peak_memory_does_not_grow_with_the_list(self, tmp_path):
+        # the list is one float64 array; every other allocation is bounded
+        # by the block and chunk sizes
+        def peak(count):
+            nu0 = 10.0 ** np.random.default_rng(count).uniform(-3.0, 3.0, size=count)
+            argv = ["sweep", "--nu0-list", ",".join(map(repr, nu0.tolist())),
+                    "--out", str(tmp_path / "sweep.csv")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        large = peak(100_000)
+        assert large <= 6 * 8 * 100_000
+        assert large <= peak(20_000) + 2**20
 
 
 class TestRender:
@@ -278,9 +374,9 @@ class TestRender:
         names = ("a", "b")
         expected = "a,b\n" + "".join(
             f"{x:.17g},{y:.17g}\n" for x, y in zip(values, values[::-1]))
-        assert _render(columns, names, "csv") == expected
+        assert render([columns], names, "csv") == expected
         objects = [f'{{"a": {x:.17g}, "b": {y:.17g}}}' for x, y in zip(values, values[::-1])]
-        assert _render(columns, names, "json") == "[\n  " + ",\n  ".join(objects) + "\n]\n"
+        assert render([columns], names, "json") == "[\n  " + ",\n  ".join(objects) + "\n]\n"
 
     @pytest.mark.parametrize("value", [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0 / 3.0])
     def test_scalar_column_renders_as_its_broadcast(self, value):
@@ -289,8 +385,8 @@ class TestRender:
         for scalar in (value, np.float64(value), np.array(value)):
             for fmt in ("csv", "json"):
                 broadcast = np.broadcast_arrays(varying, scalar, varying[::-1])
-                assert (_render([varying, scalar, varying[::-1]], names, fmt)
-                        == _render(broadcast, names, fmt))
+                assert (render([[varying, scalar, varying[::-1]]], names, fmt)
+                        == render([broadcast], names, fmt))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_peak_memory_is_bounded_by_the_output(self, fmt):
@@ -299,7 +395,7 @@ class TestRender:
                                         TimeGrid(0.0, 2.0 * math.pi, 19999)).values())
         tracemalloc.start()
         try:
-            text = _render(columns, SERIES_COLUMNS, fmt)
+            text = render([columns], SERIES_COLUMNS, fmt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -448,6 +449,18 @@ class TestArcLengthClosed:
         centre = (np.arange(0, 10) + 0.5) * math.pi / (2.0 * w)
         t = np.stack([centre - 1e-13 / w, centre, centre + 1e-13 / w], axis=-1).ravel()
         assert np.all(np.diff(arc_length_closed(p, t)) >= 0.0)
+
+    @pytest.mark.parametrize("w", [1.0, 1e-150])
+    def test_finite_at_the_largest_ratio_in_range(self, w):
+        # m = -r**2/4 near -1.1e307: the Carlson forms converge with no overflow
+        r = math.nextafter(math.sqrt(sys.float_info.max / 4.0), 0.0)
+        p = ScenarioParams(w, r * w)
+        t = np.linspace(0.0, 3.0, 13) * math.pi / (2.0 * w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = arc_length_closed(p, t)
+        assert np.all(np.isfinite(s)) and np.all(np.diff(s) > 0.0)
+        assert s[4] == pytest.approx(elliptic_e(-0.25 * r * r), rel=1e-14)  # t = T
 
     def test_rejects_negative_time(self):
         with pytest.raises(InvalidArgumentError):

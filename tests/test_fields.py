@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +47,38 @@ class TestScenarioParams:
     def test_rejects_arrays_beyond_one_dimension(self):
         with pytest.raises(InvalidArgumentError):
             ScenarioParams(1.0, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("w, n, message", [
+        (5e-324, 0.0, r"omega0 = 5e-324 .*pi/\(2\*omega0\)"),
+        (1e-310, 1e-310, r"omega0 = 1e-310 "),
+        (1e200, 1e200, r"nu0 = 1e\+200 .*nu0\*\*2"),
+        (1e-10, 1e160, r"nu0 = 1e\+160 "),
+        (1e-160, 1.0, r"nu0 = 1.0 .*4\*\(nu0/omega0\)\*\*2"),
+    ])
+    def test_rejects_what_a_closed_form_would_overflow(self, w, n, message):
+        # pi/(2 omega0), nu0**2 and 4 (nu0/omega0)**2 must be finite doubles
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match=message):
+                ScenarioParams(w, n)
+            with pytest.raises(InvalidArgumentError, match=r"nu0\[3\] = "):
+                ScenarioParams(1.0, [0.0, 1.0, 2.0, 1e155, 3.0, 1e160])
+
+    def test_accepts_the_largest_ratio_in_range(self):
+        # 4 r**2 at the largest r with a finite square is the largest double
+        for w in (1.0, 1e-150):
+            r = math.nextafter(math.sqrt(sys.float_info.max / 4.0), 0.0)
+            p = ScenarioParams(w, np.array([0.0, r * w]))
+            assert math.isfinite(4.0 * (p.nu0[1] / w) ** 2)
+            with pytest.raises(InvalidArgumentError):
+                ScenarioParams(w, 2.0 * r * w)
+
+    def test_blocks_are_consecutive_slices(self):
+        p = ScenarioParams(0.5, np.arange(15.0))
+        blocks = list(p.blocks(7))
+        assert [b.nu0.tolist() for b in blocks] == [list(range(0, 7)), list(range(7, 14)), [14]]
+        assert all(b.omega0 == 0.5 and isinstance(b, ScenarioParams) for b in blocks)
+        assert p.nu0.tolist() == list(range(15))
 
 
 class TestBuiltinField:

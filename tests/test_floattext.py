@@ -120,19 +120,50 @@ class TestTableChunks:
         columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)
                    if kind == "v" else float(rng.standard_normal()) for kind in layout]
         names = tuple(f"c{i}" for i in range(len(layout)))
-        text = "".join(table_chunks(columns, names, fmt))
+        text = "".join(table_chunks([columns], names, fmt))
         assert text == reference_render(columns, names, fmt)
         assert text == reference_render(broadcast(columns), names, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("layout", ["vvv", "svsvs", "v"])
+    @pytest.mark.parametrize("sizes", [(1,), (0, 3), (3, 0, 1), (7, 7, 1), (2, 5, 8)])
+    def test_blocks_join_into_one_table(self, monkeypatch, fmt, layout, sizes):
+        # block seams on and off the chunk seams; empty blocks anywhere
+        monkeypatch.setattr(floattext, "_CHUNK_VALUES", 7)
+        rng = np.random.default_rng(len(sizes))
+        rows = sum(sizes)
+        columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)
+                   if kind == "v" else float(rng.standard_normal()) for kind in layout]
+        cuts = np.cumsum((0,) + sizes)
+        blocks = ([c[a:b] if np.ndim(c) else c for c in columns]
+                  for a, b in zip(cuts[:-1], cuts[1:]))
+        names = tuple(f"c{i}" for i in range(len(layout)))
+        text = "".join(table_chunks(blocks, names, fmt))
+        assert text == reference_render(columns, names, fmt)
 
     @pytest.mark.parametrize("columns", [
         [1.0, 2.0], [np.zeros(3), np.zeros(4)], [np.zeros(10), np.zeros(14)], [np.zeros((2, 2))],
     ])
     def test_rejects_columns_that_do_not_make_a_table(self, columns):
         with pytest.raises(ValueError):
-            list(table_chunks(columns, tuple("ab"[:len(columns)]), "csv"))
+            next(table_chunks([columns], tuple("ab"[:len(columns)]), "csv"))
+
+    @pytest.mark.parametrize("second", [
+        [np.zeros(2), 2.0], [np.zeros(2), np.zeros(2)], [1.0, np.zeros(2)], [np.zeros(2), np.zeros(3)],
+    ])
+    def test_rejects_a_block_unlike_the_first(self, second):
+        chunks = table_chunks([[np.zeros(2), 1.0], second], ("a", "b"), "csv")
+        assert next(chunks) == "a,b\n"
+        assert next(chunks) == "0,1\n0,1\n"
+        with pytest.raises(ValueError):
+            next(chunks)
+
+    def test_rejects_no_blocks(self):
+        with pytest.raises(ValueError):
+            next(table_chunks([], ("a",), "csv"))
 
     def test_yields_bounded_chunks(self):
         columns = [np.arange(100_000.0), np.full(100_000, math.pi)]
-        chunks = list(table_chunks(columns, ("a", "b"), "csv"))
+        chunks = list(table_chunks([columns], ("a", "b"), "csv"))
         assert max(map(len, chunks)) <= floattext._CHUNK_VALUES * 40
         assert "".join(chunks) == reference_render(columns, ("a", "b"), "csv")

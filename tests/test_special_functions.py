@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,19 @@ class TestCarlson:
         assert carlson_rd(k * x, k * y, k * z) == pytest.approx(
             carlson_rd(x, y, z) / k ** 1.5, rel=1e-13
         )
+
+    @pytest.mark.parametrize("j", [1, 150, 300])
+    def test_scaled_entries_are_exact_powers_of_two(self, j):
+        # an argument set times 4**j beyond the scaling threshold gives the
+        # unscaled value times 2**-j (R_F) or 8**-j (R_D) bit for bit
+        x = np.array([1e-30, 0.0, 2.5, 7.0]) * 1e125
+        y = np.array([3.0, 1.0, 2.5, 1e-20]) * 1e125
+        z = np.array([1.0, 4.0, 2.5, 1.0]) * 1e125
+        up = 4.0 ** j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(carlson_rf(x * up, y * up, z * up), carlson_rf(x, y, z) / 2.0 ** j)
+            assert np.array_equal(carlson_rd(x * up, y * up, z * up), carlson_rd(x, y, z) / 8.0 ** j)
 
     def test_rf_domain(self):
         with pytest.raises(DomainError):
@@ -196,6 +210,21 @@ class TestEllipticEIncomplete:
         centre = (np.arange(0, 19) + 0.5) * math.pi
         phi = np.stack([centre - 1e-13, centre, centre + 1e-13], axis=-1).ravel()
         assert np.all(np.diff(elliptic_e_incomplete(phi, m)) >= 0.0)
+
+    @pytest.mark.parametrize("phi, m", [
+        (1.0, -1e307), (2.5, -1e307), (0.3, -1e306), (100.0, -1e307), (1.0, -1.7e308),
+        (-7.0, -3e250), (1.0, -1e210),
+    ])
+    def test_huge_parameters_match_mpmath(self, phi, m):
+        # R_F and R_D see arguments near 1e307: the homogeneity scaling keeps
+        # their stopping bounds and 3/2 powers finite
+        mpmath = pytest.importorskip("mpmath")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = elliptic_e_incomplete(phi, m)
+        with mpmath.workdps(40):
+            ref = float(mpmath.ellipe(phi, m))
+        assert abs(value - ref) <= 1e-14 * abs(ref)
 
     def test_domain(self):
         with pytest.raises(DomainError):
