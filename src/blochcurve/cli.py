@@ -252,18 +252,6 @@ def _cast(value, cast, key):
         raise InvalidArgumentError(f"bad value for {key}: {value!r}") from exc
 
 
-def _render(columns, names, fmt: str) -> str:
-    """CSV or JSON text, one row per entry of the 1-D ``columns``, as ``%.17g``.
-
-    No command calls it: they stream ``_floattext.table_chunks``. It stays
-    only because ``bench/tracer.py`` wraps this name (its ``cli.render``
-    span), and goes when the benchmark drops that target.
-    """
-    from ._floattext import table_chunks
-
-    return "".join(table_chunks([columns], names, fmt))
-
-
 def _write_text(out: str | None, chunks) -> None:
     if out is None:
         for chunk in chunks:

@@ -27,9 +27,9 @@ from .errors import InvalidArgumentError
 class ScenarioParams:
     """Angular rates of the built-in scenario: ω₀ = θ̇/2 > 0, ν₀ = φ̇ ≥ 0.
 
-    ν₀ = 0 is the geodesic limit (constant speed ω₀, zero curvature). The
-    domain also needs the period π/(2ω₀), ν₀² and the curvature peak
-    4(ν₀/ω₀)² to be finite doubles, so that no closed form overflows.
+    ν₀ = 0 is the geodesic limit (constant speed ω₀, zero curvature). π/(2ω₀),
+    ν₀², the curvature peak 4(ν₀/ω₀)² and the field rate ν₀(2ω₀ + ν₀/4) ≥ |ḣ_k|
+    must be finite doubles too, so that no closed form and no field overflows.
     A 1-D array ``nu0`` (each entry checked) is accepted only by
     ``geometry.extrema_summary`` and ``geometry.geodesic_efficiency``.
     """
@@ -46,11 +46,11 @@ class ScenarioParams:
         nu0 = np.asarray(self.nu0, dtype=float)
         if nu0.ndim > 1:
             raise InvalidArgumentError(f"nu0 must be a scalar or 1-D, got shape {nu0.shape}")
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             ok = (nu0 >= 0.0) & np.isfinite(nu0 * nu0)
             kappa2_max = nu0 / w
             kappa2_max *= 4.0 * kappa2_max
-            ok &= np.isfinite(kappa2_max)
+            ok &= np.isfinite(kappa2_max) & np.isfinite(2.0 * (nu0 * w) + 0.25 * (nu0 * nu0))
         bad = np.flatnonzero(~ok)
         if bad.size:
             name = f"nu0[{bad[0]}]" if nu0.ndim else "nu0"
@@ -59,7 +59,7 @@ class ScenarioParams:
                 raise InvalidArgumentError(f"{name} must be finite and >= 0, got {value!r}")
             raise InvalidArgumentError(
                 f"{name} = {value!r} is out of range at omega0 = {w!r}: "
-                "nu0**2 and 4*(nu0/omega0)**2 must be finite")
+                "nu0**2, 4*(nu0/omega0)**2 and nu0*(2*omega0 + nu0/4) must be finite")
         object.__setattr__(self, "nu0", nu0 if nu0.ndim else float(nu0))
 
     def blocks(self, rows: int):
@@ -223,10 +223,12 @@ def h_transverse_sq(params: ScenarioParams, t):
 
 
 def parallel_transverse_ratio(params: ScenarioParams, t):
-    """Ratio h∥²/h⊥² = 4 sin⁴(2ω₀t) / [sin²(4ω₀t) + 16(ω₀/ν₀)²], the quotient
-    of ``h_parallel_sq`` and ``h_transverse_sq`` (h⊥² ≥ ω₀² > 0).
-
-    Zero identically in the geodesic limit ν₀ = 0 (no parallel component).
-    Periodic with T = π/(2ω₀); maxima (1/4)(ν₀/ω₀)² at t = π/(4ω₀) + nT.
+    """h∥²/h⊥² = 4(ρ sin²(2ω₀t))² / [(ρ sin(4ω₀t))² + 16] with ρ = ν₀/ω₀: the
+    quotient of ``h_parallel_sq`` and ``h_transverse_sq`` with no rate squared,
+    0 when ν₀ = 0. Periodic with T = π/(2ω₀); maxima ρ²/4 at t = π/(4ω₀) + nT.
     """
-    return h_parallel_sq(params, t) / h_transverse_sq(params, t)
+    w = params.omega0
+    rho = params.nu0 / w
+    par = rho * np.sin(2.0 * w * t) ** 2
+    trans = rho * np.sin(4.0 * w * t)
+    return 4.0 * par * par / (trans * trans + 16.0)

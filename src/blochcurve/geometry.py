@@ -4,9 +4,12 @@ extrema/period summary of the built-in scenario.
 
 Conventions held throughout: ℏ = 1 and the speed is v = ΔE = √(⟨H²⟩ − ⟨H⟩²)
 (unit proportionality between speed and energy dispersion). The curvature
-coefficient κ² is dimensionless and nonnegative; values in [−1e-9, 0) are
-round-off and clip to 0, anything more negative raises, because that
-distinguishes float noise from an implementation bug.
+coefficient κ² = 4κ_g² (κ_g the geodesic curvature of the Bloch curve) is
+dimensionless and nonnegative: a square in the closed form and the Bloch
+route. The operator route sums signed terms, so there values in [−1e-9, 0)
+are round-off and clip to 0, and anything more negative raises. Neither κ²
+nor η_SE changes with the time unit, (h, ḣ) → (hλ, ḣλ²), so each node's
+field is scaled exactly by a power of two λ before it is squared.
 
 Every observable takes a scalar t or an array of times (vectors carry their
 components on the last axis) and returns a scalar or an array to match, so a
@@ -31,8 +34,8 @@ from .fields import FieldSample, ScenarioParams
 from .qubit_core import IDENTITY, _pure_states, fidelity, pauli_compose
 from .special_functions import elliptic_e
 
-EPSILON_SINGULAR = 1e-12   # floor of D/h² = v²/h² in both curvature routes
-KAPPA2_CLIP_FLOOR = -1e-9  # analytic routes: clip [floor, 0) to 0, raise below
+EPSILON_SINGULAR = 1e-12   # floor of |h × a|²/h² = v²/h² in both field routes
+KAPPA2_CLIP_FLOOR = -1e-9  # operator route: clip [floor, 0) to 0, raise below
 EXPECT_IMAG_RTOL = 1e-12  # |Im κ²| over max(1, |κ²|), operator route
 
 
@@ -81,36 +84,29 @@ def acceleration(params: ScenarioParams, t):
 def curvature_closed(params: ScenarioParams, t):
     """Closed-form curvature coefficient of the built-in scenario.
 
-    κ²(t) = [sin²(4ω₀t) + 32(ω₀/ν₀)²(1 + cos(4ω₀t))] / [sin²(2ω₀t) + 4(ω₀/ν₀)²]²
-            − 4(ω₀/ν₀)² sin²(4ω₀t) / [sin²(2ω₀t) + 4(ω₀/ν₀)²]³
+    With ρ = ν₀/ω₀, x = ρ² sin²(2ω₀t) and q = (8 + x)/(4 + x),
 
-    Periodic with T = π/(2ω₀); maxima 4(ν₀/ω₀)² at t = nT, minima 0 at
-    t = π/(4ω₀) + nT. Returns 0 identically in the geodesic limit ν₀ = 0.
+        κ²(t) = 4ρ² cos²(2ω₀t) · q² / (4 + x).
+
+    Periodic with T = π/(2ω₀): maxima 4ρ² at t = nT, minima 0 at t = π/(4ω₀) + nT.
+    It is 0 in the geodesic limit ν₀ = 0, and no intermediate exceeds 4ρ².
     """
-    w, n = params.omega0, params.nu0
-    if n == 0.0:
-        return np.zeros(np.shape(t))[()]
-    r2 = (w / n) ** 2
-    s2 = np.sin(2.0 * w * t)
-    s4 = np.sin(4.0 * w * t)
-    c4 = np.cos(4.0 * w * t)
-    den = s2 * s2 + 4.0 * r2
-    value = (s4 * s4 + 32.0 * r2 * (1.0 + c4)) / den**2 - 4.0 * r2 * s4 * s4 / den**3
-    return _clip_nonneg(value, KAPPA2_CLIP_FLOOR)
+    w = params.omega0
+    rho = params.nu0 / w
+    x = (rho * np.sin(2.0 * w * t)) ** 2
+    q = (8.0 + x) / (4.0 + x)
+    return 4.0 * (rho * np.cos(2.0 * w * t)) ** 2 * (q * q / (4.0 + x))
 
 
 def curvature_bloch(a, h, h_dot):
     """Curvature coefficient from the Bloch vector a and the field pair (h, ḣ).
 
-    With D = h² − (a·h)² the three contributions are
+        κ² = 4[a·(ȧ × ä)]² / |ȧ|⁶,   ȧ = 2h × a,   ä = 2ḣ × a + 2h × ȧ,
 
-        κ² = 4(a·h)²/D
-           + ( [h²ḣ² − (h·ḣ)²] − ‖(a·ḣ)h − (a·h)ḣ‖² ) / D³
-           + 4(a·h)·[a·(h×ḣ)] / D².
-
-    When a·h = a·ḣ = 0 this collapses to [h²ḣ² − (h·ḣ)²]/h⁶.
-    D ≤ ``EPSILON_SINGULAR``·h² means a is (numerically) collinear with h,
-    i.e. an instantaneous eigenstate with zero speed, where curvature is
+    which is [2(a·h)|h × a|² + a·(h × ḣ)]² / |h × a|⁶, on the scaled field,
+    with |h × a|² = h² − (a·h)² (fewer roundings than the cross product).
+    |ȧ|² ≤ 4·``EPSILON_SINGULAR``·h² means a is (numerically) collinear with
+    h, i.e. an instantaneous eigenstate with zero speed, where curvature is
     undefined; the test is relative, so a weak field is not mistaken for one.
     κ² is projective, so a is rescaled to unit length after the check. Vectors
     carry their (finite) components on the last axis; leading axes (a time
@@ -120,24 +116,17 @@ def curvature_bloch(a, h, h_dot):
     a2 = _dot(av, av)
     if not np.all(np.abs(a2 - 1.0) <= 1e-9):
         raise InvalidArgumentError("Bloch vector a must have unit length")
-    av = av / np.sqrt(a2)[..., None]
-
-    h2 = _dot(hv, hv)
-    ah = _dot(av, hv)
-    den = h2 - ah * ah
-    if np.any(den <= EPSILON_SINGULAR * h2):
-        raise SingularityError(
-            "state is an instantaneous eigenstate (a collinear with h); "
-            "curvature is undefined"
-        )
-    adh = _dot(av, hd)
-    hdh = _dot(hv, hd)
-    hd2 = _dot(hd, hd)
-    wvec = adh[..., None] * hv - ah[..., None] * hd
-    term1 = 4.0 * ah * ah / den
-    term2 = ((h2 * hd2 - hdh * hdh) - _dot(wvec, wvec)) / den**3
-    term3 = 4.0 * ah * _dot(av, np.cross(hv, hd)) / den**2
-    return _clip_nonneg(term1 + term2 + term3, KAPPA2_CLIP_FLOOR)
+    ax, ay, az = np.moveaxis(av, -1, 0) / np.sqrt(a2)
+    _, (hx, hy, hz), (gx, gy, gz) = _scaled_field(hv, hd)
+    h2 = hx * hx + hy * hy + hz * hz
+    ah = ax * hx + ay * hy + az * hz
+    hxa2 = h2 - ah * ah   # |h × a|² = |ȧ|²/4
+    if np.any(hxa2 <= EPSILON_SINGULAR * h2):
+        raise SingularityError("state is an instantaneous eigenstate (a collinear with h); "
+                               "curvature is undefined")
+    ahg = ax * (hy * gz - hz * gy) + ay * (hz * gx - hx * gz) + az * (hx * gy - hy * gx)
+    k = (2.0 * ah * hxa2 + ahg) / hxa2
+    return k * (k / hxa2)
 
 
 def curvature_expectation(sample: FieldSample, state):
@@ -169,10 +158,11 @@ def curvature_expectation(sample: FieldSample, state):
 
     ``sample`` may hold an array of times, with ``state`` of shape
     sample.t.shape + (2,). κ² is projective, so each state is divided by its
-    norm after the contract check. A SingularityError names the first time
-    of ``sample.t`` where v² ≤ ``EPSILON_SINGULAR``·h² (h² = ⟨H²⟩). That is
-    the Bloch route's test on D, since D = v²; being relative, it does not
-    mistake a weak field for an eigenstate.
+    norm after the contract check. The field is scaled per node, which
+    changes no bit of a result that is finite unscaled. A SingularityError
+    names the first time of ``sample.t`` where v² ≤ ``EPSILON_SINGULAR``·h²
+    (h² = ⟨H²⟩), the Bloch route's test since v² = |h × a|²; being relative,
+    it does not mistake a weak field for an eigenstate.
     """
     t = np.asarray(sample.t)
     psi = _pure_states(state)
@@ -181,8 +171,9 @@ def curvature_expectation(sample: FieldSample, state):
 
     psi = np.moveaxis(psi, -1, 0)
     psi = psi / np.sqrt(_braket(psi, psi).real)
-    h = np.moveaxis(pauli_compose(0.0, sample.h), (-2, -1), (0, 1))
-    h_dot = np.moveaxis(pauli_compose(0.0, sample.h_dot), (-2, -1), (0, 1))
+    lam, h, h_dot = _scaled_field(sample.h, sample.h_dot)
+    h = np.moveaxis(pauli_compose(0.0, np.moveaxis(h, 0, -1)), (-2, -1), (0, 1))
+    h_dot = np.moveaxis(pauli_compose(0.0, np.moveaxis(h_dot, 0, -1)), (-2, -1), (0, 1))
     hpsi = _apply(h, psi)
     hdpsi = _apply(h_dot, psi)
     e = _braket(psi, hpsi).real
@@ -191,10 +182,10 @@ def curvature_expectation(sample: FieldSample, state):
     if np.any(singular):
         k = int(np.argmax(singular))
         t_bad = float(t.flat[k])
-        h_norm = math.hypot(float(v.flat[k]), float(e.flat[k]))
+        v_bad, e_bad = float(v.flat[k] / lam.flat[k]), float(e.flat[k] / lam.flat[k])
         raise SingularityError(
-            f"evolution speed {float(v.flat[k]):.3e} below singular threshold "
-            f"{math.sqrt(EPSILON_SINGULAR) * h_norm:.3e} at t = {t_bad!r}",
+            f"evolution speed {v_bad:.3e} below singular threshold "
+            f"{math.sqrt(EPSILON_SINGULAR) * math.hypot(v_bad, e_bad):.3e} at t = {t_bad!r}",
             t=t_bad,
         )
     e_dot = _braket(psi, hdpsi).real
@@ -230,12 +221,14 @@ def speed_efficiency(h0, h, a):
     eig(H†H) = (h₀ ± ‖h‖)²). Equals 1 exactly when h₀ = 0 and a ⊥ h: all of
     the Hamiltonian drives the state. Vectors carry their components on the
     last axis; leading axes (a time grid) broadcast against ``h0``. Every
-    input must be finite.
+    input must be finite; h₀ and h are scaled per node, as κ²'s field is.
     """
     hv, av = _vec3(h), _vec3(a)
     h0 = np.asarray(h0, dtype=float)
     if not np.all(np.isfinite(h0)):
         raise InvalidArgumentError("h0 must be finite")
+    lam, hv = _scaled_field(hv)
+    hv, h0 = np.moveaxis(hv, 0, -1), h0 * lam
     h_sq = _dot(hv, hv)
     if np.any((h_sq == 0.0) & (h0 == 0.0)):
         raise UndefinedEfficiencyError("zero Hamiltonian has no speed efficiency")
@@ -365,6 +358,18 @@ def _vec3(x) -> np.ndarray:
 
 def _dot(x: np.ndarray, y: np.ndarray):
     return np.einsum("...k,...k->...", x, y)
+
+
+def _scaled_field(h: np.ndarray, *rates: np.ndarray):
+    """λ, λh and λ²ḣ per ḣ in ``rates``, components first: per node, λ is the power
+    of two that brings the largest |h_k| into [½, 1) (1 at h = 0, at most 2^1022). λ·λ,
+    infinite below |h| = 2^-511, is never formed; this layout is several times faster."""
+    hx, hy, hz = np.moveaxis(np.abs(h), -1, 0)
+    lam = np.ldexp(1.0, np.minimum(-np.frexp(np.maximum(np.maximum(hx, hy), hz))[1], 1022))
+    scaled = [np.multiply(np.moveaxis(v, -1, 0), lam, order="C") for v in (h, *rates)]
+    for rate in scaled[1:]:
+        rate *= lam
+    return (lam, *scaled)
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

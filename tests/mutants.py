@@ -52,6 +52,16 @@ def two_terms_only(a, h, h_dot):
     return 4.0 * ah * ah / den + num2 / den ** 3
 
 
+def no_hdot_term(a, h, h_dot):
+    """``curvature_bloch`` as 4[a·(ȧ × ä)]²/|ȧ|⁶ with ȧ = 2h × a, but with
+    the 2ḣ × a term dropped from ä = 2ḣ × a + 2h × ȧ."""
+    av, hv = (np.asarray(x, dtype=float) for x in (a, h))
+    a_dot = 2.0 * np.cross(hv, av)
+    a_ddot = 2.0 * np.cross(hv, a_dot)
+    speed2 = np.sum(a_dot * a_dot, axis=-1)
+    return 4.0 * np.sum(av * np.cross(a_dot, a_ddot), axis=-1) ** 2 / speed2 ** 3
+
+
 # Both Gauss points of the Magnus step moved onto the midpoint (monkeypatched
 # over ``blochcurve.dynamics._STEP_POINTS``): the exponential midpoint rule,
 # still exactly unitary but only 2nd order.

@@ -282,6 +282,8 @@ class TestSweep:
         (["sweep", "--omega0", "1e200", "--nu0-list", "1e200"], "nu0[0] = 1e+200 "),
         (["sweep", "--omega0", "5e-324", "--nu0-list", "0"], "omega0 = 5e-324 "),
         (["sweep", "--omega0", "1e-310", "--nu0-list", "1e-310"], "omega0 = 1e-310 "),
+        # the field rate nu0*(2*omega0 + nu0/4), about |h_dot|, is 2e310
+        (["sweep", "--omega0", "1e300", "--nu0-list", "1e10"], "nu0[0] = 10000000000.0 "),
     ])
     def test_rejects_what_a_closed_form_would_overflow(self, tmp_path, capsys, argv, message):
         # one error line, exit 2, no warning and no output file
@@ -435,6 +437,38 @@ class TestAgainstReferenceRender:
         capsys.readouterr()
         assert main([*argv, "--format", fmt]) == 0
         assert capsys.readouterr().out == out.read_text()
+
+
+_DECADES = ("1e-300", "1e-200", "1e-160", "1e-100", "1e-60", "1e-10", "1",
+            "1e10", "1e60", "1e100", "1e155", "1e200", "1e300")
+
+
+class TestDomain:
+    def test_simulate_is_finite_or_rejected_across_the_decades(self, capsys):
+        # every point exits 0 with finite columns or 2 with one error line;
+        # no traceback, no warning, no exit 3
+        codes = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w in _DECADES:
+                for n in (*_DECADES, "0", "5e-324"):
+                    code = main(["simulate", "--omega0", w, "--nu0", n, "--steps", "8"])
+                    out, err = capsys.readouterr()
+                    if code == 0:
+                        _, rows = parse_csv(out)
+                        assert all(math.isfinite(x) for r in rows for x in r.values()), (w, n)
+                    else:
+                        assert code == 2 and err.startswith("error: "), (w, n, code, err)
+                        assert err.count("\n") == 1, (w, n, err)
+                    codes.append(code)
+        assert (codes.count(0), codes.count(2)) == (134, 61)
+
+    def test_validate_far_below_the_geodesic_limit(self, capsys):
+        # nu0/omega0 = 1e-160: the closed form once built (omega0/nu0)**2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--nu0", "1e-160", "--steps", "400"]) == 0
+        assert "all 19 checks passed" in capsys.readouterr().out
 
 
 class TestErrorPaths:

@@ -54,9 +54,11 @@ class TestScenarioParams:
         (1e200, 1e200, r"nu0 = 1e\+200 .*nu0\*\*2"),
         (1e-10, 1e160, r"nu0 = 1e\+160 "),
         (1e-160, 1.0, r"nu0 = 1.0 .*4\*\(nu0/omega0\)\*\*2"),
+        (1e300, 1e10, r"nu0 = 10000000000.0 .*nu0\*\(2\*omega0 \+ nu0/4\)"),
     ])
     def test_rejects_what_a_closed_form_would_overflow(self, w, n, message):
-        # pi/(2 omega0), nu0**2 and 4 (nu0/omega0)**2 must be finite doubles
+        # pi/(2 omega0), nu0**2, 4 (nu0/omega0)**2 and the field rate
+        # nu0 (2 omega0 + nu0/4) must be finite doubles
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidArgumentError, match=message):
@@ -237,6 +239,25 @@ class TestParallelTransverseSplit:
         assert parallel_transverse_ratio(P11, 0.3) == pytest.approx(
             0.024103084945102568, abs=1e-15
         )
+
+    @pytest.mark.parametrize("w, n", [(1.0, 1.0), (1.0, 50.0), (0.7, 1.3), (1e-3, 1.0)])
+    def test_ratio_is_the_quotient_of_the_squares(self, w, n):
+        p = ScenarioParams(w, n)
+        t = np.linspace(0.0, 4.0 / w, 301)
+        quotient = h_parallel_sq(p, t) / h_transverse_sq(p, t)
+        ratio = parallel_transverse_ratio(p, t)
+        assert np.max(np.abs(ratio - quotient) / np.maximum(1.0, quotient)) <= 1e-15
+
+    @pytest.mark.parametrize("w, n", [
+        (1e155, 1.0), (1e155, 1e100), (1e-300, 1e-300), (1e-200, 1e-199),
+    ])
+    def test_ratio_is_finite_where_the_squares_are_not(self, w, n):
+        # omega0**2 overflows, or both squares underflow to 0/0
+        p = ScenarioParams(w, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            peak = parallel_transverse_ratio(p, math.pi / (4.0 * w))
+        assert peak == pytest.approx(0.25 * (n / w) ** 2, rel=1e-15)
 
     def test_ratio_zero_in_geodesic_limit(self):
         p = ScenarioParams(1.3, 0.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import blochcurve.fields as fields_mod
 from blochcurve import (
     CallableField,
     ContractViolationError,
+    FieldSample,
     InvalidArgumentError,
     NumericalConsistencyError,
     ScenarioParams,
@@ -49,6 +51,7 @@ from blochcurve import (
 )
 from blochcurve.geometry import KAPPA2_CLIP_FLOOR, SERIES_COLUMNS, _clip_nonneg
 from blochcurve.validation import tilted_field_fixture
+from reference_curvature import three_term_curvature, two_fraction_curvature
 
 P11 = ScenarioParams(1.0, 1.0)
 SPEC11 = TwoParameterField(P11)
@@ -129,6 +132,26 @@ class TestCurvatureClosed:
         for t in (0.0, 0.5, 2.0):
             assert curvature_closed(p, t) == 0.0
 
+    @pytest.mark.parametrize("w, n", [
+        (1.0, 1.0), (1.0, 50.0), (0.7, 1.3), (1e-3, 1.0), (1.0, 1e-3),
+    ])
+    def test_matches_the_two_fraction_display(self, w, n):
+        p = ScenarioParams(w, n)
+        t = np.linspace(0.0, 4.0 / w, 301)
+        display = two_fraction_curvature(p, t)
+        got = curvature_closed(p, t)
+        assert np.max(np.abs(got - display) / np.maximum(1.0, display)) <= 2e-15
+
+    @pytest.mark.parametrize("w, n", [(1.0, 1e-100), (1e100, 1.0), (1.0, 1e-160), (1e155, 1e100)])
+    def test_finite_where_the_inverse_ratio_overflows(self, w, n):
+        # (omega0/nu0)**2 and its cube overflow; rho = nu0/omega0 never does
+        p = ScenarioParams(w, n)
+        peak = 4.0 * (n / w) ** 2
+        assert curvature_closed(p, 0.0) == pytest.approx(peak, rel=1e-15, abs=1e-320)
+        t = np.linspace(0.0, 4.0 / w, 31)
+        got = curvature_closed(p, t)
+        assert np.all(np.isfinite(got)) and np.all((0.0 <= got) & (got <= peak))
+
 
 class TestCurvatureBloch:
     def test_zero_when_orthogonal_and_derivative_collinear(self):
@@ -178,6 +201,37 @@ class TestCurvatureBloch:
             curvature_bloch(a, (bad, 0.0, 0.0), h_dot)
         with pytest.raises(InvalidArgumentError, match="finite"):
             curvature_bloch(a, h, (0.0, bad, 0.0))
+
+    def test_matches_the_three_term_oracle_on_the_tilted_fixture(self):
+        # |a.h| reaches 1.34 here, so every term of the oracle is live
+        spec, psi0 = tilted_field_fixture()
+        traj = integrate_schrodinger(spec, psi0, TimeGrid(0.0, 3.0, 3000))
+        s = spec.sample(traj.times)
+        got = curvature_bloch(traj.bloch, s.h, s.h_dot)
+        oracle = three_term_curvature(traj.bloch, s.h, s.h_dot)
+        assert np.max(np.abs(got - oracle) / np.maximum(1.0, oracle)) <= 1e-13
+
+    @pytest.mark.parametrize("k", [-500, -1, 3, 500])
+    def test_a_power_of_two_time_unit_changes_no_bit(self, k):
+        # (h, h_dot) -> (2^k h, 2^2k h_dot) leaves kappa2 and eta_SE exactly,
+        # also where h**2 * h_dot**2 overflows (k = 500) or underflows (k = -500)
+        spec, psi0 = tilted_field_fixture()
+        traj = integrate_schrodinger(spec, psi0, TimeGrid(0.0, 3.0, 300))
+        s = spec.sample(traj.times)
+        h, h_dot = np.ldexp(s.h, k), np.ldexp(s.h_dot, 2 * k)
+        scaled = FieldSample(s.t, np.ldexp(0.3, k), h, h_dot)
+        assert np.array_equal(curvature_bloch(traj.bloch, h, h_dot),
+                              curvature_bloch(traj.bloch, s.h, s.h_dot))
+        assert np.array_equal(curvature_expectation(scaled, traj.states),
+                              curvature_expectation(s, traj.states))
+        assert np.array_equal(speed_efficiency(scaled.h0, h, traj.bloch),
+                              speed_efficiency(0.3, s.h, traj.bloch))
+
+    def test_subnormal_field_scales_without_overflow(self):
+        # 2^-1060 is below the smallest normal double; its scale stops at 2^1022
+        h = (2.0**-1060, 0.0, 0.0)
+        assert curvature_bloch((0.6, 0.0, 0.8), h, np.zeros(3)) == pytest.approx(2.25, rel=1e-15)
+        assert speed_efficiency(0.0, h, (0.0, 0.0, 1.0)) == 1.0
 
     def test_nonnegative_along_generic_drive(self):
         from blochcurve import integrate_bloch
@@ -267,6 +321,15 @@ class TestCurvatureExpectation:
             curvature_expectation(spec.sample(t), psi)
         assert exc.value.t == 1.0
 
+    def test_singular_message_quotes_the_field_as_given(self):
+        # 1e-7 rad off the eigenstate of h = 4 z: v = 4e-7 to the round-off
+        # of v**2 = <H^2> - <H>^2, not the 5e-8 of the field scaled by 1/8
+        spec = constant_field((0.0, 0.0, 4.0))
+        with pytest.raises(SingularityError) as exc:
+            curvature_expectation(spec.sample(0.0), state_from_angles(1e-7, 0.2))
+        message = re.search(r"speed (\S+) below singular threshold 4.000e-06", str(exc.value))
+        assert message and float(message[1]) == pytest.approx(4e-7, rel=1e-3)
+
     def test_stencil_derivative_feeds_the_route(self):
         # without an analytic h_dot the operator route runs on the stencil
         # rate and must still match the field-vector route on the exact one
@@ -314,6 +377,18 @@ def test_three_curvature_routes_agree_across_the_domain(log_omega0, log_ratio):
     bound = 1e-10 * max(1.0, 4.0 * (p.nu0 / w) ** 2)
     for x, y in ((closed, via_bloch), (closed, via_expect), (via_bloch, via_expect)):
         assert np.max(np.abs(x - y)) <= bound
+
+
+@pytest.mark.parametrize("w, n", [
+    (1.0, 1e-160), (1e155, 1.0), (1e80, 1.0), (1.0, 1e52), (1.0, 1e100), (1e-100, 1e-60),
+])
+def test_three_curvature_routes_agree_where_the_squares_overflow(w, n):
+    # each of these once raised, warned or returned nan in some route
+    p = ScenarioParams(w, n)
+    cols = scenario_records(p, TimeGrid(0.0, 3.0 / w, 40))
+    bound = 1e-13 * max(1.0, 4.0 * (n / w) ** 2)
+    for route in ("kappa2_bloch", "kappa2_expect"):
+        assert np.max(np.abs(cols[route] - cols["kappa2_closed"])) <= bound, route
 
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
@@ -379,6 +454,14 @@ class TestSpeedEfficiency:
                 continue
             val = speed_efficiency(float(RNG.uniform(-2, 2)), h, a)
             assert 0.0 <= val <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_finite_where_the_field_squared_is_not(self, scale):
+        # |h|**2 underflows to 0 or overflows to inf
+        h = (4.0 * scale, 0.0, 0.0)
+        eta = speed_efficiency(3.0 * scale, h, (0.0, 0.0, 1.0))
+        assert eta == pytest.approx(4.0 / 7.0, rel=1e-15)
+        assert speed_efficiency(0.0, h, (0.0, 0.6, 0.8)) == 1.0
 
     def test_undefined_for_zero_hamiltonian(self):
         with pytest.raises(UndefinedEfficiencyError):

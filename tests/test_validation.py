@@ -25,7 +25,14 @@ from blochcurve.validation import (
     merge_tolerances,
     tilted_field_fixture,
 )
-from mutants import MIDPOINT_NODES, corrupted_field, flip_h_y, scale_h_dot_z, two_terms_only
+from mutants import (
+    MIDPOINT_NODES,
+    corrupted_field,
+    flip_h_y,
+    no_hdot_term,
+    scale_h_dot_z,
+    two_terms_only,
+)
 from reference_quadrature import adaptive_simpson
 
 P11 = ScenarioParams(1.0, 1.0)
@@ -163,6 +170,23 @@ class TestBattery:
         res = by_name(run_battery(P11, TimeGrid(0.0, math.pi, 300)))
         assert res["route_agreement"].passed
         assert not res["route_agreement_general"].passed
+
+    @pytest.mark.parametrize("grid", [
+        TimeGrid(0.0, 2.0 * math.pi, 6283), TimeGrid(0.0, math.pi, 300),
+    ], ids=["defaults", "300 steps"])
+    def test_curvature_mutant_kill_sets(self, monkeypatch, grid):
+        # each Bloch-route mutant and the exact set of checks it fails; the
+        # chirality term vanishes along the built-in drive, the h_dot term
+        # carries all of its curvature
+        kill_sets = [
+            (two_terms_only, ["route_agreement_general"]),
+            (no_hdot_term, ["route_agreement", "route_agreement_general"]),
+        ]
+        for mutant, caught in kill_sets:
+            with monkeypatch.context() as m:
+                m.setattr(geometry_mod, "curvature_bloch", mutant)
+                results = run_battery(P11, grid)
+            assert [r.name for r in results if not r.passed] == caught, mutant.__name__
 
     def test_raising_check_reports_failure_instead_of_crashing(self, monkeypatch):
         def broken(*args, **kwargs):
