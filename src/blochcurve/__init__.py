@@ -14,7 +14,6 @@ from .dynamics import (
     analytic_state,
     analytic_state_derivative,
     arc_length_closed,
-    integrate_bloch,
     integrate_schrodinger,
     synthesize_hamiltonian,
     transport_phase_closed,
@@ -110,7 +109,6 @@ __all__ = [
     "geodesic_efficiency_generic",
     "h_parallel_sq",
     "h_transverse_sq",
-    "integrate_bloch",
     "integrate_schrodinger",
     "parallel_transverse_ratio",
     "pauli_compose",

@@ -94,6 +94,10 @@ def main(argv=None) -> int:
                              opts["out"], opts["format"])
         params = fields.ScenarioParams(opts["omega0"], opts["nu0"])
         grid = dynamics.TimeGrid(0.0, opts["t_max"], opts["steps"])
+        if not (math.isfinite(4.0 * params.omega0 * grid.t1)
+                and math.isfinite(params.nu0 * grid.t1)):
+            raise InvalidArgumentError(f"t_max = {grid.t1!r} is out of range: "
+                                       "4*omega0*t_max and nu0*t_max must be finite")
         if ns.command == "simulate":
             return cmd_simulate(params, grid, opts["out"], opts["format"])
         return cmd_validate(params, grid, opts["tol"])

@@ -1,14 +1,16 @@
-"""Time evolution of a driven qubit: Schrödinger and Bloch-vector integrators,
-analytic reference solutions for the built-in scenario, transport phase, arc
-length, and Hamiltonian synthesis from a parallel-transported trajectory.
+"""Time evolution of a driven qubit: one integrator whose ``Trajectory`` holds
+both the Schrödinger and the Bloch picture, analytic reference solutions for
+the built-in scenario, transport phase, arc length, and Hamiltonian synthesis
+from a parallel-transported trajectory.
 
-Both integrators take fixed 4th-order Magnus steps, one exponent ω per step
-from the field at the step's two Gauss points, and hold every step and every
+The integrator takes fixed 4th-order Magnus steps, one exponent ω per step
+from the field at the step's two Gauss points, and holds every step and every
 propagator as one unit quaternion (c, v), U = cI − iv·σ (h₀ adds only a
-phase): the propagators are prefix products of the steps, the states are Uψ₀
-and the Bloch rows a₀ turned by U. Nothing is renormalized. A step whose
-embedded error estimate exceeds ``STEP_ERROR_LIMIT`` raises
-IntegrationInstabilityError (the right fix is a smaller dt, not a looser limit).
+phase): the propagators are prefix products of the steps, computed once, and
+the states are Uψ₀ and the Bloch rows a₀ turned by U. Nothing is
+renormalized. A step whose embedded error estimate exceeds
+``STEP_ERROR_LIMIT`` raises IntegrationInstabilityError (the right fix is a
+smaller dt, not a looser limit).
 """
 
 from __future__ import annotations
@@ -65,7 +67,9 @@ class Trajectory:
 
     states : complex (n+1, 2) unit states (checked like every pure state,
              by ``qubit_core._pure_states``)
-    bloch  : float (n+1, 3) Bloch vectors of the states
+    bloch  : float (n+1, 3) Bloch rows: a₀, the Bloch vector of ψ₀, turned by
+             the same propagators; they agree with the Bloch vectors of the
+             states to round-off
     beta   : accumulated phase ∫₀ᵗ ⟨ψ|H|ψ⟩ dt' (trapezoidal); multiplying the
              solution by e^{iβ} yields the parallel-transported representative
     arc    : accumulated arc length ∫₀ᵗ v dt', v = √(⟨H²⟩ − ⟨H⟩²) (trapezoidal)
@@ -170,9 +174,11 @@ def analytic_bloch(params: ScenarioParams, t) -> np.ndarray:
 def integrate_schrodinger(spec: FieldSpec, psi0, grid: TimeGrid) -> Trajectory:
     """Integrate i dψ/dt = H(t)ψ on the grid with exactly unitary Magnus-4 steps.
 
-    Fills ``beta`` with the trapezoidal accumulation of ⟨ψ|H|ψ⟩ = h₀ + h·a
-    and ``arc`` with the trapezoidal accumulation of the speed
-    v = √(h·h − (h·a)²), which h₀ does not enter.
+    One scan of the propagators U gives both pictures: the states Uψ₀ and
+    the Bloch rows, the Bloch vector a₀ of ψ₀ turned by U, which solve the
+    precession equation ȧ = 2 h × a. Fills ``beta`` with the trapezoidal
+    accumulation of ⟨ψ|H|ψ⟩ = h₀ + h·a and ``arc`` with the trapezoidal
+    accumulation of the speed v = √(h·h − (h·a)²), which h₀ does not enter.
     """
     psi = _pure_states(np.asarray(psi0, dtype=complex).reshape(2))
 
@@ -181,7 +187,7 @@ def integrate_schrodinger(spec: FieldSpec, psi0, grid: TimeGrid) -> Trajectory:
     # h₀ only moves the global phase; per-step factors would compound their round-off
     states = ((c[:, None] * psi - 1j * (pauli_compose(0.0, v) @ psi))
               * np.exp(-1j * np.cumsum(np.append(0.0, phase)))[:, None])
-    bloch = bloch_vector(states)
+    bloch = _rotate(c, v, bloch_vector(psi))
 
     s = spec.sample(times)
     ha = np.einsum("nk,nk->n", s.h, bloch)
@@ -199,21 +205,6 @@ def bloch_step(spec: FieldSpec, a, t, dt: float) -> np.ndarray:
     are kept. The error estimate is not checked; callers decide."""
     omega, _, _ = _magnus_steps(spec, t, dt)
     return _rotate(*_quaternions(omega), np.asarray(a, dtype=float))
-
-
-def integrate_bloch(spec: FieldSpec, a0, grid: TimeGrid) -> np.ndarray:
-    """Integrate the precession equation ȧ = 2 h × a with Magnus-4 rotations.
-
-    The factor 2 is the h·σ ↔ rotation-rate correspondence (Ω = 2h); the
-    scalar part h₀ only moves the global phase and does not enter. Returns an
-    (steps+1, 3) array of unit vectors.
-    """
-    a = np.asarray(a0, dtype=float).reshape(3)
-    if not abs(float(np.linalg.norm(a)) - 1.0) <= 1e-10:
-        raise InvalidArgumentError("a0 must be a finite unit vector")
-
-    c, v, _, _ = _propagators(spec, grid.times(), grid.dt)
-    return _rotate(c, v, a)
 
 
 def _magnus_steps(spec: FieldSpec, t, dt: float):

@@ -28,8 +28,9 @@ class ScenarioParams:
     """Angular rates of the built-in scenario: ω₀ = θ̇/2 > 0, ν₀ = φ̇ ≥ 0.
 
     ν₀ = 0 is the geodesic limit (constant speed ω₀, zero curvature). π/(2ω₀),
-    ν₀², the curvature peak 4(ν₀/ω₀)² and the field rate ν₀(2ω₀ + ν₀/4) ≥ |ḣ_k|
-    must be finite doubles too, so that no closed form and no field overflows.
+    the field's fastest phase rate 4ω₀, ν₀², the curvature peak 4(ν₀/ω₀)² and
+    the field rate ν₀(2ω₀ + ν₀/4) ≥ |ḣ_k| must be finite doubles too, so that
+    no closed form and no field overflows.
     A 1-D array ``nu0`` (each entry checked) is accepted only by
     ``geometry.extrema_summary`` and ``geometry.geodesic_efficiency``.
     """
@@ -41,8 +42,9 @@ class ScenarioParams:
         w = self.omega0
         if not (math.isfinite(w) and w > 0.0):
             raise InvalidArgumentError(f"omega0 must be finite and > 0, got {w!r}")
-        if not math.isfinite(math.pi / (2.0 * w)):
-            raise InvalidArgumentError(f"omega0 = {w!r} is too small: pi/(2*omega0) overflows")
+        if not (math.isfinite(math.pi / (2.0 * w)) and math.isfinite(4.0 * w)):
+            raise InvalidArgumentError(
+                f"omega0 = {w!r} is out of range: pi/(2*omega0) and 4*omega0 must be finite")
         nu0 = np.asarray(self.nu0, dtype=float)
         if nu0.ndim > 1:
             raise InvalidArgumentError(f"nu0 must be a scalar or 1-D, got shape {nu0.shape}")

@@ -26,7 +26,7 @@ import numpy as np
 from . import dynamics, fields, geometry
 from .errors import InvalidArgumentError
 from .fields import CallableField, ScenarioParams
-from .qubit_core import bloch_vector, pauli_compose, pauli_decompose
+from .qubit_core import pauli_compose, pauli_decompose
 from .special_functions import elliptic_e, elliptic_e_incomplete
 
 DEFAULT_TOLERANCES: dict[str, float] = {
@@ -122,9 +122,9 @@ def run_battery(
 
 
 class _Context:
-    """Shared artifacts: one Schrödinger and one Bloch integration of the
-    built-in scenario, plus the field and the closed-form solution sampled
-    once on the whole grid."""
+    """Shared artifacts: one integration of the built-in scenario, whose
+    trajectory holds both the states and the Bloch rows, plus the field and
+    the closed-form solution sampled once on the whole grid."""
 
     def __init__(self, params: ScenarioParams, grid: dynamics.TimeGrid):
         self.params = params
@@ -132,12 +132,8 @@ class _Context:
         self.grid = grid
         self.spec = fields.TwoParameterField(params)
         self.times = grid.times()
-        t0 = float(self.times[0])
         self.traj = dynamics.integrate_schrodinger(
-            self.spec, dynamics.analytic_state(params, t0), grid
-        )
-        self.bloch_num = dynamics.integrate_bloch(
-            self.spec, dynamics.analytic_bloch(params, t0), grid
+            self.spec, dynamics.analytic_state(params, grid.t0), grid
         )
         self.sample = fields.two_parameter_field(params, self.times)
         self.a_closed = dynamics.analytic_bloch(params, self.times)
@@ -222,7 +218,7 @@ def _check_fidelity(ctx, tol):
 
 
 def _check_bloch_supnorm(ctx, tol):
-    worst = np.max(np.abs(ctx.bloch_num - ctx.a_closed))
+    worst = np.max(np.abs(ctx.traj.bloch - ctx.a_closed))
     return [_result("bloch_supnorm", worst, tol,
                     "sup-norm error, precession integrator vs closed form")]
 
@@ -411,8 +407,7 @@ def _check_arc(ctx, tol):
 
 def _check_integrator_order(ctx, tol):
     spec, psi0 = tilted_field_fixture()
-    a0 = bloch_vector(psi0)
-    end = [dynamics.integrate_bloch(spec, a0, dynamics.TimeGrid(0.0, 3.0, n))[-1]
+    end = [dynamics.integrate_schrodinger(spec, psi0, dynamics.TimeGrid(0.0, 3.0, n)).bloch[-1]
            for n in (100, 200, 400)]
     order = math.log2(np.linalg.norm(end[0] - end[1]) / np.linalg.norm(end[1] - end[2]))
     return [_result("integrator_order", abs(order - 4.0), tol,

@@ -1,5 +1,5 @@
-"""The per-step Magnus-4 loop, kept as an independent oracle for the batched
-integrators in ``blochcurve.dynamics``.
+"""The per-step Magnus-4 loop, kept as an independent oracle for the states
+and the Bloch rows of the batched integrator in ``blochcurve.dynamics``.
 
 The field is sampled at every step's two Gauss points and midpoint; then
 each step forms its exponent, checks the embedded error estimate and applies

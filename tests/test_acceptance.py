@@ -27,7 +27,6 @@ from blochcurve import (
     extrema_summary,
     fidelity,
     geodesic_efficiency,
-    integrate_bloch,
     integrate_schrodinger,
     parallel_transverse_ratio,
     pauli_decompose,
@@ -131,7 +130,7 @@ def test_criterion_05_bloch_integrator_accuracy_and_order(capsys):
     def body():
         def sup_error(steps):
             grid = TimeGrid(0.0, TWO_PI, steps)
-            rows = integrate_bloch(SPEC11, (0.0, 0.0, 1.0), grid)
+            rows = integrate_schrodinger(SPEC11, np.array([1.0, 0.0j]), grid).bloch
             ref = np.array(
                 [np.asarray(analytic_bloch(P11, float(t))) for t in grid.times()]
             )

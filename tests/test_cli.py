@@ -284,6 +284,13 @@ class TestSweep:
         (["sweep", "--omega0", "1e-310", "--nu0-list", "1e-310"], "omega0 = 1e-310 "),
         # the field rate nu0*(2*omega0 + nu0/4), about |h_dot|, is 2e310
         (["sweep", "--omega0", "1e300", "--nu0-list", "1e10"], "nu0[0] = 10000000000.0 "),
+        # 4*omega0 overflows, so pi/(4*omega0) and the period would read 0
+        (["sweep", "--omega0", "5e307", "--nu0-list", "0"], "omega0 = 5e+307 "),
+        (["sweep", "--omega0", "1e308", "--nu0-list", "0"], "omega0 = 1e+308 "),
+        (["simulate", "--omega0", "5e307", "--nu0", "0", "--steps", "2", "--t-max", "1e-300"],
+         "omega0 = 5e+307 "),
+        # the field's phase 4*omega0*t overflows on the grid
+        (["simulate", "--t-max", "1e308", "--steps", "3"], "t_max = 1e+308 "),
     ])
     def test_rejects_what_a_closed_form_would_overflow(self, tmp_path, capsys, argv, message):
         # one error line, exit 2, no warning and no output file
@@ -450,7 +457,7 @@ class TestDomain:
         codes = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for w in _DECADES:
+            for w in (*_DECADES, "5e307", "1.7e308"):
                 for n in (*_DECADES, "0", "5e-324"):
                     code = main(["simulate", "--omega0", w, "--nu0", n, "--steps", "8"])
                     out, err = capsys.readouterr()
@@ -461,7 +468,7 @@ class TestDomain:
                         assert code == 2 and err.startswith("error: "), (w, n, code, err)
                         assert err.count("\n") == 1, (w, n, err)
                     codes.append(code)
-        assert (codes.count(0), codes.count(2)) == (134, 61)
+        assert (codes.count(0), codes.count(2)) == (134, 91)
 
     def test_validate_far_below_the_geodesic_limit(self, capsys):
         # nu0/omega0 = 1e-160: the closed form once built (omega0/nu0)**2
@@ -469,6 +476,16 @@ class TestDomain:
             warnings.simplefilter("error")
             assert main(["validate", "--nu0", "1e-160", "--steps", "400"]) == 0
         assert "all 19 checks passed" in capsys.readouterr().out
+
+    def test_validate_rejects_a_grid_whose_phase_overflows(self, capsys):
+        # 4*omega0*t_max = 4e308: the field would be sampled at sin(inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--t-max", "1e308", "--steps", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: t_max = 1e+308 is out of range: "
+                                "4*omega0*t_max and nu0*t_max must be finite\n")
 
 
 class TestErrorPaths:

@@ -22,7 +22,6 @@ from blochcurve import (
     curvature_expectation,
     elliptic_e,
     fidelity,
-    integrate_bloch,
     integrate_schrodinger,
     pauli_compose,
     pauli_decompose,
@@ -229,10 +228,16 @@ class TestIntegrateSchrodinger:
             )
 
 
+NORTH = np.array([1.0, 0.0j])  # the state whose Bloch vector is (0, 0, 1)
+
+
 class TestIntegrateBloch:
+    """The Bloch picture of ``integrate_schrodinger``: the rows of
+    ``Trajectory.bloch``, a₀ turned by the propagators."""
+
     def test_tracks_analytic_solution(self):
         grid = TimeGrid(0.0, 2.0 * math.pi, 6283)
-        rows = integrate_bloch(SPEC11, (0.0, 0.0, 1.0), grid)
+        rows = integrate_schrodinger(SPEC11, NORTH, grid).bloch
         expected = np.array(
             [np.asarray(analytic_bloch(P11, float(t))) for t in grid.times()]
         )
@@ -242,7 +247,7 @@ class TestIntegrateBloch:
         # sup error ratio on step halving; 16 expected, 14 allows rounding
         def sup_error(steps):
             grid = TimeGrid(0.0, 2.0 * math.pi, steps)
-            rows = integrate_bloch(SPEC11, (0.0, 0.0, 1.0), grid)
+            rows = integrate_schrodinger(SPEC11, NORTH, grid).bloch
             ref = np.array(
                 [np.asarray(analytic_bloch(P11, float(t))) for t in grid.times()]
             )
@@ -255,8 +260,8 @@ class TestIntegrateBloch:
         grid = TimeGrid(0.0, 3.0, 3000)
         psi0 = np.array([math.cos(0.35), math.sin(0.35) * np.exp(0.4j)])
         traj = integrate_schrodinger(spec, psi0, grid)
-        rows = integrate_bloch(spec, bloch_vector(psi0), grid)
-        assert np.max(np.abs(rows - traj.bloch)) <= 1e-6
+        # the rotated rows and the Bloch vectors of the states, 7.8e-16 apart
+        assert np.max(np.abs(bloch_vector(traj.states) - traj.bloch)) <= 1e-14
 
     def test_precession_rate_is_twice_the_field(self):
         # one raw step against the rotation generated by Omega = 2h
@@ -272,27 +277,16 @@ class TestIntegrateBloch:
     def test_initial_vector_along_field_stays_put(self):
         spec = CallableField(h=lambda t: (0.0, 0.0, 2.0),
                              h_dot=lambda t: (0.0, 0.0, 0.0))
-        rows = integrate_bloch(spec, (0.0, 0.0, 1.0), TimeGrid(0.0, 4.0, 400))
+        rows = integrate_schrodinger(spec, NORTH, TimeGrid(0.0, 4.0, 400)).bloch
         assert np.max(np.abs(rows - np.array([0.0, 0.0, 1.0]))) <= 1e-14
-
-    def test_rejects_non_unit_start(self):
-        with pytest.raises(InvalidArgumentError):
-            integrate_bloch(SPEC11, (0.0, 0.0, 0.5), TimeGrid(0, 1, 10))
-
-    @pytest.mark.parametrize("a0", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0)],
-                             ids=["nan", "inf"])
-    def test_rejects_non_finite_start(self, a0):
-        # |a| - 1 > tol is False for NaN, which let NaN rows through
-        with pytest.raises(InvalidArgumentError, match="finite"):
-            integrate_bloch(SPEC11, a0, TimeGrid(0, 1, 10))
 
     def test_flags_coarse_grid(self):
         with pytest.raises(IntegrationInstabilityError, match=r"at t = [0-9.]+[; ]"):
-            integrate_bloch(tilted_field(), (0.0, 0.0, 1.0), TimeGrid(0.0, 50.0, 20))
+            integrate_schrodinger(tilted_field(), NORTH, TimeGrid(0.0, 50.0, 20))
 
 
 def _reference_cases():
-    """(spec, psi0, grid) on which the integrators must match the per-step
+    """(spec, psi0, grid) on which the integrator must match the per-step
     loop; the step counts 1, 2, 3 and 1023–1025 sit on the seams of the
     prefix-product doubling."""
     tilted, psi0 = tilted_field_fixture()
@@ -305,50 +299,42 @@ def _reference_cases():
 
 
 def _unstable_cases():
-    """(spec, psi0, grid, t of the first under-resolved step of the
-    Schrödinger and of the Bloch integration)."""
+    """(spec, psi0, grid, t of the first under-resolved step)."""
     tilted, psi0 = tilted_field_fixture()
     # every step is under-resolved, so the first one raises
-    yield tilted, psi0, TimeGrid(0.0, 5000.0, 400), 12.5, 12.5
+    yield tilted, psi0, TimeGrid(0.0, 5000.0, 400), 12.5
     # weak early, strong late, turning from z towards x: the first
     # under-resolved step lies mid-grid
     ramp = CallableField(h=lambda t: (0.1 * t ** 3, 0.0, 1.0),
                          h_dot=lambda t: (0.3 * t ** 2, 0.0, 0.0))
-    yield ramp, np.array([1.0, 1.0j]) / math.sqrt(2.0), TimeGrid(0.0, 10.0, 50), 5.2, 5.2
+    yield ramp, np.array([1.0, 1.0j]) / math.sqrt(2.0), TimeGrid(0.0, 10.0, 50), 5.2
 
 
 class TestAgainstPerStepLoop:
-    """Both integrators against the per-step Magnus loop in reference_magnus.py."""
+    """The integrator's states and Bloch rows against the per-step Magnus
+    loops in reference_magnus.py."""
 
     @pytest.mark.parametrize("spec, psi0, grid", list(_reference_cases()))
     def test_states_rows_and_drift_match(self, spec, psi0, grid):
         states, error = reference_magnus.schrodinger(spec, psi0, grid)
         traj = integrate_schrodinger(spec, psi0, grid)
         assert np.max(np.abs(traj.states - states)) <= 1e-13
-        rows = bloch_vector(states)
-        assert np.max(np.abs(traj.bloch - rows)) <= 1e-13
+        assert np.max(np.abs(traj.bloch - bloch_vector(states))) <= 1e-13
         assert abs(traj.max_step_error - error) <= 1e-15
+        rows, _ = reference_magnus.bloch(spec, bloch_vector(psi0), grid)
+        assert np.max(np.abs(traj.bloch - rows)) <= 1e-13
 
-        a0 = bloch_vector(psi0)
-        rows, _ = reference_magnus.bloch(spec, a0, grid)
-        assert np.max(np.abs(integrate_bloch(spec, a0, grid) - rows)) <= 1e-13
-
-    @pytest.mark.parametrize("spec, psi0, grid, t_state, t_bloch", list(_unstable_cases()),
+    @pytest.mark.parametrize("spec, psi0, grid, t", list(_unstable_cases()),
                              ids=["overflow", "mid-grid"])
-    def test_instability_names_the_same_step(self, spec, psi0, grid, t_state, t_bloch):
-        a0 = bloch_vector(psi0)
-        for integrate, reference, y0, t in (
-            (integrate_schrodinger, reference_magnus.schrodinger, psi0, t_state),
-            (integrate_bloch, reference_magnus.bloch, a0, t_bloch),
-        ):
-            with pytest.raises(IntegrationInstabilityError) as expected:
-                reference(spec, y0, grid)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(IntegrationInstabilityError) as got:
-                    integrate(spec, y0, grid)
-            assert str(got.value) == str(expected.value)
-            assert f"at t = {t!r} exceeds" in str(got.value)
+    def test_instability_names_the_same_step(self, spec, psi0, grid, t):
+        with pytest.raises(IntegrationInstabilityError) as expected:
+            reference_magnus.schrodinger(spec, psi0, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationInstabilityError) as got:
+                integrate_schrodinger(spec, psi0, grid)
+        assert str(got.value) == str(expected.value)
+        assert f"at t = {t!r} exceeds" in str(got.value)
 
 
 def test_long_grid_keeps_unit_length():
@@ -357,8 +343,7 @@ def test_long_grid_keeps_unit_length():
     grid = TimeGrid(0.0, 2.0 * math.pi, 62830)
     traj = integrate_schrodinger(SPEC11, analytic_state(P11, 0.0), grid)
     assert np.max(np.abs(np.sum(np.abs(traj.states) ** 2, axis=1) - 1.0)) <= 1e-11
-    rows = integrate_bloch(SPEC11, (0.0, 0.0, 1.0), grid)
-    assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) <= 1e-11
+    assert np.max(np.abs(np.linalg.norm(traj.bloch, axis=1) - 1.0)) <= 1e-11
 
 
 def test_bloch_step_on_rows_matches_per_row_calls():
@@ -402,7 +387,7 @@ def test_observable_rate_identity_along_generic_drive():
     # d/dt (a . h) = a . dh/dt because the precession term is orthogonal
     spec = tilted_field()
     grid = TimeGrid(0.0, 3.0, 300)
-    rows = integrate_bloch(spec, (0.0, 0.0, 1.0), grid)
+    rows = integrate_schrodinger(spec, NORTH, grid).bloch
     d = 1e-4
     for i in range(0, grid.steps + 1, 30):
         t = float(grid.times()[i])

@@ -50,6 +50,7 @@ class TestScenarioParams:
 
     @pytest.mark.parametrize("w, n, message", [
         (5e-324, 0.0, r"omega0 = 5e-324 .*pi/\(2\*omega0\)"),
+        (5e307, 0.0, r"omega0 = 5e\+307 .*4\*omega0 must be finite"),
         (1e-310, 1e-310, r"omega0 = 1e-310 "),
         (1e200, 1e200, r"nu0 = 1e\+200 .*nu0\*\*2"),
         (1e-10, 1e160, r"nu0 = 1e\+160 "),
@@ -57,7 +58,7 @@ class TestScenarioParams:
         (1e300, 1e10, r"nu0 = 10000000000.0 .*nu0\*\(2\*omega0 \+ nu0/4\)"),
     ])
     def test_rejects_what_a_closed_form_would_overflow(self, w, n, message):
-        # pi/(2 omega0), nu0**2, 4 (nu0/omega0)**2 and the field rate
+        # pi/(2 omega0), 4 omega0, nu0**2, 4 (nu0/omega0)**2 and the field rate
         # nu0 (2 omega0 + nu0/4) must be finite doubles
         with warnings.catch_warnings():
             warnings.simplefilter("error")

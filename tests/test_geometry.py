@@ -36,7 +36,6 @@ from blochcurve import (
     geodesic_efficiency_generic,
     h_parallel_sq,
     h_transverse_sq,
-    integrate_bloch,
     integrate_schrodinger,
     parallel_transverse_ratio,
     pauli_compose,
@@ -234,8 +233,6 @@ class TestCurvatureBloch:
         assert speed_efficiency(0.0, h, (0.0, 0.0, 1.0)) == 1.0
 
     def test_nonnegative_along_generic_drive(self):
-        from blochcurve import integrate_bloch
-
         spec = CallableField(
             h=lambda t: (0.8 + 0.3 * np.sin(1.3 * t),
                          0.5 * np.cos(0.9 * t),
@@ -245,7 +242,7 @@ class TestCurvatureBloch:
                              0.175 * np.cos(0.7 * t)),
         )
         grid = TimeGrid(0.0, 3.0, 600)
-        rows = integrate_bloch(spec, (0.0, 0.0, 1.0), grid)
+        rows = integrate_schrodinger(spec, np.array([1.0, 0.0j]), grid).bloch
         for i in range(0, 601, 40):
             s = spec.sample(float(grid.times()[i]))
             assert curvature_bloch(rows[i], s.h, s.h_dot) >= 0.0
@@ -403,9 +400,8 @@ def test_integrators_track_the_closed_form_across_the_domain(log_omega0, log_rat
     grid = TimeGrid(0.0, 2.0 * math.pi / w, 6283)
     t = grid.times()
     traj = integrate_schrodinger(TwoParameterField(p), analytic_state(p, 0.0), grid)
-    rows = integrate_bloch(TwoParameterField(p), analytic_bloch(p, 0.0), grid)
     assert np.max(np.abs(traj.states - analytic_state(p, t))) <= 1e-6
-    assert np.max(np.abs(rows - analytic_bloch(p, t))) <= 1e-6
+    assert np.max(np.abs(traj.bloch - analytic_bloch(p, t))) <= 1e-6
 
 
 @pytest.mark.parametrize("omega0, nu0", [(1e-4, 1.0), (1e-3, 10.0)])

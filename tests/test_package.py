@@ -42,7 +42,6 @@ PUBLIC_NAMES = [
     "geodesic_efficiency_generic",
     "h_parallel_sq",
     "h_transverse_sq",
-    "integrate_bloch",
     "integrate_schrodinger",
     "parallel_transverse_ratio",
     "pauli_compose",

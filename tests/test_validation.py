@@ -171,22 +171,46 @@ class TestBattery:
         assert res["route_agreement"].passed
         assert not res["route_agreement_general"].passed
 
-    @pytest.mark.parametrize("grid", [
-        TimeGrid(0.0, 2.0 * math.pi, 6283), TimeGrid(0.0, math.pi, 300),
+    @pytest.mark.parametrize("grid, midpoint_caught", [
+        (TimeGrid(0.0, 2.0 * math.pi, 6283), ["integrator_order"]),
+        (TimeGrid(0.0, math.pi, 300), ["bloch_supnorm", "integrator_order"]),
     ], ids=["defaults", "300 steps"])
-    def test_curvature_mutant_kill_sets(self, monkeypatch, grid):
-        # each Bloch-route mutant and the exact set of checks it fails; the
-        # chirality term vanishes along the built-in drive, the h_dot term
-        # carries all of its curvature
+    def test_curvature_mutant_kill_sets(self, monkeypatch, grid, midpoint_caught):
+        # each mutant and the exact set of checks it fails; the chirality
+        # term vanishes along the built-in drive, the h_dot term carries all
+        # of its curvature, and the 2nd-order midpoint rule shows in the
+        # order check (and in the Bloch rows once dt is coarse)
         kill_sets = [
-            (two_terms_only, ["route_agreement_general"]),
-            (no_hdot_term, ["route_agreement", "route_agreement_general"]),
+            (geometry_mod, "curvature_bloch", two_terms_only, ["route_agreement_general"]),
+            (geometry_mod, "curvature_bloch", no_hdot_term,
+             ["route_agreement", "route_agreement_general"]),
+            (dynamics_mod, "_STEP_POINTS", MIDPOINT_NODES, midpoint_caught),
+            (fields_mod, "two_parameter_field", corrupted_field(flip_h_y),
+             ["route_agreement", "route_agreement_expect", "fidelity", "bloch_supnorm",
+              "orthogonality", "eta_se", "synthesis", "arc_agreement"]),
+            (fields_mod, "two_parameter_field", corrupted_field(scale_h_dot_z),
+             ["field_derivative", "route_agreement", "route_agreement_expect",
+              "orthogonality"]),
         ]
-        for mutant, caught in kill_sets:
+        for module, name, mutant, caught in kill_sets:
             with monkeypatch.context() as m:
-                m.setattr(geometry_mod, "curvature_bloch", mutant)
+                m.setattr(module, name, mutant)
                 results = run_battery(P11, grid)
-            assert [r.name for r in results if not r.passed] == caught, mutant.__name__
+            assert [r.name for r in results if not r.passed] == caught, (name, caught)
+
+    def test_one_propagator_scan_per_battery(self, monkeypatch):
+        # the scenario is integrated once, and its trajectory carries the
+        # Bloch rows; the tilted fixture and the three order grids follow
+        lengths = []
+        original = dynamics_mod._propagators
+
+        def recording(spec, times, dt):
+            lengths.append(len(times))
+            return original(spec, times, dt)
+
+        monkeypatch.setattr(dynamics_mod, "_propagators", recording)
+        run_battery(P11, TimeGrid(0.0, 2.0 * math.pi, 6283))
+        assert lengths == [6284, 3001, 101, 201, 401]
 
     def test_raising_check_reports_failure_instead_of_crashing(self, monkeypatch):
         def broken(*args, **kwargs):
