@@ -227,26 +227,27 @@ def _parse_nu0_list(text: str) -> np.ndarray:
 
     The text is parsed in segments of about ``_PARSE_SEGMENT`` characters,
     cut at commas, so no per-value object exists for the whole list at once.
+    A segment with an empty piece (",," or a trailing comma) or a bad value
+    is parsed again piece by piece: empty pieces are skipped, and the first
+    bad value is named.
     """
     values = np.empty(text.count(",") + 1)
     done = start = 0
-    try:
-        while start <= len(text):
-            end = text.find(",", start + _PARSE_SEGMENT)
-            end = len(text) if end < 0 else end
-            pieces = text[start:end].split(",")
+    while start <= len(text):
+        end = text.find(",", start + _PARSE_SEGMENT)
+        end = len(text) if end < 0 else end
+        pieces = text[start:end].split(",")
+        try:
             # float strips whitespace itself
             values[done:done + len(pieces)] = np.fromiter(map(float, pieces), float, len(pieces))
-            done += len(pieces)
-            start = end + 1
-        return values
-    except ValueError:
-        pass
-    # an empty piece (",," or a trailing comma) is skipped; a bad value is named
-    items = [p for p in map(str.strip, text.split(",")) if p]
-    if not items:
+        except ValueError:
+            pieces = [_cast(p, float, "nu0-list") for p in map(str.strip, pieces) if p]
+            values[done:done + len(pieces)] = pieces
+        done += len(pieces)
+        start = end + 1
+    if not done:
         raise InvalidArgumentError("--nu0-list must contain at least one value")
-    return np.array([_cast(piece, float, "nu0-list") for piece in items])
+    return values[:done]
 
 
 def _cast(value, cast, key):

@@ -9,8 +9,9 @@ propagator as one unit quaternion (c, v), U = cI − iv·σ (h₀ adds only a
 phase): the propagators are prefix products of the steps, computed once, and
 the states are Uψ₀ and the Bloch rows a₀ turned by U. Nothing is
 renormalized. A step whose embedded error estimate exceeds
-``STEP_ERROR_LIMIT`` raises IntegrationInstabilityError (the right fix is a
-smaller dt, not a looser limit).
+``STEP_ERROR_LIMIT``, or is not finite because the field overflows the step,
+raises IntegrationInstabilityError (the right fix is a smaller dt, not a
+looser limit).
 """
 
 from __future__ import annotations
@@ -218,9 +219,12 @@ def _magnus_steps(spec: FieldSpec, t, dt: float):
     estimate |ω − dt·h(t + dt/2)|, the distance to the midpoint step."""
     s = spec.sample(np.asarray(t, dtype=float)[..., None] + dt * _STEP_POINTS)
     h1, h_mid, h2 = np.moveaxis(s.h, -2, 0)
-    omega = 0.5 * dt * (h1 + h2) + _GAUSS * dt * dt * np.cross(h2, h1)
+    # a field too strong for dt overflows here; its estimate is then not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega = 0.5 * dt * (h1 + h2) + _GAUSS * dt * dt * np.cross(h2, h1)
+        error = np.linalg.norm(omega - dt * h_mid, axis=-1)
     phase = 0.5 * dt * (s.h0[..., 0] + s.h0[..., 2])
-    return omega, phase, np.linalg.norm(omega - dt * h_mid, axis=-1)
+    return omega, phase, error
 
 
 def _quaternions(omega: np.ndarray):
@@ -239,10 +243,10 @@ def _propagators(spec: FieldSpec, times, dt: float):
     omega, phase, error = _magnus_steps(spec, times[:-1], dt)
     i = int(np.argmax(~(error <= STEP_ERROR_LIMIT)))  # the first bad step, or 0
     if not error[i] <= STEP_ERROR_LIMIT:
-        raise IntegrationInstabilityError(
-            f"step error estimate {error[i]:.3e} at t = {float(times[i + 1])!r} exceeds "
-            f"{STEP_ERROR_LIMIT:.1e}; reduce the step size"
-        )
+        at = f"at t = {float(times[i + 1])!r}"
+        problem = (f"step error estimate {error[i]:.3e} {at} exceeds {STEP_ERROR_LIMIT:.1e}"
+                   if math.isfinite(error[i]) else f"step error estimate is not finite {at}")
+        raise IntegrationInstabilityError(f"{problem}; reduce the step size")
     c, v = _quaternions(np.concatenate((np.zeros((1, 3)), omega)))
     s = 1
     while s < len(omega):

@@ -37,6 +37,7 @@ from .special_functions import elliptic_e
 EPSILON_SINGULAR = 1e-12   # floor of |h × a|²/h² = v²/h² in both field routes
 KAPPA2_CLIP_FLOOR = -1e-9  # operator route: clip [floor, 0) to 0, raise below
 EXPECT_IMAG_RTOL = 1e-12  # |Im κ²| over max(1, |κ²|), operator route
+_EXPECT_NODES = 1024  # operator-route nodes per block: bounds its 2x2 temporaries
 
 
 @dataclass(frozen=True)
@@ -153,8 +154,12 @@ def curvature_expectation(sample: FieldSample, state):
     For a stationary H the Δh′ terms vanish and the kurtosis-like first pair
     remains. Only 2x2 operators and expectation values enter, so the route is
     independent of the Bloch-vector algebra. The operator products run in a
-    time-last layout (operators (2, 2, ...), states (2, ...)), each an
-    elementwise product summed over one index.
+    time-last layout (operators (2, 2, n), states (2, n)), each an
+    elementwise product summed over one index, on consecutive blocks of at
+    most ``_EXPECT_NODES`` nodes of the flattened grid: every node sees the
+    same elementwise operations whatever the blocking, so the result is the
+    whole-grid one bit for bit, while the operator temporaries (about 0.65 KB
+    per node) stay bounded by one block.
 
     ``sample`` may hold an array of times, with ``state`` of shape
     sample.t.shape + (2,). κ² is projective, so each state is divided by its
@@ -169,9 +174,29 @@ def curvature_expectation(sample: FieldSample, state):
     if psi.shape != t.shape + (2,):
         raise InvalidArgumentError(f"state must have shape {t.shape + (2,)}, got {psi.shape}")
 
+    shape, nodes = t.shape, t.size
+    t, psi = t.reshape(nodes), psi.reshape(nodes, 2)
+    h, h_dot = sample.h.reshape(nodes, 3), sample.h_dot.reshape(nodes, 3)
+    total = np.empty(nodes, dtype=complex)
+    for start in range(0, nodes, _EXPECT_NODES):
+        block = slice(start, start + _EXPECT_NODES)
+        total[block] = _expectation_block(t[block], h[block], h_dot[block], psi[block])
+    residue = np.abs(total.imag) / np.maximum(1.0, np.abs(total.real))
+    if np.any(~(residue <= EXPECT_IMAG_RTOL)):
+        raise NumericalConsistencyError(
+            f"curvature has imaginary residue {float(np.max(residue)):.3e} "
+            f"relative to max(1, |kappa2|)"
+        )
+    return _clip_nonneg(total.real.reshape(shape), KAPPA2_CLIP_FLOOR)
+
+
+def _expectation_block(t, h, h_dot, psi):
+    """The complex κ² sum of ``curvature_expectation`` on one block of nodes:
+    times (n,), fields (n, 3) and states (n, 2). Raises on the block's first
+    singular node."""
     psi = np.moveaxis(psi, -1, 0)
     psi = psi / np.sqrt(_braket(psi, psi).real)
-    lam, h, h_dot = _scaled_field(sample.h, sample.h_dot)
+    lam, h, h_dot = _scaled_field(h, h_dot)
     h = np.moveaxis(pauli_compose(0.0, np.moveaxis(h, 0, -1)), (-2, -1), (0, 1))
     h_dot = np.moveaxis(pauli_compose(0.0, np.moveaxis(h_dot, 0, -1)), (-2, -1), (0, 1))
     hpsi = _apply(h, psi)
@@ -204,13 +229,7 @@ def curvature_expectation(sample: FieldSample, state):
         - _cexp(dh_prime, psi) ** 2
         + 1j * _cexp(_mm(dh2, dh_prime) - _mm(dh_prime, dh2), psi)
     )
-    residue = np.abs(total.imag) / np.maximum(1.0, np.abs(total.real))
-    if np.any(~(residue <= EXPECT_IMAG_RTOL)):
-        raise NumericalConsistencyError(
-            f"curvature has imaginary residue {float(np.max(residue)):.3e} "
-            f"relative to max(1, |kappa2|)"
-        )
-    return _clip_nonneg(total.real, KAPPA2_CLIP_FLOOR)
+    return total
 
 
 def speed_efficiency(h0, h, a):

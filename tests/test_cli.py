@@ -373,6 +373,21 @@ class TestSweepStream:
         assert large <= peak(20_000) + 2**20
 
 
+    def test_blank_piece_keeps_the_parse_bounded(self):
+        # a trailing comma sends only the last segment through the
+        # piece-by-piece parse, not the whole text
+        nu0 = 10.0 ** np.random.default_rng(5).uniform(-3.0, 3.0, size=100_000)
+        text = ",".join(map(repr, nu0.tolist())) + ","
+        tracemalloc.start()
+        try:
+            values = cli_mod._parse_nu0_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(values, nu0)
+        assert peak <= 3 * values.nbytes
+
+
 class TestRender:
     def test_matches_per_value_formatting(self):
         # every value as f"{x:.17g}", signed zeros, non-finite values and
@@ -486,6 +501,16 @@ class TestDomain:
         assert captured.out == ""
         assert captured.err == ("error: t_max = 1e+308 is out of range: "
                                 "4*omega0*t_max and nu0*t_max must be finite\n")
+
+    def test_validate_reports_an_overflowing_step_once(self, capsys):
+        # the Magnus step's cross product overflows at omega0 = 1e155
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--omega0", "1e155", "--nu0", "1", "--steps", "40"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical failure: step error estimate is not finite at "
+                                "t = 0.15707963267948966; reduce the step size\n")
 
 
 class TestErrorPaths:

@@ -337,6 +337,17 @@ class TestAgainstPerStepLoop:
         assert f"at t = {t!r} exceeds" in str(got.value)
 
 
+def test_overflowing_step_raises_without_a_warning():
+    # |h| ~ 1e155: dt^2 (h2 x h1) overflows, so the estimate is not finite
+    spec = CallableField(h=lambda t: (1e155 * np.cos(t), 1e155 * np.sin(t), 0.0),
+                         h_dot=lambda t: (-1e155 * np.sin(t), 1e155 * np.cos(t), 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationInstabilityError) as exc:
+            integrate_schrodinger(spec, NORTH, TimeGrid(0.0, 1.0, 4))
+    assert str(exc.value) == "step error estimate is not finite at t = 0.25; reduce the step size"
+
+
 def test_long_grid_keeps_unit_length():
     # nothing is renormalized, so the round-off of 62830 composed steps must
     # stay far inside the 1e-10 that Trajectory admits

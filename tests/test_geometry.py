@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,6 +340,54 @@ class TestCurvatureExpectation:
             via_bloch = curvature_bloch(traj.bloch[k], s.h, s.h_dot)
             via_expect = curvature_expectation(stencil_spec.sample(t), traj.states[k])
             assert abs(via_expect - via_bloch) <= 1e-9 * max(1.0, abs(via_bloch))
+
+
+class TestCurvatureExpectationBlocks:
+    """The operator route runs on blocks of ``_EXPECT_NODES`` nodes."""
+
+    P = ScenarioParams(1.0, 50.0)
+
+    def test_uneven_slices_change_no_bit(self):
+        t = TimeGrid(0.0, 2.0 * math.pi, 6283).times()
+        s, psi = two_parameter_field(self.P, t), analytic_state(self.P, t)
+        whole = curvature_expectation(s, psi)
+        cuts = np.cumsum([0, 1, 1023, 1025, len(t) - 2049])
+        parts = [curvature_expectation(two_parameter_field(self.P, t[a:b]), psi[a:b])
+                 for a, b in zip(cuts[:-1], cuts[1:])]
+        assert np.array_equal(np.concatenate(parts), whole)
+        # a scalar time is a block of one node
+        assert curvature_expectation(two_parameter_field(self.P, t[7]), psi[7]) == whole[7]
+
+    def test_two_dimensional_grid_matches_the_flat_one(self):
+        t = TimeGrid(0.0, 2.0 * math.pi, 4799).times()
+        flat = curvature_expectation(two_parameter_field(self.P, t), analytic_state(self.P, t))
+        t2 = t.reshape(3, 1600)
+        got = curvature_expectation(two_parameter_field(self.P, t2), analytic_state(self.P, t2))
+        assert got.shape == (3, 1600)
+        assert np.array_equal(got.ravel(), flat)
+
+    def test_singular_node_in_a_later_block_is_named(self):
+        # sigma_z eigenstates at nodes 2500 and 2900, both past the first block
+        spec = constant_field((0.0, 0.0, 1.0))
+        t = np.linspace(0.0, 3.0, 3000)
+        theta = np.full(3000, 0.4)
+        theta[[2500, 2900]] = 0.0
+        with pytest.raises(SingularityError) as exc:
+            curvature_expectation(spec.sample(t), state_from_angles(theta, 0.2))
+        assert exc.value.t == t[2500]
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        # the whole-grid 2x2 stacks took about 680 bytes per node (40 MiB
+        # here); what remains is a few grid-length arrays and one block
+        t = TimeGrid(0.0, 2.0 * math.pi, 62830).times()
+        s, psi = two_parameter_field(P11, t), analytic_state(P11, t)
+        tracemalloc.start()
+        try:
+            curvature_expectation(s, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * len(t)
 
 
 @pytest.mark.parametrize("delta", [1e-11, 4e-11])

@@ -20,6 +20,7 @@ from blochcurve.validation import (
     _ELLIPTIC_PHI,
     DEFAULT_TOLERANCES,
     _check_extrema,
+    _gauss_legendre,
     _legendre_e,
     _refined_extrema,
     merge_tolerances,
@@ -80,6 +81,13 @@ class TestTiltedFixture:
             + 8.0 * np.asarray(spec.h(t + d)) - np.asarray(spec.h(t + 2 * d))
         ) / (12.0 * d)
         assert np.max(np.abs(spec.sample(t).h_dot - stencil)) <= 1e-8
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    x, w = _gauss_legendre(16)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(16)
+    assert np.max(np.abs(x - ref_x)) <= 1e-15
+    assert np.max(np.abs(w - ref_w)) <= 1e-15
 
 
 def test_gauss_legendre_reference_matches_adaptive_simpson():
@@ -200,7 +208,8 @@ class TestBattery:
 
     def test_one_propagator_scan_per_battery(self, monkeypatch):
         # the scenario is integrated once, and its trajectory carries the
-        # Bloch rows; the tilted fixture and the three order grids follow
+        # Bloch rows; the tilted fixture once, on the finest order grid,
+        # then the two coarser order grids
         lengths = []
         original = dynamics_mod._propagators
 
@@ -210,7 +219,7 @@ class TestBattery:
 
         monkeypatch.setattr(dynamics_mod, "_propagators", recording)
         run_battery(P11, TimeGrid(0.0, 2.0 * math.pi, 6283))
-        assert lengths == [6284, 3001, 101, 201, 401]
+        assert lengths == [6284, 401, 101, 201]
 
     def test_raising_check_reports_failure_instead_of_crashing(self, monkeypatch):
         def broken(*args, **kwargs):
