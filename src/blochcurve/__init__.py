@@ -31,9 +31,7 @@ from .errors import (
 from .fields import (
     CallableField,
     FieldSample,
-    FieldSpec,
     ScenarioParams,
-    TwoParameterField,
     h_parallel_sq,
     h_transverse_sq,
     parallel_transverse_ratio,
@@ -81,7 +79,6 @@ __all__ = [
     "DomainError",
     "ExtremaSummary",
     "FieldSample",
-    "FieldSpec",
     "IntegrationInstabilityError",
     "InvalidArgumentError",
     "NumericalConsistencyError",
@@ -89,7 +86,6 @@ __all__ = [
     "SingularityError",
     "TimeGrid",
     "Trajectory",
-    "TwoParameterField",
     "UndefinedEfficiencyError",
     "acceleration",
     "analytic_bloch",

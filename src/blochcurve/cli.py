@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 validation failure, 2 configuration or I/O error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -35,12 +36,9 @@ from .errors import (
 )
 from .geometry import SERIES_COLUMNS
 
-SWEEP_COLUMNS = (
-    "omega0", "nu0", "v_max", "v_min", "t_vmax", "t_vmin",
-    "acc_max", "acc_min", "t_accmax", "t_accmin",
-    "kappa2_max", "kappa2_min", "t_k2max", "t_k2min",
-    "ratio_max", "ratio_min", "period", "eta_ge",
-)
+# cmd_sweep writes each ExtremaSummary in field order, so its header comes from the fields
+SWEEP_COLUMNS = ("omega0", "nu0",
+                 *(f.name for f in dataclasses.fields(geometry.ExtremaSummary)), "eta_ge")
 
 _SWEEP_ROWS = 8192          # sweep rows computed and rendered per block
 _PARSE_SEGMENT = 1 << 16    # characters of --nu0-list parsed per step

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .errors import (
     IntegrationInstabilityError,
     InvalidArgumentError,
 )
-from .fields import FieldSpec, ScenarioParams
+from .fields import FieldSample, ScenarioParams
 from .qubit_core import _pure_states, bloch_vector, pauli_compose
 from .special_functions import elliptic_e_incomplete
 
@@ -35,6 +36,8 @@ TRANSPORT_GAUGE_ATOL = 1e-8  # |⟨m|ṁ⟩| bound for Hamiltonian synthesis
 
 _GAUSS = math.sqrt(3.0) / 6.0  # offsets ±√3/6 of a unit step's Gauss points from its midpoint
 _STEP_POINTS = 0.5 + np.array([-_GAUSS, 0.0, _GAUSS])  # where a step samples the field
+
+Field = Callable[[np.ndarray], FieldSample]  # t ↦ FieldSample, see ``fields``
 
 
 @dataclass(frozen=True)
@@ -172,8 +175,9 @@ def analytic_bloch(params: ScenarioParams, t) -> np.ndarray:
     return np.stack([s2 * np.cos(n * t), np.sin(n * t) * s2, np.cos(2.0 * w * t)], axis=-1)
 
 
-def integrate_schrodinger(spec: FieldSpec, psi0, grid: TimeGrid) -> Trajectory:
-    """Integrate i dψ/dt = H(t)ψ on the grid with exactly unitary Magnus-4 steps.
+def integrate_schrodinger(field: Field, psi0, grid: TimeGrid) -> Trajectory:
+    """Integrate i dψ/dt = H(t)ψ on the grid with exactly unitary Magnus-4 steps;
+    ``field`` is any callable t ↦ FieldSample.
 
     One scan of the propagators U gives both pictures: the states Uψ₀ and
     the Bloch rows, the Bloch vector a₀ of ψ₀ turned by U, which solve the
@@ -184,13 +188,13 @@ def integrate_schrodinger(spec: FieldSpec, psi0, grid: TimeGrid) -> Trajectory:
     psi = _pure_states(np.asarray(psi0, dtype=complex).reshape(2))
 
     times, dt = grid.times(), grid.dt
-    c, v, phase, error = _propagators(spec, times, dt)
+    c, v, phase, error = _propagators(field, times, dt)
     # h₀ only moves the global phase; per-step factors would compound their round-off
     states = ((c[:, None] * psi - 1j * (pauli_compose(0.0, v) @ psi))
               * np.exp(-1j * np.cumsum(np.append(0.0, phase)))[:, None])
     bloch = _rotate(c, v, bloch_vector(psi))
 
-    s = spec.sample(times)
+    s = field(times)
     ha = np.einsum("nk,nk->n", s.h, bloch)
     speed = np.sqrt(np.maximum(np.einsum("nk,nk->n", s.h, s.h) - ha * ha, 0.0))
     energy = s.h0 + ha
@@ -200,15 +204,15 @@ def integrate_schrodinger(spec: FieldSpec, psi0, grid: TimeGrid) -> Trajectory:
                       max_step_error=float(error.max()))
 
 
-def bloch_step(spec: FieldSpec, a, t, dt: float) -> np.ndarray:
+def bloch_step(field: Field, a, t, dt: float) -> np.ndarray:
     """Magnus-4 steps of ȧ = 2 h × a (dt may be negative) from the rows of
     ``a`` (..., 3) at the times ``t`` (...): each is a rotation, so lengths
     are kept. The error estimate is not checked; callers decide."""
-    omega, _, _ = _magnus_steps(spec, t, dt)
+    omega, _, _ = _magnus_steps(field, t, dt)
     return _rotate(*_quaternions(omega), np.asarray(a, dtype=float))
 
 
-def _magnus_steps(spec: FieldSpec, t, dt: float):
+def _magnus_steps(field: Field, t, dt: float):
     """Magnus-4 exponents of the steps from the times ``t`` (any shape) to
     t + dt, from one field sample at their Gauss points t₁, t₂ and midpoints:
 
@@ -217,7 +221,7 @@ def _magnus_steps(spec: FieldSpec, t, dt: float):
     (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151): a step is
     e^{−iφ}·exp(−iω·σ) to 4th order. Also returns the embedded error
     estimate |ω − dt·h(t + dt/2)|, the distance to the midpoint step."""
-    s = spec.sample(np.asarray(t, dtype=float)[..., None] + dt * _STEP_POINTS)
+    s = field(np.asarray(t, dtype=float)[..., None] + dt * _STEP_POINTS)
     h1, h_mid, h2 = np.moveaxis(s.h, -2, 0)
     # a field too strong for dt overflows here; its estimate is then not finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -233,14 +237,14 @@ def _quaternions(omega: np.ndarray):
     return np.cos(norm), np.sinc(norm / np.pi)[..., None] * omega
 
 
-def _propagators(spec: FieldSpec, times, dt: float):
+def _propagators(field: Field, times, dt: float):
     """Unit quaternions (c, v) of the propagators U_k = S_{k−1}⋯S₀ (U₀ = I) to
     each of ``times``, and the steps' phases and error estimates. The Magnus
     steps S become their prefix products in ⌈log₂ n⌉ doubling rounds of the
     Hamilton product (c₁, v₁)(c₂, v₂) = (c₁c₂ − v₁·v₂, c₁v₂ + c₂v₁ + v₁ × v₂),
     later step on the left. The first step whose error estimate exceeds
     ``STEP_ERROR_LIMIT`` (or is not finite) raises IntegrationInstabilityError."""
-    omega, phase, error = _magnus_steps(spec, times[:-1], dt)
+    omega, phase, error = _magnus_steps(field, times[:-1], dt)
     i = int(np.argmax(~(error <= STEP_ERROR_LIMIT)))  # the first bad step, or 0
     if not error[i] <= STEP_ERROR_LIMIT:
         at = f"at t = {float(times[i + 1])!r}"

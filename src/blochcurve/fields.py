@@ -1,4 +1,9 @@
-"""Driving-field abstraction: h₀(t), h(t), ḣ(t) behind a single contract.
+"""Driving fields: h₀(t), h(t), ḣ(t) behind a single contract.
+
+A field is any deterministic callable t ↦ ``FieldSample`` (t a scalar or an
+array of times): ``functools.partial(two_parameter_field, params)`` for the
+built-in scenario, ``CallableField(...).sample`` for a user drive. The sample
+checks its data once; every consumer reads it as given.
 
 The Hamiltonian is H(t) = h₀(t)·I + h(t)·σ with every component in units of
 1/time (ℏ = 1). The built-in two-parameter scenario drives the state from the
@@ -48,15 +53,26 @@ class ScenarioParams:
         nu0 = np.asarray(self.nu0, dtype=float)
         if nu0.ndim > 1:
             raise InvalidArgumentError(f"nu0 must be a scalar or 1-D, got shape {nu0.shape}")
+        # each half of nu0 in turn, in two scratch rows that together hold no
+        # more doubles than nu0: ν₀², ν₀²/4 + 2(ν₀ω₀) and (ν₀/ω₀)·4(ν₀/ω₀)
+        flat, half, bad = nu0.reshape(-1), (nu0.size + 1) // 2, None
+        scratch = np.empty((2, half))
         with np.errstate(over="ignore", invalid="ignore"):
-            ok = (nu0 >= 0.0) & np.isfinite(nu0 * nu0)
-            kappa2_max = nu0 / w
-            kappa2_max *= 4.0 * kappa2_max
-            ok &= np.isfinite(kappa2_max) & np.isfinite(2.0 * (nu0 * w) + 0.25 * (nu0 * nu0))
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            name = f"nu0[{bad[0]}]" if nu0.ndim else "nu0"
-            value = float(nu0.flat[bad[0]])
+            for start in (0, half):
+                x = flat[start:start + half]
+                s, r = scratch[:, :x.size]
+                ok = np.isfinite(np.multiply(x, x, out=s)) & (x >= 0.0)
+                s *= 0.25
+                s += np.multiply(np.multiply(x, w, out=r), 2.0, out=r)
+                ok &= np.isfinite(s)
+                np.multiply(np.divide(x, w, out=s), 4.0, out=r)
+                ok &= np.isfinite(np.multiply(s, r, out=s))
+                if not ok.all():
+                    bad = start + int(np.argmin(ok))
+                    break
+        if bad is not None:
+            name = f"nu0[{bad}]" if nu0.ndim else "nu0"
+            value = float(flat[bad])
             if not (math.isfinite(value) and value >= 0.0):
                 raise InvalidArgumentError(f"{name} must be finite and >= 0, got {value!r}")
             raise InvalidArgumentError(
@@ -79,7 +95,8 @@ class FieldSample:
 
     ``t`` and ``h0`` have the grid's shape; ``h`` and ``h_dot`` add a trailing
     axis of 3 components. A scalar t gives scalar t and h0 and (3,) vectors.
-    Every component is checked finite once, for the whole grid.
+    Every component is checked finite once, for the whole grid, here and
+    nowhere downstream.
     """
 
     t: object
@@ -102,31 +119,10 @@ class FieldSample:
         object.__setattr__(self, "h_dot", hd)
 
 
-class FieldSpec:
-    """Deterministic evaluation contract t ↦ FieldSample.
-
-    Subclasses implement ``sample`` for a scalar t or an array of times (one
-    sample per entry); equal t must always yield identical samples
-    (stateless, safe for concurrent evaluation).
-    """
-
-    def sample(self, t) -> FieldSample:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class TwoParameterField(FieldSpec):
-    """The built-in analytic scenario field for given (ω₀, ν₀)."""
-
-    params: ScenarioParams
-
-    def sample(self, t) -> FieldSample:
-        return two_parameter_field(self.params, t)
-
-
-@dataclass(frozen=True)
-class CallableField(FieldSpec):
-    """User-supplied field h(t) with optional analytic derivative.
+class CallableField:
+    """User-supplied field h(t) with optional analytic derivative; its bound
+    ``sample`` is the field callable.
 
     ``h`` and ``h_dot`` take an array of times t and return three components
     (x, y, z), each a scalar or an array that broadcasts to t's shape, so

@@ -31,7 +31,7 @@ from .errors import (
     UndefinedEfficiencyError,
 )
 from .fields import FieldSample, ScenarioParams
-from .qubit_core import IDENTITY, _pure_states, fidelity, pauli_compose
+from .qubit_core import IDENTITY, _pauli_into, _pure_states, fidelity
 from .special_functions import elliptic_e
 
 EPSILON_SINGULAR = 1e-12   # floor of |h × a|²/h² = v²/h² in both field routes
@@ -99,8 +99,9 @@ def curvature_closed(params: ScenarioParams, t):
     return 4.0 * (rho * np.cos(2.0 * w * t)) ** 2 * (q * q / (4.0 + x))
 
 
-def curvature_bloch(a, h, h_dot):
-    """Curvature coefficient from the Bloch vector a and the field pair (h, ḣ).
+def curvature_bloch(sample: FieldSample, a):
+    """Curvature coefficient from the field sample's pair (h, ḣ) and the Bloch
+    vector a.
 
         κ² = 4[a·(ȧ × ä)]² / |ȧ|⁶,   ȧ = 2h × a,   ä = 2ḣ × a + 2h × ȧ,
 
@@ -109,16 +110,16 @@ def curvature_bloch(a, h, h_dot):
     |ȧ|² ≤ 4·``EPSILON_SINGULAR``·h² means a is (numerically) collinear with
     h, i.e. an instantaneous eigenstate with zero speed, where curvature is
     undefined; the test is relative, so a weak field is not mistaken for one.
-    κ² is projective, so a is rescaled to unit length after the check. Vectors
-    carry their (finite) components on the last axis; leading axes (a time
-    grid) broadcast.
+    κ² is projective, so a is rescaled to unit length after the check. a
+    carries its (finite) components on the last axis; its leading axes
+    broadcast against the sample's grid. The sample is read as given.
     """
-    av, hv, hd = _vec3(a), _vec3(h), _vec3(h_dot)
+    av = _vec3(a)
     a2 = _dot(av, av)
     if not np.all(np.abs(a2 - 1.0) <= 1e-9):
         raise InvalidArgumentError("Bloch vector a must have unit length")
     ax, ay, az = np.moveaxis(av, -1, 0) / np.sqrt(a2)
-    _, (hx, hy, hz), (gx, gy, gz) = _scaled_field(hv, hd)
+    _, (hx, hy, hz), (gx, gy, gz) = _scaled_field(sample.h, sample.h_dot)
     h2 = hx * hx + hy * hy + hz * hz
     ah = ax * hx + ay * hy + az * hz
     hxa2 = h2 - ah * ah   # |h × a|² = |ȧ|²/4
@@ -154,12 +155,10 @@ def curvature_expectation(sample: FieldSample, state):
     For a stationary H the Δh′ terms vanish and the kurtosis-like first pair
     remains. Only 2x2 operators and expectation values enter, so the route is
     independent of the Bloch-vector algebra. The operator products run in a
-    time-last layout (operators (2, 2, n), states (2, n)), each an
-    elementwise product summed over one index, on consecutive blocks of at
-    most ``_EXPECT_NODES`` nodes of the flattened grid: every node sees the
-    same elementwise operations whatever the blocking, so the result is the
-    whole-grid one bit for bit, while the operator temporaries (about 0.65 KB
-    per node) stay bounded by one block.
+    time-last layout (operators (2, 2, n), states (2, n)) on blocks of at most
+    ``_EXPECT_NODES`` nodes of the flattened grid: every node sees the same
+    elementwise operations, so the blocking changes no bit of the result and
+    bounds the operator temporaries (about 0.65 KB per node).
 
     ``sample`` may hold an array of times, with ``state`` of shape
     sample.t.shape + (2,). κ² is projective, so each state is divided by its
@@ -197,8 +196,8 @@ def _expectation_block(t, h, h_dot, psi):
     psi = np.moveaxis(psi, -1, 0)
     psi = psi / np.sqrt(_braket(psi, psi).real)
     lam, h, h_dot = _scaled_field(h, h_dot)
-    h = np.moveaxis(pauli_compose(0.0, np.moveaxis(h, 0, -1)), (-2, -1), (0, 1))
-    h_dot = np.moveaxis(pauli_compose(0.0, np.moveaxis(h_dot, 0, -1)), (-2, -1), (0, 1))
+    h, h_dot = (_pauli_into(np.empty((2, 2) + t.shape, dtype=complex), 0.0, *x)
+                for x in (h, h_dot))
     hpsi = _apply(h, psi)
     hdpsi = _apply(h_dot, psi)
     e = _braket(psi, hpsi).real
@@ -222,32 +221,29 @@ def _expectation_block(t, h, h_dot, psi):
     dh_prime = ((h_dot - e_dot * eye) / v - dh * (v_dot / v)) / v
 
     dh2 = _mm(dh, dh)
-    total = (
+    return (
         _cexp(_mm(dh2, dh2), psi)
         - _cexp(dh2, psi) ** 2
         + _cexp(_mm(dh_prime, dh_prime), psi)
         - _cexp(dh_prime, psi) ** 2
         + 1j * _cexp(_mm(dh2, dh_prime) - _mm(dh_prime, dh2), psi)
     )
-    return total
 
 
-def speed_efficiency(h0, h, a):
-    """Speed efficiency η_SE = √(h·h − (a·h)²) / (|h₀| + √(h·h)).
+def speed_efficiency(sample: FieldSample, a):
+    """Speed efficiency η_SE = √(h·h − (a·h)²) / (|h₀| + √(h·h)) of the field
+    sample's (h₀, h) in the state with Bloch vector a.
 
     The numerator is the energy dispersion in the state with Bloch vector a,
     the denominator the spectral norm of H (largest |eigenvalue|, from
     eig(H†H) = (h₀ ± ‖h‖)²). Equals 1 exactly when h₀ = 0 and a ⊥ h: all of
-    the Hamiltonian drives the state. Vectors carry their components on the
-    last axis; leading axes (a time grid) broadcast against ``h0``. Every
-    input must be finite; h₀ and h are scaled per node, as κ²'s field is.
+    the Hamiltonian drives the state. a carries its (finite) components on
+    the last axis; its leading axes broadcast against the sample's grid. h₀
+    and h are scaled per node, as κ²'s field is.
     """
-    hv, av = _vec3(h), _vec3(a)
-    h0 = np.asarray(h0, dtype=float)
-    if not np.all(np.isfinite(h0)):
-        raise InvalidArgumentError("h0 must be finite")
-    lam, hv = _scaled_field(hv)
-    hv, h0 = np.moveaxis(hv, 0, -1), h0 * lam
+    av = _vec3(a)
+    lam, hv = _scaled_field(sample.h)
+    hv, h0 = np.moveaxis(hv, 0, -1), sample.h0 * lam
     h_sq = _dot(hv, hv)
     if np.any((h_sq == 0.0) & (h0 == 0.0)):
         raise UndefinedEfficiencyError("zero Hamiltonian has no speed efficiency")
@@ -356,10 +352,10 @@ def scenario_records(
         speed(params, t),
         acceleration(params, t),
         curvature_closed(params, t),
-        curvature_bloch(a, sample.h, sample.h_dot),
+        curvature_bloch(sample, a),
         curvature_expectation(sample, dynamics.analytic_state(params, t)),
         fields.parallel_transverse_ratio(params, t),
-        speed_efficiency(sample.h0, sample.h, a),
+        speed_efficiency(sample, a),
         arc - arc[0],
         -dynamics.transport_phase_closed(params, t),
     )

@@ -78,10 +78,17 @@ def pauli_compose(h0, h) -> np.ndarray:
         raise InvalidArgumentError("field components must be finite")
     hx, hy, hz = np.moveaxis(hv, -1, 0)
     m = np.empty(np.broadcast_shapes(h0.shape, hx.shape) + (2, 2), dtype=complex)
-    m[..., 0, 0] = h0 + hz
-    m[..., 0, 1] = hx - 1j * hy
-    m[..., 1, 0] = hx + 1j * hy
-    m[..., 1, 1] = h0 - hz
+    _pauli_into(np.moveaxis(m, (-2, -1), (0, 1)), h0, hx, hy, hz)
+    return m
+
+
+def _pauli_into(m: np.ndarray, h0, hx, hy, hz) -> np.ndarray:
+    """Write h0·I + h·σ into the operator-first stack m (2, 2, ...), with no
+    checks: the one Pauli formula, for callers whose field is checked."""
+    m[0, 0] = h0 + hz
+    m[0, 1] = hx - 1j * hy
+    m[1, 0] = hx + 1j * hy
+    m[1, 1] = h0 - hz
     return m
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -130,10 +130,10 @@ class _Context:
         self.params = params
         self.scale = max(1.0, 4.0 * (params.nu0 / params.omega0) ** 2)  # max(1, κ²_max)
         self.grid = grid
-        self.spec = fields.TwoParameterField(params)
         self.times = grid.times()
         self.traj = dynamics.integrate_schrodinger(
-            self.spec, dynamics.analytic_state(params, grid.t0), grid
+            partial(fields.two_parameter_field, params),
+            dynamics.analytic_state(params, grid.t0), grid,
         )
         self.sample = fields.two_parameter_field(params, self.times)
         self.a_closed = dynamics.analytic_bloch(params, self.times)
@@ -146,9 +146,10 @@ class _Context:
 
     @cached_property
     def general(self):
-        """The tilted fixture integrated once, on the finest of the order grids."""
+        """The tilted fixture's field, integrated once on the finest of the order grids."""
         spec, psi0 = tilted_field_fixture()
-        return spec, dynamics.integrate_schrodinger(spec, psi0, dynamics.TimeGrid(0.0, 3.0, 400))
+        return spec.sample, dynamics.integrate_schrodinger(spec.sample, psi0,
+                                                           dynamics.TimeGrid(0.0, 3.0, 400))
 
 
 def _result(name, residual, tol, detail) -> CheckResult:
@@ -168,8 +169,7 @@ def _golden_points(n: int, lo: float, hi: float) -> np.ndarray:
 
 
 def _check_route_agreement(ctx, tol):
-    s = ctx.sample
-    kb = geometry.curvature_bloch(ctx.a_closed, s.h, s.h_dot)
+    kb = geometry.curvature_bloch(ctx.sample, ctx.a_closed)
     worst = np.max(np.abs(ctx.kappa2_closed - kb))
     return [_result("route_agreement", worst / ctx.scale, tol,
                     f"max |closed - field-vector| / max(1, kappa2_max), {len(ctx.times)} nodes")]
@@ -187,10 +187,10 @@ def _general_nodes(traj) -> np.ndarray:
 
 
 def _check_route_general(ctx, tol):
-    spec, traj = ctx.general
+    field, traj = ctx.general
     k = _general_nodes(traj)
-    s = spec.sample(traj.times[k])
-    kb = geometry.curvature_bloch(traj.bloch[k], s.h, s.h_dot)
+    s = field(traj.times[k])
+    kb = geometry.curvature_bloch(s, traj.bloch[k])
     ke = geometry.curvature_expectation(s, traj.states[k])
     worst = np.max(np.abs(kb - ke) / np.maximum(1.0, np.abs(ke)))
     return [_result("route_agreement_general", worst, tol,
@@ -198,16 +198,16 @@ def _check_route_general(ctx, tol):
 
 
 def _check_consistency_identity(ctx, tol):
-    spec, traj = ctx.general
+    field, traj = ctx.general
     d = 1e-4
     k = _general_nodes(traj)
     t = traj.times[k]
     a = traj.bloch[k]
-    a_p = dynamics.bloch_step(spec, a, t, d)
-    a_m = dynamics.bloch_step(spec, a, t, -d)
-    lhs = (np.einsum("nk,nk->n", a_p, spec.sample(t + d).h)
-           - np.einsum("nk,nk->n", a_m, spec.sample(t - d).h)) / (2 * d)
-    rhs = np.einsum("nk,nk->n", a, spec.sample(t).h_dot)
+    a_p = dynamics.bloch_step(field, a, t, d)
+    a_m = dynamics.bloch_step(field, a, t, -d)
+    lhs = (np.einsum("nk,nk->n", a_p, field(t + d).h)
+           - np.einsum("nk,nk->n", a_m, field(t - d).h)) / (2 * d)
+    rhs = np.einsum("nk,nk->n", a, field(t).h_dot)
     return [_result("consistency_identity", np.max(np.abs(lhs - rhs)), tol,
                     "d/dt(a·h) vs a·h_dot by symmetric difference, tilted field")]
 
@@ -232,8 +232,7 @@ def _check_orthogonality(ctx, tol):
 
 
 def _check_eta_se(ctx, tol):
-    s = ctx.sample
-    eta = geometry.speed_efficiency(s.h0, s.h, ctx.a_closed)
+    eta = geometry.speed_efficiency(ctx.sample, ctx.a_closed)
     return [_result("eta_se", np.max(np.abs(eta - 1.0)), tol,
                     "max |eta_SE - 1| over all nodes")]
 
@@ -419,9 +418,9 @@ def _check_arc(ctx, tol):
 
 
 def _check_integrator_order(ctx, tol):
-    spec, traj = ctx.general
+    field, traj = ctx.general
     psi0 = traj.states[0]
-    end = [dynamics.integrate_schrodinger(spec, psi0, dynamics.TimeGrid(0.0, 3.0, n)).bloch[-1]
+    end = [dynamics.integrate_schrodinger(field, psi0, dynamics.TimeGrid(0.0, 3.0, n)).bloch[-1]
            for n in (100, 200)] + [traj.bloch[-1]]
     order = math.log2(np.linalg.norm(end[0] - end[1]) / np.linalg.norm(end[1] - end[2]))
     return [_result("integrator_order", abs(order - 4.0), tol,

@@ -37,9 +37,9 @@ def corrupted_field(mutate):
     return corrupted
 
 
-def two_terms_only(a, h, h_dot):
+def two_terms_only(sample, a):
     """``curvature_bloch`` without its chirality term 4(a·h)[a·(h×ḣ)]/D²."""
-    av, hv, hd = (np.asarray(x, dtype=float) for x in (a, h, h_dot))
+    av, hv, hd = np.asarray(a, dtype=float), sample.h, sample.h_dot
 
     def dot(x, y):
         return np.sum(x * y, axis=-1)
@@ -52,10 +52,10 @@ def two_terms_only(a, h, h_dot):
     return 4.0 * ah * ah / den + num2 / den ** 3
 
 
-def no_hdot_term(a, h, h_dot):
+def no_hdot_term(sample, a):
     """``curvature_bloch`` as 4[a·(ȧ × ä)]²/|ȧ|⁶ with ȧ = 2h × a, but with
     the 2ḣ × a term dropped from ä = 2ḣ × a + 2h × ȧ."""
-    av, hv = (np.asarray(x, dtype=float) for x in (a, h))
+    av, hv = np.asarray(a, dtype=float), sample.h
     a_dot = 2.0 * np.cross(hv, av)
     a_ddot = 2.0 * np.cross(hv, a_dot)
     speed2 = np.sum(a_dot * a_dot, axis=-1)

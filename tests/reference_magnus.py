@@ -26,12 +26,12 @@ def _exp_minus_i(k):
     return (vec * np.exp(-1j * lam)) @ vec.conj().T
 
 
-def _loop(step, spec, y0, grid):
+def _loop(step, field, y0, grid):
     times, dt = grid.times(), grid.dt
     out = np.empty((len(times),) + y0.shape, dtype=y0.dtype)
     out[0] = y = y0
     max_error = 0.0
-    s1, sm, s2 = (spec.sample(times[:-1] + c * dt) for c in (_C1, 0.5, _C2))
+    s1, sm, s2 = (field(times[:-1] + c * dt) for c in (_C1, 0.5, _C2))
     for i in range(len(times) - 1):
         h1, h2 = s1.h[i], s2.h[i]
         omega = 0.5 * dt * (h1 + h2) + math.sqrt(3.0) / 6.0 * dt * dt * np.cross(h2, h1)
@@ -57,11 +57,11 @@ def _bloch_step(omega, phase, a):
     return (_exp_minus_i(2j * cross) @ a).real
 
 
-def schrodinger(spec, psi0, grid):
+def schrodinger(field, psi0, grid):
     """States (steps+1, 2) of i dψ/dt = Hψ and the largest step error estimate."""
-    return _loop(_state_step, spec, np.asarray(psi0, dtype=complex), grid)
+    return _loop(_state_step, field, np.asarray(psi0, dtype=complex), grid)
 
 
-def bloch(spec, a0, grid):
+def bloch(field, a0, grid):
     """Bloch vectors (steps+1, 3) of ȧ = 2 h × a and the largest step error estimate."""
-    return _loop(_bloch_step, spec, np.asarray(a0, dtype=float), grid)
+    return _loop(_bloch_step, field, np.asarray(a0, dtype=float), grid)

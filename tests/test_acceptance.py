@@ -6,6 +6,7 @@ capture) so a full run always shows the complete scoreboard.
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ import blochcurve.geometry as geometry_mod
 from blochcurve import (
     ScenarioParams,
     TimeGrid,
-    TwoParameterField,
     acceleration,
     analytic_bloch,
     analytic_state,
@@ -40,7 +40,7 @@ from mutants import corrupted_field, flip_h_y, two_terms_only
 from reference_quadrature import adaptive_simpson
 
 P11 = ScenarioParams(1.0, 1.0)
-SPEC11 = TwoParameterField(P11)
+FIELD11 = partial(two_parameter_field, P11)
 TWO_PI = 2.0 * math.pi
 
 
@@ -99,7 +99,7 @@ def test_criterion_03_three_routes_agree(capsys, node_grid):
             s = two_parameter_field(P11, t)
             a = np.asarray(analytic_bloch(P11, t))
             worst_bloch = max(worst_bloch,
-                              abs(curvature_bloch(a, s.h, s.h_dot) - closed))
+                              abs(curvature_bloch(s, a) - closed))
             psi = analytic_state(P11, t)
             worst_expect = max(
                 worst_expect,
@@ -116,7 +116,7 @@ def test_criterion_03_three_routes_agree(capsys, node_grid):
 def test_criterion_04_state_integrator_tracks_analytic(capsys):
     def body():
         grid = TimeGrid(0.0, TWO_PI, 6283)
-        traj = integrate_schrodinger(SPEC11, np.array([1.0, 0.0j]), grid)
+        traj = integrate_schrodinger(FIELD11, np.array([1.0, 0.0j]), grid)
         worst = min(
             fidelity(traj.states[i], analytic_state(P11, float(t)))
             for i, t in enumerate(traj.times)
@@ -130,7 +130,7 @@ def test_criterion_05_bloch_integrator_accuracy_and_order(capsys):
     def body():
         def sup_error(steps):
             grid = TimeGrid(0.0, TWO_PI, steps)
-            rows = integrate_schrodinger(SPEC11, np.array([1.0, 0.0j]), grid).bloch
+            rows = integrate_schrodinger(FIELD11, np.array([1.0, 0.0j]), grid).bloch
             ref = np.array(
                 [np.asarray(analytic_bloch(P11, float(t))) for t in grid.times()]
             )
@@ -154,7 +154,7 @@ def test_criterion_06_speed_efficiency_is_unity(capsys, node_grid):
         for t in node_grid:
             s = two_parameter_field(P11, float(t))
             a = np.asarray(analytic_bloch(P11, float(t)))
-            worst = max(worst, abs(speed_efficiency(s.h0, s.h, a) - 1.0))
+            worst = max(worst, abs(speed_efficiency(s, a) - 1.0))
         return worst <= 1e-12, f"|eta_se - 1| {worst:.2e} over 2000 nodes"
 
     checked(capsys, 6, body)

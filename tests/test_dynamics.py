@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ import pytest
 from blochcurve import (
     CallableField,
     ContractViolationError,
+    FieldSample,
     IntegrationInstabilityError,
     InvalidArgumentError,
     ScenarioParams,
     TimeGrid,
     Trajectory,
-    TwoParameterField,
     analytic_bloch,
     analytic_state,
     analytic_state_derivative,
@@ -38,13 +39,13 @@ import reference_magnus
 from reference_quadrature import adaptive_simpson
 
 P11 = ScenarioParams(1.0, 1.0)
-SPEC11 = TwoParameterField(P11)
+FIELD11 = partial(two_parameter_field, P11)
 RNG = np.random.default_rng(7)
 
 
 def tilted_field():
     # smooth non-commuting drive with analytic derivative, nothing special
-    # about the numbers
+    # about the numbers; returns the field callable
     def h(t):
         return (0.8 + 0.3 * np.sin(1.3 * t),
                 0.5 * np.cos(0.9 * t),
@@ -55,7 +56,7 @@ def tilted_field():
                 -0.45 * np.sin(0.9 * t),
                 0.175 * np.cos(0.7 * t))
 
-    return CallableField(h=h, h0=0.2, h_dot=h_dot)
+    return CallableField(h=h, h0=0.2, h_dot=h_dot).sample
 
 
 class TestTimeGrid:
@@ -154,7 +155,7 @@ class TestAnalyticState:
         for t in (0.0, 0.3, 1.1, 2.7):
             m = analytic_state(P11, t)
             md = analytic_state_derivative(P11, t)
-            s = SPEC11.sample(t)
+            s = FIELD11(t)
             hm = pauli_compose(s.h0, s.h) @ m
             assert np.max(np.abs(1j * md - hm)) <= 1e-12
 
@@ -188,7 +189,7 @@ class TestAnalyticBloch:
 class TestIntegrateSchrodinger:
     def test_tracks_analytic_solution(self):
         grid = TimeGrid(0.0, 2.0 * math.pi, 6283)
-        traj = integrate_schrodinger(SPEC11, analytic_state(P11, 0.0), grid)
+        traj = integrate_schrodinger(FIELD11, analytic_state(P11, 0.0), grid)
         worst = min(
             fidelity(traj.states[i], analytic_state(P11, float(t)))
             for i, t in enumerate(traj.times)
@@ -199,12 +200,12 @@ class TestIntegrateSchrodinger:
     def test_transport_phase_stays_zero_on_builtin_drive(self):
         # <H> = 0 along the built-in path, so beta never accumulates
         grid = TimeGrid(0.0, math.pi / 2.0, 1571)
-        traj = integrate_schrodinger(SPEC11, np.array([1.0, 0.0j]), grid)
+        traj = integrate_schrodinger(FIELD11, np.array([1.0, 0.0j]), grid)
         assert np.max(np.abs(traj.beta)) <= 1e-9
 
     def test_arc_length_matches_quadrature(self):
         grid = TimeGrid(0.0, 2.0 * math.pi, 6283)
-        traj = integrate_schrodinger(SPEC11, np.array([1.0, 0.0j]), grid)
+        traj = integrate_schrodinger(FIELD11, np.array([1.0, 0.0j]), grid)
         assert traj.arc[-1] == pytest.approx(4.0 * elliptic_e(-0.25), abs=1e-8)
 
     def test_beta_accumulates_energy_for_eigenstate(self):
@@ -213,13 +214,32 @@ class TestIntegrateSchrodinger:
         spec = CallableField(h=lambda t: (0.0, 0.0, w),
                              h_dot=lambda t: (0.0, 0.0, 0.0))
         grid = TimeGrid(0.0, 2.0, 200)
-        traj = integrate_schrodinger(spec, np.array([1.0, 0.0j]), grid)
+        traj = integrate_schrodinger(spec.sample, np.array([1.0, 0.0j]), grid)
         assert traj.beta[-1] == pytest.approx(w * 2.0, abs=1e-12)
         assert np.asarray(traj.bloch[-1])[2] == pytest.approx(1.0, abs=1e-12)
 
+    def test_every_spelling_of_a_field_gives_the_same_trajectory(self):
+        # a field is any callable t -> FieldSample: a plain function, the
+        # built-in field's partial and an equivalent CallableField's sample
+        def plain(t):
+            return two_parameter_field(P11, t)
+
+        def components(name):
+            return lambda t: np.moveaxis(getattr(two_parameter_field(P11, t), name), -1, 0)
+
+        wrapped = CallableField(h=components("h"), h_dot=components("h_dot"))
+        grid = TimeGrid(0.0, 2.0 * math.pi, 700)
+        psi0 = analytic_state(P11, 0.0)
+        ref = integrate_schrodinger(FIELD11, psi0, grid)
+        for field in (plain, wrapped.sample):
+            traj = integrate_schrodinger(field, psi0, grid)
+            for name in ("states", "bloch", "beta", "arc"):
+                assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+            assert traj.max_step_error == ref.max_step_error
+
     def test_rejects_unnormalized_initial_state(self):
         with pytest.raises(ContractViolationError):
-            integrate_schrodinger(SPEC11, np.array([1.0, 1.0j]), TimeGrid(0, 1, 10))
+            integrate_schrodinger(FIELD11, np.array([1.0, 1.0j]), TimeGrid(0, 1, 10))
 
     def test_flags_coarse_grid(self):
         with pytest.raises(IntegrationInstabilityError, match=r"at t = [0-9.]+[; ]"):
@@ -237,7 +257,7 @@ class TestIntegrateBloch:
 
     def test_tracks_analytic_solution(self):
         grid = TimeGrid(0.0, 2.0 * math.pi, 6283)
-        rows = integrate_schrodinger(SPEC11, NORTH, grid).bloch
+        rows = integrate_schrodinger(FIELD11, NORTH, grid).bloch
         expected = np.array(
             [np.asarray(analytic_bloch(P11, float(t))) for t in grid.times()]
         )
@@ -247,7 +267,7 @@ class TestIntegrateBloch:
         # sup error ratio on step halving; 16 expected, 14 allows rounding
         def sup_error(steps):
             grid = TimeGrid(0.0, 2.0 * math.pi, steps)
-            rows = integrate_schrodinger(SPEC11, NORTH, grid).bloch
+            rows = integrate_schrodinger(FIELD11, NORTH, grid).bloch
             ref = np.array(
                 [np.asarray(analytic_bloch(P11, float(t))) for t in grid.times()]
             )
@@ -256,10 +276,10 @@ class TestIntegrateBloch:
         assert sup_error(314) / sup_error(628) >= 14.0
 
     def test_agrees_with_state_integrator_on_generic_drive(self):
-        spec = tilted_field()
+        field = tilted_field()
         grid = TimeGrid(0.0, 3.0, 3000)
         psi0 = np.array([math.cos(0.35), math.sin(0.35) * np.exp(0.4j)])
-        traj = integrate_schrodinger(spec, psi0, grid)
+        traj = integrate_schrodinger(field, psi0, grid)
         # the rotated rows and the Bloch vectors of the states, 7.8e-16 apart
         assert np.max(np.abs(bloch_vector(traj.states) - traj.bloch)) <= 1e-14
 
@@ -269,7 +289,7 @@ class TestIntegrateBloch:
         spec = CallableField(h=lambda t: h, h_dot=lambda t: np.zeros(3))
         a0 = np.array([1.0, 0.0, 0.0])
         dt = 1e-3
-        stepped = bloch_step(spec, a0, 0.0, dt)
+        stepped = bloch_step(spec.sample, a0, 0.0, dt)
         angle = 2.0 * 0.4 * dt
         expected = np.array([math.cos(angle), math.sin(angle), 0.0])
         assert np.max(np.abs(stepped - expected)) <= 1e-12
@@ -277,7 +297,7 @@ class TestIntegrateBloch:
     def test_initial_vector_along_field_stays_put(self):
         spec = CallableField(h=lambda t: (0.0, 0.0, 2.0),
                              h_dot=lambda t: (0.0, 0.0, 0.0))
-        rows = integrate_schrodinger(spec, NORTH, TimeGrid(0.0, 4.0, 400)).bloch
+        rows = integrate_schrodinger(spec.sample, NORTH, TimeGrid(0.0, 4.0, 400)).bloch
         assert np.max(np.abs(rows - np.array([0.0, 0.0, 1.0]))) <= 1e-14
 
     def test_flags_coarse_grid(self):
@@ -286,53 +306,53 @@ class TestIntegrateBloch:
 
 
 def _reference_cases():
-    """(spec, psi0, grid) on which the integrator must match the per-step
+    """(field, psi0, grid) on which the integrator must match the per-step
     loop; the step counts 1, 2, 3 and 1023–1025 sit on the seams of the
     prefix-product doubling."""
     tilted, psi0 = tilted_field_fixture()
-    yield pytest.param(SPEC11, analytic_state(P11, 0.0), TimeGrid(0.0, 2.0 * math.pi, 6283),
+    yield pytest.param(FIELD11, analytic_state(P11, 0.0), TimeGrid(0.0, 2.0 * math.pi, 6283),
                        id="scenario-6283")
-    yield pytest.param(tilted, psi0, TimeGrid(0.0, 3.0, 3000), id="tilted-3000")
+    yield pytest.param(tilted.sample, psi0, TimeGrid(0.0, 3.0, 3000), id="tilted-3000")
     for steps in (1, 2, 3, 1023, 1024, 1025):
-        yield pytest.param(tilted, psi0, TimeGrid(0.0, steps / 1000.0, steps),
+        yield pytest.param(tilted.sample, psi0, TimeGrid(0.0, steps / 1000.0, steps),
                            id=f"tilted-{steps}")
 
 
 def _unstable_cases():
-    """(spec, psi0, grid, t of the first under-resolved step)."""
+    """(field, psi0, grid, t of the first under-resolved step)."""
     tilted, psi0 = tilted_field_fixture()
     # every step is under-resolved, so the first one raises
-    yield tilted, psi0, TimeGrid(0.0, 5000.0, 400), 12.5
+    yield tilted.sample, psi0, TimeGrid(0.0, 5000.0, 400), 12.5
     # weak early, strong late, turning from z towards x: the first
     # under-resolved step lies mid-grid
     ramp = CallableField(h=lambda t: (0.1 * t ** 3, 0.0, 1.0),
                          h_dot=lambda t: (0.3 * t ** 2, 0.0, 0.0))
-    yield ramp, np.array([1.0, 1.0j]) / math.sqrt(2.0), TimeGrid(0.0, 10.0, 50), 5.2
+    yield ramp.sample, np.array([1.0, 1.0j]) / math.sqrt(2.0), TimeGrid(0.0, 10.0, 50), 5.2
 
 
 class TestAgainstPerStepLoop:
     """The integrator's states and Bloch rows against the per-step Magnus
     loops in reference_magnus.py."""
 
-    @pytest.mark.parametrize("spec, psi0, grid", list(_reference_cases()))
-    def test_states_rows_and_drift_match(self, spec, psi0, grid):
-        states, error = reference_magnus.schrodinger(spec, psi0, grid)
-        traj = integrate_schrodinger(spec, psi0, grid)
+    @pytest.mark.parametrize("field, psi0, grid", list(_reference_cases()))
+    def test_states_rows_and_drift_match(self, field, psi0, grid):
+        states, error = reference_magnus.schrodinger(field, psi0, grid)
+        traj = integrate_schrodinger(field, psi0, grid)
         assert np.max(np.abs(traj.states - states)) <= 1e-13
         assert np.max(np.abs(traj.bloch - bloch_vector(states))) <= 1e-13
         assert abs(traj.max_step_error - error) <= 1e-15
-        rows, _ = reference_magnus.bloch(spec, bloch_vector(psi0), grid)
+        rows, _ = reference_magnus.bloch(field, bloch_vector(psi0), grid)
         assert np.max(np.abs(traj.bloch - rows)) <= 1e-13
 
-    @pytest.mark.parametrize("spec, psi0, grid, t", list(_unstable_cases()),
+    @pytest.mark.parametrize("field, psi0, grid, t", list(_unstable_cases()),
                              ids=["overflow", "mid-grid"])
-    def test_instability_names_the_same_step(self, spec, psi0, grid, t):
+    def test_instability_names_the_same_step(self, field, psi0, grid, t):
         with pytest.raises(IntegrationInstabilityError) as expected:
-            reference_magnus.schrodinger(spec, psi0, grid)
+            reference_magnus.schrodinger(field, psi0, grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IntegrationInstabilityError) as got:
-                integrate_schrodinger(spec, psi0, grid)
+                integrate_schrodinger(field, psi0, grid)
         assert str(got.value) == str(expected.value)
         assert f"at t = {t!r} exceeds" in str(got.value)
 
@@ -344,7 +364,7 @@ def test_overflowing_step_raises_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationInstabilityError) as exc:
-            integrate_schrodinger(spec, NORTH, TimeGrid(0.0, 1.0, 4))
+            integrate_schrodinger(spec.sample, NORTH, TimeGrid(0.0, 1.0, 4))
     assert str(exc.value) == "step error estimate is not finite at t = 0.25; reduce the step size"
 
 
@@ -352,25 +372,25 @@ def test_long_grid_keeps_unit_length():
     # nothing is renormalized, so the round-off of 62830 composed steps must
     # stay far inside the 1e-10 that Trajectory admits
     grid = TimeGrid(0.0, 2.0 * math.pi, 62830)
-    traj = integrate_schrodinger(SPEC11, analytic_state(P11, 0.0), grid)
+    traj = integrate_schrodinger(FIELD11, analytic_state(P11, 0.0), grid)
     assert np.max(np.abs(np.sum(np.abs(traj.states) ** 2, axis=1) - 1.0)) <= 1e-11
     assert np.max(np.abs(np.linalg.norm(traj.bloch, axis=1) - 1.0)) <= 1e-11
 
 
 def test_bloch_step_on_rows_matches_per_row_calls():
-    spec = tilted_field()
+    field = tilted_field()
     a = RNG.normal(size=(4, 5, 3))
     t = RNG.uniform(0.0, 3.0, size=(4, 5))
     for dt in (1e-3, -0.2):
-        stepped = bloch_step(spec, a, t, dt)
+        stepped = bloch_step(field, a, t, dt)
         assert stepped.shape == (4, 5, 3)
-        per_row = np.array([[bloch_step(spec, a[i, j], float(t[i, j]), dt)
+        per_row = np.array([[bloch_step(field, a[i, j], float(t[i, j]), dt)
                              for j in range(5)] for i in range(4)])
         assert np.max(np.abs(stepped - per_row)) <= 1e-15
     # a scalar call is one step of the per-step loop
     a0 = np.array([0.0, 0.6, 0.8])
-    rows, _ = reference_magnus.bloch(spec, a0, TimeGrid(1.0, 1.001, 1))
-    stepped = bloch_step(spec, a0, 1.0, 0.001)
+    rows, _ = reference_magnus.bloch(field, a0, TimeGrid(1.0, 1.001, 1))
+    stepped = bloch_step(field, a0, 1.0, 0.001)
     assert stepped.shape == (3,)
     assert np.max(np.abs(stepped - rows[1])) <= 1e-14
 
@@ -385,7 +405,7 @@ def test_energy_offset_moves_only_the_global_phase(h0):
     runs = []
     for offset in (0.0, h0):
         spec = CallableField(h=tilted.h, h0=offset, h_dot=tilted.h_dot)
-        traj = integrate_schrodinger(spec, psi0, grid)
+        traj = integrate_schrodinger(spec.sample, psi0, grid)
         runs.append((traj, curvature_expectation(spec.sample(traj.times[k]), traj.states[k])))
     (ref, k2_ref), (traj, k2) = runs
     assert np.max(np.abs(k2 - k2_ref) / k2_ref) <= 1e-12
@@ -396,17 +416,17 @@ def test_energy_offset_moves_only_the_global_phase(h0):
 
 def test_observable_rate_identity_along_generic_drive():
     # d/dt (a . h) = a . dh/dt because the precession term is orthogonal
-    spec = tilted_field()
+    field = tilted_field()
     grid = TimeGrid(0.0, 3.0, 300)
-    rows = integrate_schrodinger(spec, NORTH, grid).bloch
+    rows = integrate_schrodinger(field, NORTH, grid).bloch
     d = 1e-4
     for i in range(0, grid.steps + 1, 30):
         t = float(grid.times()[i])
         a = rows[i]
-        ap = bloch_step(spec, a, t, d)
-        am = bloch_step(spec, a, t, -d)
-        lhs = (float(ap @ spec.sample(t + d).h) - float(am @ spec.sample(t - d).h)) / (2.0 * d)
-        rhs = float(a @ spec.sample(t).h_dot)
+        ap = bloch_step(field, a, t, d)
+        am = bloch_step(field, a, t, -d)
+        lhs = (float(ap @ field(t + d).h) - float(am @ field(t - d).h)) / (2.0 * d)
+        rhs = float(a @ field(t).h_dot)
         assert abs(lhs - rhs) <= 1e-6
 
 
@@ -496,7 +516,8 @@ class TestSynthesizeHamiltonian:
         m = analytic_state(P11, t)
         md = analytic_state_derivative(P11, t)
         h0, h = pauli_decompose(synthesize_hamiltonian(m, md))
-        assert speed_efficiency(h0, h, bloch_vector(m)) == pytest.approx(
+        sample = FieldSample(t, h0, h, np.zeros(3))
+        assert speed_efficiency(sample, bloch_vector(m)) == pytest.approx(
             1.0, abs=1e-12
         )
 

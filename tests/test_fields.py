@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,6 @@ from blochcurve import (
     FieldSample,
     InvalidArgumentError,
     ScenarioParams,
-    TwoParameterField,
     h_parallel_sq,
     h_transverse_sq,
     parallel_transverse_ratio,
@@ -76,6 +76,41 @@ class TestScenarioParams:
             with pytest.raises(InvalidArgumentError):
                 ScenarioParams(w, 2.0 * r * w)
 
+    def test_domain_check_memory_is_bounded_by_the_list(self):
+        # the check's temporaries once peaked at 3.25 nu0.nbytes
+        nu0 = np.geomspace(1e-3, 1e3, 10**6)
+        tracemalloc.start()
+        try:
+            ScenarioParams(1.0, nu0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * nu0.nbytes
+
+    @pytest.mark.parametrize("w", [1.0, 1e-150, 1e300, 4e307])
+    def test_verdicts_match_the_whole_array_expressions(self, w):
+        # entries on both sides of every overflow edge, each half of the list
+        # holding some; the check must reject exactly where these reject
+        edges = [math.sqrt(sys.float_info.max), math.sqrt(sys.float_info.max / 4.0) * w,
+                 sys.float_info.max / (2.0 * w), 2.0 * math.sqrt(sys.float_info.max)]
+        nu0 = np.array([f(e) for e in edges
+                        for f in (lambda x: math.nextafter(x, 0.0), lambda x: x,
+                                  lambda x: math.nextafter(x, math.inf))] + [0.0, 1.0])
+        nu0 = nu0[np.isfinite(nu0)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = (nu0 / w) * (4.0 * (nu0 / w))
+            ok = (np.isfinite(nu0 * nu0) & np.isfinite(k)
+                  & np.isfinite(2.0 * (nu0 * w) + 0.25 * (nu0 * nu0)))
+        for x, accepted in zip(nu0.tolist(), ok.tolist()):
+            if accepted:
+                assert ScenarioParams(w, x).nu0 == x
+            else:
+                with pytest.raises(InvalidArgumentError, match="out of range"):
+                    ScenarioParams(w, x)
+        for i in np.flatnonzero(~ok).tolist():
+            with pytest.raises(InvalidArgumentError, match=rf"nu0\[{i}\] = "):
+                ScenarioParams(w, np.concatenate([np.ones(i), nu0[i:]]))
+
     def test_blocks_are_consecutive_slices(self):
         p = ScenarioParams(0.5, np.arange(15.0))
         blocks = list(p.blocks(7))
@@ -113,13 +148,6 @@ class TestBuiltinField:
             ) / (12.0 * dt)
             analytic = two_parameter_field(params, t).h_dot
             assert np.max(np.abs(analytic - stencil)) <= 1e-10
-
-    def test_spec_object_delegates(self):
-        spec = TwoParameterField(P11)
-        direct = two_parameter_field(P11, 0.8)
-        via_spec = spec.sample(0.8)
-        assert np.array_equal(via_spec.h, direct.h)
-        assert np.array_equal(via_spec.h_dot, direct.h_dot)
 
     def test_rejects_nonfinite_time(self):
         with pytest.raises(InvalidArgumentError):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from blochcurve import (
     ScenarioParams,
     SingularityError,
     TimeGrid,
-    TwoParameterField,
     UndefinedEfficiencyError,
     acceleration,
     analytic_bloch,
@@ -54,8 +54,13 @@ from blochcurve.validation import tilted_field_fixture
 from reference_curvature import three_term_curvature, two_fraction_curvature
 
 P11 = ScenarioParams(1.0, 1.0)
-SPEC11 = TwoParameterField(P11)
+FIELD11 = partial(two_parameter_field, P11)
 RNG = np.random.default_rng(11)
+
+
+def node(h, h_dot=(0.0, 0.0, 0.0), h0=0.0):
+    """The field sample of one node at t = 0."""
+    return FieldSample(0.0, h0, h, h_dot)
 
 
 def constant_field(h, h0=0.0):
@@ -155,14 +160,14 @@ class TestCurvatureClosed:
 
 class TestCurvatureBloch:
     def test_zero_when_orthogonal_and_derivative_collinear(self):
-        val = curvature_bloch((0, 0, 1.0), (1.0, 0, 0), (2.0, 0, 0))
+        val = curvature_bloch(node((1.0, 0, 0), (2.0, 0, 0)), (0, 0, 1.0))
         assert val == 0.0
 
     def test_stationary_field_reduces_to_alignment_term(self):
         # h_dot = 0 leaves 4 (a.h)^2 / (h^2 - (a.h)^2)
         a = np.array([0.0, 0.0, 1.0])
         h = np.array([1.0, 0.0, 1.0])
-        assert curvature_bloch(a, h, np.zeros(3)) == pytest.approx(4.0, abs=1e-13)
+        assert curvature_bloch(node(h), a) == pytest.approx(4.0, abs=1e-13)
         for _ in range(20):
             a = RNG.normal(size=3)
             a /= np.linalg.norm(a)
@@ -171,7 +176,7 @@ class TestCurvatureBloch:
             den = float(h @ h) - ah * ah
             if den < 1e-6:
                 continue
-            assert curvature_bloch(a, h, np.zeros(3)) == pytest.approx(
+            assert curvature_bloch(node(h), a) == pytest.approx(
                 4.0 * ah * ah / den, rel=1e-10
             )
 
@@ -182,32 +187,33 @@ class TestCurvatureBloch:
             s = two_parameter_field(p, float(t))
             a = np.asarray(analytic_bloch(p, float(t)))
             assert abs(
-                curvature_bloch(a, s.h, s.h_dot) - curvature_closed(p, float(t))
+                curvature_bloch(s, a) - curvature_closed(p, float(t))
             ) <= 1e-9
 
     def test_singular_when_state_aligned_with_field(self):
         with pytest.raises(SingularityError):
-            curvature_bloch((0.0, 0.0, 1.0), (0.0, 0.0, 2.0), (0.1, 0.0, 0.0))
+            curvature_bloch(node((0.0, 0.0, 2.0), (0.1, 0.0, 0.0)), (0.0, 0.0, 1.0))
 
     def test_rejects_non_unit_bloch_vector(self):
         with pytest.raises(InvalidArgumentError):
-            curvature_bloch((0.0, 0.0, 0.9), (1.0, 0.0, 0.0), np.zeros(3))
+            curvature_bloch(node((1.0, 0.0, 0.0)), (0.0, 0.0, 0.9))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_field(self, bad):
-        # a NaN field used to surface as "curvature nan is negative"
-        a, h, h_dot = (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.5, 0.0)
+        # a NaN field used to surface as "curvature nan is negative"; the
+        # sample rejects it before the route can read it
+        a = (0.0, 0.0, 1.0)
         with pytest.raises(InvalidArgumentError, match="finite"):
-            curvature_bloch(a, (bad, 0.0, 0.0), h_dot)
+            curvature_bloch(node((bad, 0.0, 0.0), (0.0, 0.5, 0.0)), a)
         with pytest.raises(InvalidArgumentError, match="finite"):
-            curvature_bloch(a, h, (0.0, bad, 0.0))
+            curvature_bloch(node((1.0, 0.0, 0.0), (0.0, bad, 0.0)), a)
 
     def test_matches_the_three_term_oracle_on_the_tilted_fixture(self):
         # |a.h| reaches 1.34 here, so every term of the oracle is live
         spec, psi0 = tilted_field_fixture()
-        traj = integrate_schrodinger(spec, psi0, TimeGrid(0.0, 3.0, 3000))
+        traj = integrate_schrodinger(spec.sample, psi0, TimeGrid(0.0, 3.0, 3000))
         s = spec.sample(traj.times)
-        got = curvature_bloch(traj.bloch, s.h, s.h_dot)
+        got = curvature_bloch(s, traj.bloch)
         oracle = three_term_curvature(traj.bloch, s.h, s.h_dot)
         assert np.max(np.abs(got - oracle) / np.maximum(1.0, oracle)) <= 1e-13
 
@@ -216,22 +222,22 @@ class TestCurvatureBloch:
         # (h, h_dot) -> (2^k h, 2^2k h_dot) leaves kappa2 and eta_SE exactly,
         # also where h**2 * h_dot**2 overflows (k = 500) or underflows (k = -500)
         spec, psi0 = tilted_field_fixture()
-        traj = integrate_schrodinger(spec, psi0, TimeGrid(0.0, 3.0, 300))
+        traj = integrate_schrodinger(spec.sample, psi0, TimeGrid(0.0, 3.0, 300))
         s = spec.sample(traj.times)
-        h, h_dot = np.ldexp(s.h, k), np.ldexp(s.h_dot, 2 * k)
-        scaled = FieldSample(s.t, np.ldexp(0.3, k), h, h_dot)
-        assert np.array_equal(curvature_bloch(traj.bloch, h, h_dot),
-                              curvature_bloch(traj.bloch, s.h, s.h_dot))
+        s = FieldSample(s.t, 0.3, s.h, s.h_dot)
+        scaled = FieldSample(s.t, np.ldexp(0.3, k), np.ldexp(s.h, k), np.ldexp(s.h_dot, 2 * k))
+        assert np.array_equal(curvature_bloch(scaled, traj.bloch),
+                              curvature_bloch(s, traj.bloch))
         assert np.array_equal(curvature_expectation(scaled, traj.states),
                               curvature_expectation(s, traj.states))
-        assert np.array_equal(speed_efficiency(scaled.h0, h, traj.bloch),
-                              speed_efficiency(0.3, s.h, traj.bloch))
+        assert np.array_equal(speed_efficiency(scaled, traj.bloch),
+                              speed_efficiency(s, traj.bloch))
 
     def test_subnormal_field_scales_without_overflow(self):
         # 2^-1060 is below the smallest normal double; its scale stops at 2^1022
         h = (2.0**-1060, 0.0, 0.0)
-        assert curvature_bloch((0.6, 0.0, 0.8), h, np.zeros(3)) == pytest.approx(2.25, rel=1e-15)
-        assert speed_efficiency(0.0, h, (0.0, 0.0, 1.0)) == 1.0
+        assert curvature_bloch(node(h), (0.6, 0.0, 0.8)) == pytest.approx(2.25, rel=1e-15)
+        assert speed_efficiency(node(h), (0.0, 0.0, 1.0)) == 1.0
 
     def test_nonnegative_along_generic_drive(self):
         spec = CallableField(
@@ -243,10 +249,10 @@ class TestCurvatureBloch:
                              0.175 * np.cos(0.7 * t)),
         )
         grid = TimeGrid(0.0, 3.0, 600)
-        rows = integrate_schrodinger(spec, np.array([1.0, 0.0j]), grid).bloch
+        rows = integrate_schrodinger(spec.sample, np.array([1.0, 0.0j]), grid).bloch
         for i in range(0, 601, 40):
             s = spec.sample(float(grid.times()[i]))
-            assert curvature_bloch(rows[i], s.h, s.h_dot) >= 0.0
+            assert curvature_bloch(s, rows[i]) >= 0.0
 
 
 class TestCurvatureExpectation:
@@ -274,7 +280,7 @@ class TestCurvatureExpectation:
 
     def test_pinned_scenario_value(self):
         psi = analytic_state(P11, 0.3)
-        assert curvature_expectation(SPEC11.sample(0.3), psi) == pytest.approx(
+        assert curvature_expectation(FIELD11(0.3), psi) == pytest.approx(
             2.340717947822836, abs=1e-12
         )
 
@@ -287,9 +293,9 @@ class TestCurvatureExpectation:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ContractViolationError):
-            curvature_expectation(SPEC11.sample(0.3), np.array([1.0, 1.0j]))
+            curvature_expectation(FIELD11(0.3), np.array([1.0, 1.0j]))
         with pytest.raises(InvalidArgumentError):  # one state for two times
-            curvature_expectation(SPEC11.sample(np.array([0.3, 0.4])), analytic_state(P11, 0.3))
+            curvature_expectation(FIELD11(np.array([0.3, 0.4])), analytic_state(P11, 0.3))
 
     def test_singular_on_field_eigenstate(self):
         spec = constant_field((0.0, 0.0, 1.0))
@@ -333,11 +339,11 @@ class TestCurvatureExpectation:
         # rate and must still match the field-vector route on the exact one
         spec, psi0 = tilted_field_fixture()
         stencil_spec = dataclasses.replace(spec, h_dot=None)
-        traj = integrate_schrodinger(spec, psi0, TimeGrid(0.0, 3.0, 600))
+        traj = integrate_schrodinger(spec.sample, psi0, TimeGrid(0.0, 3.0, 600))
         for k in range(30, 600, 60):
             t = float(traj.times[k])
             s = spec.sample(t)
-            via_bloch = curvature_bloch(traj.bloch[k], s.h, s.h_dot)
+            via_bloch = curvature_bloch(s, traj.bloch[k])
             via_expect = curvature_expectation(stencil_spec.sample(t), traj.states[k])
             assert abs(via_expect - via_bloch) <= 1e-9 * max(1.0, abs(via_bloch))
 
@@ -395,13 +401,13 @@ def test_routes_ignore_a_norm_deviation_the_contract_admits(delta):
     # kappa2 is projective: a state with |psi|^2 = 1 + delta (inside
     # BLOCH_NORM_ATOL) has the kappa2 of its normalized ray in both routes
     spec, psi0 = tilted_field_fixture()
-    traj = integrate_schrodinger(spec, psi0, TimeGrid(0.0, 3.0, 3000))
+    traj = integrate_schrodinger(spec.sample, psi0, TimeGrid(0.0, 3.0, 3000))
     k = np.arange(150, 3000, 300)
     t = traj.times[k]
     s = spec.sample(t)
-    via_bloch = curvature_bloch(traj.bloch[k], s.h, s.h_dot)
+    via_bloch = curvature_bloch(s, traj.bloch[k])
     via_expect = curvature_expectation(s, traj.states[k])
-    off_bloch = curvature_bloch(traj.bloch[k] * (1.0 + delta), s.h, s.h_dot)
+    off_bloch = curvature_bloch(s, traj.bloch[k] * (1.0 + delta))
     off_expect = curvature_expectation(s, traj.states[k] * math.sqrt(1.0 + delta))
     assert np.max(np.abs(off_bloch - via_bloch) / np.abs(via_bloch)) <= 1e-13
     assert np.max(np.abs(off_expect - via_expect) / np.abs(via_expect)) <= 1e-13
@@ -418,7 +424,7 @@ def test_three_curvature_routes_agree_across_the_domain(log_omega0, log_ratio):
     t = TimeGrid(0.0, math.pi / (2.0 * w), 256).times()
     s = two_parameter_field(p, t)
     closed = curvature_closed(p, t)
-    via_bloch = curvature_bloch(analytic_bloch(p, t), s.h, s.h_dot)
+    via_bloch = curvature_bloch(s, analytic_bloch(p, t))
     via_expect = curvature_expectation(s, analytic_state(p, t))
     bound = 1e-10 * max(1.0, 4.0 * (p.nu0 / w) ** 2)
     for x, y in ((closed, via_bloch), (closed, via_expect), (via_bloch, via_expect)):
@@ -448,7 +454,7 @@ def test_integrators_track_the_closed_form_across_the_domain(log_omega0, log_rat
     p = ScenarioParams(w, w * 10.0 ** log_ratio)
     grid = TimeGrid(0.0, 2.0 * math.pi / w, 6283)
     t = grid.times()
-    traj = integrate_schrodinger(TwoParameterField(p), analytic_state(p, 0.0), grid)
+    traj = integrate_schrodinger(partial(two_parameter_field, p), analytic_state(p, 0.0), grid)
     assert np.max(np.abs(traj.states - analytic_state(p, t))) <= 1e-6
     assert np.max(np.abs(traj.bloch - analytic_bloch(p, t))) <= 1e-6
 
@@ -469,7 +475,7 @@ def test_three_curvature_routes_agree(r):
         closed = curvature_closed(p, t)
         s = two_parameter_field(p, t)
         a = np.asarray(analytic_bloch(p, t))
-        via_bloch = curvature_bloch(a, s.h, s.h_dot)
+        via_bloch = curvature_bloch(s, a)
         via_expect = curvature_expectation(s, analytic_state(p, t))
         assert abs(via_bloch - closed) <= 1e-9
         assert abs(via_expect - closed) <= 1e-9 * max(1.0, 4.0 * r * r)
@@ -480,15 +486,15 @@ class TestSpeedEfficiency:
         for t in np.linspace(0.0, 3.0, 31):
             s = two_parameter_field(P11, float(t))
             a = np.asarray(analytic_bloch(P11, float(t)))
-            assert speed_efficiency(s.h0, s.h, a) == pytest.approx(1.0, abs=1e-12)
+            assert speed_efficiency(s, a) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_when_state_aligned_with_field(self):
-        assert speed_efficiency(0.0, (0.0, 0.0, 2.0), (0.0, 0.0, 1.0)) == 0.0
+        assert speed_efficiency(node((0.0, 0.0, 2.0)), (0.0, 0.0, 1.0)) == 0.0
 
     def test_scalar_part_only_penalizes(self):
         h = (1.0, 0.5, 0.0)
         a = (0.0, 0.0, 1.0)
-        assert speed_efficiency(1.0, h, a) < speed_efficiency(0.0, h, a)
+        assert speed_efficiency(node(h, h0=1.0), a) < speed_efficiency(node(h), a)
 
     def test_bounded_on_random_inputs(self):
         for _ in range(200):
@@ -497,20 +503,20 @@ class TestSpeedEfficiency:
             h = RNG.uniform(-3, 3, size=3)
             if float(h @ h) < 1e-8:
                 continue
-            val = speed_efficiency(float(RNG.uniform(-2, 2)), h, a)
+            val = speed_efficiency(node(h, h0=float(RNG.uniform(-2, 2))), a)
             assert 0.0 <= val <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
     def test_finite_where_the_field_squared_is_not(self, scale):
         # |h|**2 underflows to 0 or overflows to inf
         h = (4.0 * scale, 0.0, 0.0)
-        eta = speed_efficiency(3.0 * scale, h, (0.0, 0.0, 1.0))
+        eta = speed_efficiency(node(h, h0=3.0 * scale), (0.0, 0.0, 1.0))
         assert eta == pytest.approx(4.0 / 7.0, rel=1e-15)
-        assert speed_efficiency(0.0, h, (0.0, 0.6, 0.8)) == 1.0
+        assert speed_efficiency(node(h), (0.0, 0.6, 0.8)) == 1.0
 
     def test_undefined_for_zero_hamiltonian(self):
         with pytest.raises(UndefinedEfficiencyError):
-            speed_efficiency(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+            speed_efficiency(node((0.0, 0.0, 0.0)), (0.0, 0.0, 1.0))
 
     @pytest.mark.parametrize("h0, h, a", [
         (math.nan, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
@@ -519,9 +525,12 @@ class TestSpeedEfficiency:
         (0.0, (math.inf, 0.0, 0.0), (0.0, 0.0, 1.0)),
     ], ids=["h0-nan", "h0-inf", "a-nan", "h-inf"])
     def test_rejects_non_finite_inputs(self, h0, h, a):
-        # each of these used to return nan silently
+        # each of these used to return nan silently; the sample rejects a
+        # non-finite field, the route a non-finite a
+        t = np.zeros(np.shape(h0))
         with pytest.raises(InvalidArgumentError, match="finite"):
-            speed_efficiency(h0, h, a)
+            speed_efficiency(FieldSample(t, h0, np.broadcast_to(h, t.shape + (3,)),
+                                         np.zeros(t.shape + (3,))), a)
 
 
 class TestGeodesicEfficiency:
@@ -550,12 +559,12 @@ class TestGeodesicEfficiencyGeneric:
     def test_unity_for_great_circle(self):
         p = ScenarioParams(1.0, 0.0)
         grid = TimeGrid(0.0, math.pi / 2.0, 1571)
-        traj = integrate_schrodinger(TwoParameterField(p), np.array([1.0, 0.0j]), grid)
+        traj = integrate_schrodinger(partial(two_parameter_field, p), np.array([1.0, 0.0j]), grid)
         assert geodesic_efficiency_generic(traj) == pytest.approx(1.0, abs=1e-8)
 
     def test_matches_closed_form_over_first_quadrant(self):
         grid = TimeGrid(0.0, math.pi / 2.0, 1571)
-        traj = integrate_schrodinger(SPEC11, np.array([1.0, 0.0j]), grid)
+        traj = integrate_schrodinger(FIELD11, np.array([1.0, 0.0j]), grid)
         assert geodesic_efficiency_generic(traj) == pytest.approx(
             geodesic_efficiency(P11), abs=1e-6
         )
@@ -565,12 +574,12 @@ class TestGeodesicEfficiencyGeneric:
             h=lambda t: (0.6, 0.4 * np.sin(t), 0.8),
             h_dot=lambda t: (0.0, 0.4 * np.cos(t), 0.0),
         )
-        traj = integrate_schrodinger(spec, np.array([1.0, 0.0j]), TimeGrid(0, 2, 2000))
+        traj = integrate_schrodinger(spec.sample, np.array([1.0, 0.0j]), TimeGrid(0, 2, 2000))
         assert geodesic_efficiency_generic(traj) <= 1.0 + 1e-9
 
     def test_undefined_for_motionless_trajectory(self):
         spec = constant_field((0.0, 0.0, 0.0))
-        traj = integrate_schrodinger(spec, np.array([1.0, 0.0j]), TimeGrid(0, 1, 100))
+        traj = integrate_schrodinger(spec.sample, np.array([1.0, 0.0j]), TimeGrid(0, 1, 100))
         with pytest.raises(UndefinedEfficiencyError):
             geodesic_efficiency_generic(traj)
 
@@ -718,13 +727,14 @@ def _field_pair(t):
 
 def _bloch_route(t):
     s = two_parameter_field(P_GENERIC, t)
-    return curvature_bloch(analytic_bloch(P_GENERIC, t), s.h, s.h_dot)
+    return curvature_bloch(s, analytic_bloch(P_GENERIC, t))
 
 
 def _efficiency(t):
     s = two_parameter_field(P_GENERIC, t)
     # a scalar part and a tilted state make every term of the formula count
-    return speed_efficiency(s.h0 + 0.3, s.h, analytic_bloch(ScenarioParams(1.1, 0.4), t))
+    s = FieldSample(s.t, s.h0 + 0.3, s.h, s.h_dot)
+    return speed_efficiency(s, analytic_bloch(ScenarioParams(1.1, 0.4), t))
 
 
 def _decomposed(t):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,6 @@ PUBLIC_NAMES = [
     "DomainError",
     "ExtremaSummary",
     "FieldSample",
-    "FieldSpec",
     "IntegrationInstabilityError",
     "InvalidArgumentError",
     "NumericalConsistencyError",
@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "SingularityError",
     "TimeGrid",
     "Trajectory",
-    "TwoParameterField",
     "UndefinedEfficiencyError",
     "acceleration",
     "analytic_bloch",
@@ -62,6 +61,15 @@ def test_public_surface_is_pinned():
     assert sorted(blochcurve.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(blochcurve, name), name
+
+
+def test_readme_library_example_runs():
+    # the README's one python block must run against the current API
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                        flags=re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(readme), "exec"), {})
 
 
 def test_commands_leave_numpy_random_unimported(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from blochcurve import (
     ScenarioParams,
     TimeGrid,
     Trajectory,
-    TwoParameterField,
     bloch_vector,
     curvature_expectation,
     expectation,
@@ -19,6 +19,7 @@ from blochcurve import (
     pauli_compose,
     pauli_decompose,
     state_from_angles,
+    two_parameter_field,
 )
 
 RNG = np.random.default_rng(42)
@@ -82,14 +83,14 @@ def test_bloch_vector_rejects_unnormalized_sequence():
 
 def test_unnormalized_state_is_one_error_at_every_entry_point():
     psi = np.array([1.0, 1.0j])
-    spec = TwoParameterField(ScenarioParams(1.0, 1.0))
+    field = partial(two_parameter_field, ScenarioParams(1.0, 1.0))
     grid = TimeGrid(0.0, 1.0, 1)
     entry_points = [
         lambda: bloch_vector(psi),
         lambda: fidelity(psi, [1.0, 0.0]),
         lambda: expectation(np.eye(2), psi),
-        lambda: integrate_schrodinger(spec, psi, grid),
-        lambda: curvature_expectation(spec.sample(0.3), psi),
+        lambda: integrate_schrodinger(field, psi, grid),
+        lambda: curvature_expectation(field(0.3), psi),
         lambda: Trajectory(grid=grid, times=grid.times(), states=[psi, psi],
                            bloch=np.zeros((2, 3)), beta=np.zeros(2), arc=np.zeros(2)),
     ]

@@ -213,9 +213,9 @@ class TestBattery:
         lengths = []
         original = dynamics_mod._propagators
 
-        def recording(spec, times, dt):
+        def recording(field, times, dt):
             lengths.append(len(times))
-            return original(spec, times, dt)
+            return original(field, times, dt)
 
         monkeypatch.setattr(dynamics_mod, "_propagators", recording)
         run_battery(P11, TimeGrid(0.0, 2.0 * math.pi, 6283))
