@@ -32,8 +32,6 @@ from .fields import (
     CallableField,
     FieldSample,
     ScenarioParams,
-    h_parallel_sq,
-    h_transverse_sq,
     parallel_transverse_ratio,
     two_parameter_field,
 )
@@ -52,11 +50,9 @@ from .geometry import (
 )
 from .qubit_core import (
     bloch_vector,
-    expectation,
     fidelity,
     pauli_compose,
     pauli_decompose,
-    state_from_angles,
 )
 from .special_functions import (
     elliptic_e,
@@ -98,13 +94,10 @@ __all__ = [
     "curvature_expectation",
     "elliptic_e",
     "elliptic_e_incomplete",
-    "expectation",
     "extrema_summary",
     "fidelity",
     "geodesic_efficiency",
     "geodesic_efficiency_generic",
-    "h_parallel_sq",
-    "h_transverse_sq",
     "integrate_schrodinger",
     "parallel_transverse_ratio",
     "pauli_compose",
@@ -113,7 +106,6 @@ __all__ = [
     "scenario_records",
     "speed",
     "speed_efficiency",
-    "state_from_angles",
     "synthesize_hamiltonian",
     "transport_phase_closed",
     "two_parameter_field",

@@ -28,7 +28,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .fields import FieldSample, ScenarioParams
-from .qubit_core import _pure_states, bloch_vector, pauli_compose
+from .qubit_core import _pauli_into, _pure_states, bloch_vector
 from .special_functions import elliptic_e_incomplete
 
 STEP_ERROR_LIMIT = 1e-2      # per-step |ω − dt·h(t + dt/2)| that flags an unresolved step
@@ -77,6 +77,7 @@ class Trajectory:
     beta   : accumulated phase ∫₀ᵗ ⟨ψ|H|ψ⟩ dt' (trapezoidal); multiplying the
              solution by e^{iβ} yields the parallel-transported representative
     arc    : accumulated arc length ∫₀ᵗ v dt', v = √(⟨H²⟩ − ⟨H⟩²) (trapezoidal)
+    sample : the FieldSample at ``times`` that beta and arc were built from
     max_step_error : largest per-step error estimate |ω − dt·h(t + dt/2)|
     """
 
@@ -86,6 +87,7 @@ class Trajectory:
     bloch: np.ndarray
     beta: np.ndarray
     arc: np.ndarray
+    sample: FieldSample
     max_step_error: float = 0.0
 
     def __post_init__(self):
@@ -98,8 +100,10 @@ class Trajectory:
             raise ContractViolationError("beta[0] and arc[0] must be 0")
         if np.any(np.diff(arc) < -1e-12):
             raise ContractViolationError("arc length must be nondecreasing")
-        for name, val in (("times", np.asarray(self.times, dtype=float).reshape(n)),
-                          ("states", states), ("bloch", bloch),
+        times = np.asarray(self.times, dtype=float).reshape(n)
+        if not np.array_equal(self.sample.t, times):
+            raise ContractViolationError(f"the field sample must be taken at the {n} nodes")
+        for name, val in (("times", times), ("states", states), ("bloch", bloch),
                           ("beta", beta), ("arc", arc)):
             object.__setattr__(self, name, val)
 
@@ -184,13 +188,16 @@ def integrate_schrodinger(field: Field, psi0, grid: TimeGrid) -> Trajectory:
     precession equation ȧ = 2 h × a. Fills ``beta`` with the trapezoidal
     accumulation of ⟨ψ|H|ψ⟩ = h₀ + h·a and ``arc`` with the trapezoidal
     accumulation of the speed v = √(h·h − (h·a)²), which h₀ does not enter.
+    Both read one field sample at the nodes, kept as the trajectory's ``sample``.
     """
     psi = _pure_states(np.asarray(psi0, dtype=complex).reshape(2))
 
     times, dt = grid.times(), grid.dt
     c, v, phase, error = _propagators(field, times, dt)
+    v_sigma = np.empty((len(v), 2, 2), dtype=complex)
+    _pauli_into(np.moveaxis(v_sigma, (1, 2), (0, 1)), 0.0, *v.T)
     # h₀ only moves the global phase; per-step factors would compound their round-off
-    states = ((c[:, None] * psi - 1j * (pauli_compose(0.0, v) @ psi))
+    states = ((c[:, None] * psi - 1j * (v_sigma @ psi))
               * np.exp(-1j * np.cumsum(np.append(0.0, phase)))[:, None])
     bloch = _rotate(c, v, bloch_vector(psi))
 
@@ -201,15 +208,7 @@ def integrate_schrodinger(field: Field, psi0, grid: TimeGrid) -> Trajectory:
     beta = np.concatenate(([0.0], np.cumsum(0.5 * dt * (energy[:-1] + energy[1:]))))
     arc = np.concatenate(([0.0], np.cumsum(0.5 * dt * (speed[:-1] + speed[1:]))))
     return Trajectory(grid=grid, times=times, states=states, bloch=bloch, beta=beta, arc=arc,
-                      max_step_error=float(error.max()))
-
-
-def bloch_step(field: Field, a, t, dt: float) -> np.ndarray:
-    """Magnus-4 steps of ȧ = 2 h × a (dt may be negative) from the rows of
-    ``a`` (..., 3) at the times ``t`` (...): each is a rotation, so lengths
-    are kept. The error estimate is not checked; callers decide."""
-    omega, _, _ = _magnus_steps(field, t, dt)
-    return _rotate(*_quaternions(omega), np.asarray(a, dtype=float))
+                      sample=s, max_step_error=float(error.max()))
 
 
 def _magnus_steps(field: Field, t, dt: float):

@@ -208,22 +208,12 @@ def two_parameter_field(params: ScenarioParams, t) -> FieldSample:
     return FieldSample(t, 0.0, h, h_dot)
 
 
-def h_parallel_sq(params: ScenarioParams, t):
-    """Squared component of h along the precession axis: (ν₀²/4) sin⁴(2ω₀t)."""
-    s2 = np.sin(2.0 * params.omega0 * t)
-    return 0.25 * params.nu0**2 * s2**4
-
-
-def h_transverse_sq(params: ScenarioParams, t):
-    """Squared transverse component: (ν₀²/16) sin²(4ω₀t) + ω₀²."""
-    s4 = np.sin(4.0 * params.omega0 * t)
-    return params.nu0**2 / 16.0 * s4 * s4 + params.omega0**2
-
-
 def parallel_transverse_ratio(params: ScenarioParams, t):
-    """h∥²/h⊥² = 4(ρ sin²(2ω₀t))² / [(ρ sin(4ω₀t))² + 16] with ρ = ν₀/ω₀: the
-    quotient of ``h_parallel_sq`` and ``h_transverse_sq`` with no rate squared,
-    0 when ν₀ = 0. Periodic with T = π/(2ω₀); maxima ρ²/4 at t = π/(4ω₀) + nT.
+    """h∥²/h⊥² of the squared field components along the precession axis,
+    h∥² = (ν₀²/4) sin⁴(2ω₀t), and across it, h⊥² = (ν₀²/16) sin²(4ω₀t) + ω₀²,
+    as 4(ρ sin²(2ω₀t))² / [(ρ sin(4ω₀t))² + 16] with ρ = ν₀/ω₀, so that no
+    rate is squared; 0 when ν₀ = 0. Periodic with T = π/(2ω₀); maxima ρ²/4 at
+    t = π/(4ω₀) + nT.
     """
     w = params.omega0
     rho = params.nu0 / w

@@ -15,24 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidArgumentError, NumericalConsistencyError
+from .errors import ContractViolationError, InvalidArgumentError
 
 IDENTITY = np.eye(2, dtype=complex)
 
 BLOCH_NORM_ATOL = 1e-10   # unit-length tolerance for pure states
 HERMITICITY_RTOL = 1e-12  # max|M − M†| over max(1, max|M_ij|)
-EXPECTATION_IMAG_RTOL = 1e-12  # |Im⟨ψ|M|ψ⟩| over max(1, max|M_ij|)
-
-
-def state_from_angles(theta, phi) -> np.ndarray:
-    """State at polar angle θ and azimuth φ on the Bloch sphere:
-    cos(θ/2)|0⟩ + e^{iφ} sin(θ/2)|1⟩, shape (..., 2) for broadcast θ, φ.
-    """
-    half = np.asarray(theta, dtype=float) / 2.0
-    phi = np.asarray(phi, dtype=float)
-    if not (np.all(np.isfinite(half)) and np.all(np.isfinite(phi))):
-        raise InvalidArgumentError("angles must be finite")
-    return np.stack(np.broadcast_arrays(np.cos(half), np.exp(1j * phi) * np.sin(half)), axis=-1)
 
 
 def _pure_states(state) -> np.ndarray:
@@ -114,25 +102,6 @@ def pauli_decompose(matrix) -> tuple[np.ndarray, np.ndarray]:
     h0 = 0.5 * (m00.real + m11.real)
     h = 0.5 * np.stack([m01.real + m10.real, m10.imag - m01.imag, m00.real - m11.real], axis=-1)
     return h0[()], h
-
-
-def expectation(matrix, state):
-    """Real expectation value ⟨ψ|M|ψ⟩ of a Hermitian M in each pure state;
-    a stack (..., 2, 2) against states (..., 2) reduces to shape (...).
-
-    The imaginary part must vanish within ``EXPECTATION_IMAG_RTOL`` relative
-    to the operator's scale; a larger residue means M was not Hermitian (or
-    the caller fed garbage) and raises NumericalConsistencyError.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    psi = _pure_states(state)
-    val = np.sum(psi.conj() * (m @ psi[..., None])[..., 0], axis=-1)
-    residue = np.abs(val.imag)
-    if np.any(~(residue <= EXPECTATION_IMAG_RTOL * _operator_scale(m))):
-        raise NumericalConsistencyError(
-            f"expectation has imaginary residue {float(np.max(residue))!r}"
-        )
-    return val.real[()]
 
 
 def fidelity(state_a, state_b):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dynamics, fields, geometry
 from .errors import InvalidArgumentError
-from .fields import CallableField, ScenarioParams
+from .fields import CallableField, FieldSample, ScenarioParams
 from .qubit_core import pauli_compose, pauli_decompose
 from .special_functions import elliptic_e, elliptic_e_incomplete
 
@@ -123,8 +123,8 @@ def run_battery(
 
 class _Context:
     """Shared artifacts: one integration of the built-in scenario, whose
-    trajectory holds both the states and the Bloch rows, plus the field and
-    the closed-form solution sampled once on the whole grid."""
+    trajectory holds the states, the Bloch rows and the field sampled on the
+    whole grid, plus the closed-form solution there."""
 
     def __init__(self, params: ScenarioParams, grid: dynamics.TimeGrid):
         self.params = params
@@ -135,7 +135,7 @@ class _Context:
             partial(fields.two_parameter_field, params),
             dynamics.analytic_state(params, grid.t0), grid,
         )
-        self.sample = fields.two_parameter_field(params, self.times)
+        self.sample = self.traj.sample
         self.a_closed = dynamics.analytic_bloch(params, self.times)
         self.m_closed = dynamics.analytic_state(params, self.times)
 
@@ -187,9 +187,10 @@ def _general_nodes(traj) -> np.ndarray:
 
 
 def _check_route_general(ctx, tol):
-    field, traj = ctx.general
+    _, traj = ctx.general
     k = _general_nodes(traj)
-    s = field(traj.times[k])
+    s = traj.sample
+    s = FieldSample(s.t[k], s.h0[k], s.h[k], s.h_dot[k])
     kb = geometry.curvature_bloch(s, traj.bloch[k])
     ke = geometry.curvature_expectation(s, traj.states[k])
     worst = np.max(np.abs(kb - ke) / np.maximum(1.0, np.abs(ke)))
@@ -198,16 +199,18 @@ def _check_route_general(ctx, tol):
 
 
 def _check_consistency_identity(ctx, tol):
+    # d/dt(a·h) = a·ḣ, since ȧ = 2h × a is orthogonal to h: each row is turned
+    # ±d by the integrator's own Magnus step, so the symmetric difference of
+    # a·h sees the rotation axis as well as ḣ
     field, traj = ctx.general
     d = 1e-4
     k = _general_nodes(traj)
-    t = traj.times[k]
-    a = traj.bloch[k]
-    a_p = dynamics.bloch_step(field, a, t, d)
-    a_m = dynamics.bloch_step(field, a, t, -d)
-    lhs = (np.einsum("nk,nk->n", a_p, field(t + d).h)
-           - np.einsum("nk,nk->n", a_m, field(t - d).h)) / (2 * d)
-    rhs = np.einsum("nk,nk->n", a, field(t).h_dot)
+    t, a = traj.times[k], traj.bloch[k]
+    omegas = (dynamics._magnus_steps(field, t, step)[0] for step in (d, -d))
+    a_p, a_m = (dynamics._rotate(*dynamics._quaternions(omega), a) for omega in omegas)
+    h_p, h_m = field(t + np.array([[d], [-d]])).h
+    lhs = (np.einsum("nk,nk->n", a_p, h_p) - np.einsum("nk,nk->n", a_m, h_m)) / (2 * d)
+    rhs = np.einsum("nk,nk->n", a, traj.sample.h_dot[k])
     return [_result("consistency_identity", np.max(np.abs(lhs - rhs)), tol,
                     "d/dt(a·h) vs a·h_dot by symmetric difference, tilted field")]
 

@@ -1,13 +1,17 @@
 """Deliberately broken library functions for the mutation tests.
 
-Each mutant must be caught by the validation battery. The field mutants
-work on one node or on a whole grid alike: vector components sit on the last
-axis, so ``h[..., 1]`` is the y component of every node.
+Each mutant must be caught by the validation battery. The field mutants, of
+the built-in field or of the battery's tilted fixture, work on one node or on
+a whole grid alike: vector components sit on the last axis, so ``h[..., 1]``
+is the y component of every node.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
 import blochcurve.fields as fields_mod
+import blochcurve.validation as validation_mod
 from blochcurve import FieldSample
 
 
@@ -22,17 +26,32 @@ def scale_h_dot_z(h, hd):
     hd[..., 2] *= 1.01
 
 
+def _mutated(s, mutate):
+    h = s.h.copy()
+    hd = s.h_dot.copy()
+    mutate(h, hd)
+    return FieldSample(s.t, s.h0, h, hd)
+
+
 def corrupted_field(mutate):
     """``two_parameter_field`` with ``mutate(h, h_dot)`` applied in place to
     every sample; to be monkeypatched over ``blochcurve.fields``."""
     original = fields_mod.two_parameter_field
 
     def corrupted(params, t):
-        s = original(params, t)
-        h = s.h.copy()
-        hd = s.h_dot.copy()
-        mutate(h, hd)
-        return FieldSample(s.t, s.h0, h, hd)
+        return _mutated(original(params, t), mutate)
+
+    return corrupted
+
+
+def corrupted_fixture(mutate):
+    """``tilted_field_fixture`` whose field applies ``mutate(h, h_dot)`` to
+    every sample; to be monkeypatched over ``blochcurve.validation``."""
+    original = validation_mod.tilted_field_fixture
+
+    def corrupted():
+        spec, psi0 = original()
+        return SimpleNamespace(sample=lambda t: _mutated(spec.sample(t), mutate)), psi0
 
     return corrupted
 

@@ -6,6 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import blochcurve.dynamics as dynamics_mod
 from blochcurve import (
     CallableField,
     ContractViolationError,
@@ -32,7 +33,6 @@ from blochcurve import (
     transport_phase_closed,
     two_parameter_field,
 )
-from blochcurve.dynamics import bloch_step
 from blochcurve.validation import tilted_field_fixture
 
 import reference_magnus
@@ -85,6 +85,7 @@ class TestTrajectoryContract:
             bloch=np.array([[0.0, 0.0, 1.0]] * 2),
             beta=np.array([0.0, 0.1]),
             arc=np.array([0.0, 0.2]),
+            sample=FIELD11(g.times()),
         )
 
     def test_accepts_valid(self):
@@ -109,6 +110,20 @@ class TestTrajectoryContract:
         kw["arc"] = np.array([0.0, -0.5])
         with pytest.raises(ContractViolationError):
             Trajectory(**kw)
+
+    def test_rejects_a_sample_off_the_nodes(self):
+        kw = self._valid_kwargs()
+        for t in (0.5, kw["times"] + 0.25):  # one node; the right count at other times
+            kw["sample"] = FIELD11(t)
+            with pytest.raises(ContractViolationError, match="2 nodes"):
+                Trajectory(**kw)
+
+    def test_keeps_the_field_sample_at_its_nodes(self):
+        field = tilted_field()
+        traj = integrate_schrodinger(field, NORTH, TimeGrid(0.0, 3.0, 400))
+        s = field(traj.times)
+        for name in ("t", "h0", "h", "h_dot"):
+            assert np.array_equal(getattr(traj.sample, name), getattr(s, name)), name
 
 
 class TestTransportPhase:
@@ -284,12 +299,11 @@ class TestIntegrateBloch:
         assert np.max(np.abs(bloch_vector(traj.states) - traj.bloch)) <= 1e-14
 
     def test_precession_rate_is_twice_the_field(self):
-        # one raw step against the rotation generated by Omega = 2h
-        h = np.array([0.0, 0.0, 0.4])
-        spec = CallableField(h=lambda t: h, h_dot=lambda t: np.zeros(3))
-        a0 = np.array([1.0, 0.0, 0.0])
+        # one step from a = x against the rotation generated by Omega = 2h
+        spec = CallableField(h=lambda t: (0.0, 0.0, 0.4), h_dot=lambda t: (0.0, 0.0, 0.0))
         dt = 1e-3
-        stepped = bloch_step(spec.sample, a0, 0.0, dt)
+        psi0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        stepped = integrate_schrodinger(spec.sample, psi0, TimeGrid(0.0, dt, 1)).bloch[1]
         angle = 2.0 * 0.4 * dt
         expected = np.array([math.cos(angle), math.sin(angle), 0.0])
         assert np.max(np.abs(stepped - expected)) <= 1e-12
@@ -368,6 +382,17 @@ def test_overflowing_step_raises_without_a_warning():
     assert str(exc.value) == "step error estimate is not finite at t = 0.25; reduce the step size"
 
 
+def test_states_are_the_checked_pauli_product():
+    # the states are c psi0 - i (v . sigma) psi0 with v . sigma written by the
+    # one Pauli formula; the public, checked pauli_compose gives the same bits
+    field, psi0 = tilted_field(), np.array([math.cos(0.35), math.sin(0.35) * np.exp(0.4j)])
+    grid = TimeGrid(0.0, 3.0, 400)
+    c, v, phase, _ = dynamics_mod._propagators(field, grid.times(), grid.dt)
+    states = ((c[:, None] * psi0 - 1j * (pauli_compose(0.0, v) @ psi0))
+              * np.exp(-1j * np.cumsum(np.append(0.0, phase)))[:, None])
+    assert np.array_equal(integrate_schrodinger(field, psi0, grid).states, states)
+
+
 def test_long_grid_keeps_unit_length():
     # nothing is renormalized, so the round-off of 62830 composed steps must
     # stay far inside the 1e-10 that Trajectory admits
@@ -375,24 +400,6 @@ def test_long_grid_keeps_unit_length():
     traj = integrate_schrodinger(FIELD11, analytic_state(P11, 0.0), grid)
     assert np.max(np.abs(np.sum(np.abs(traj.states) ** 2, axis=1) - 1.0)) <= 1e-11
     assert np.max(np.abs(np.linalg.norm(traj.bloch, axis=1) - 1.0)) <= 1e-11
-
-
-def test_bloch_step_on_rows_matches_per_row_calls():
-    field = tilted_field()
-    a = RNG.normal(size=(4, 5, 3))
-    t = RNG.uniform(0.0, 3.0, size=(4, 5))
-    for dt in (1e-3, -0.2):
-        stepped = bloch_step(field, a, t, dt)
-        assert stepped.shape == (4, 5, 3)
-        per_row = np.array([[bloch_step(field, a[i, j], float(t[i, j]), dt)
-                             for j in range(5)] for i in range(4)])
-        assert np.max(np.abs(stepped - per_row)) <= 1e-15
-    # a scalar call is one step of the per-step loop
-    a0 = np.array([0.0, 0.6, 0.8])
-    rows, _ = reference_magnus.bloch(field, a0, TimeGrid(1.0, 1.001, 1))
-    stepped = bloch_step(field, a0, 1.0, 0.001)
-    assert stepped.shape == (3,)
-    assert np.max(np.abs(stepped - rows[1])) <= 1e-14
 
 
 @pytest.mark.parametrize("h0", [1e2, 1e4, 1e7])
@@ -415,19 +422,15 @@ def test_energy_offset_moves_only_the_global_phase(h0):
 
 
 def test_observable_rate_identity_along_generic_drive():
-    # d/dt (a . h) = a . dh/dt because the precession term is orthogonal
-    field = tilted_field()
+    # d/dt (a . h) = a . dh/dt because the precession term is orthogonal;
+    # the rate is a 5-point stencil of the trajectory's own a . h rows
     grid = TimeGrid(0.0, 3.0, 300)
-    rows = integrate_schrodinger(field, NORTH, grid).bloch
-    d = 1e-4
-    for i in range(0, grid.steps + 1, 30):
-        t = float(grid.times()[i])
-        a = rows[i]
-        ap = bloch_step(field, a, t, d)
-        am = bloch_step(field, a, t, -d)
-        lhs = (float(ap @ field(t + d).h) - float(am @ field(t - d).h)) / (2.0 * d)
-        rhs = float(a @ field(t).h_dot)
-        assert abs(lhs - rhs) <= 1e-6
+    traj = integrate_schrodinger(tilted_field(), NORTH, grid)
+    ah = np.einsum("nk,nk->n", traj.bloch, traj.sample.h)
+    i = np.arange(30, grid.steps, 30)
+    lhs = (ah[i - 2] - 8.0 * ah[i - 1] + 8.0 * ah[i + 1] - ah[i + 2]) / (12.0 * grid.dt)
+    rhs = np.einsum("nk,nk->n", traj.bloch[i], traj.sample.h_dot[i])
+    assert np.max(np.abs(lhs - rhs)) <= 1e-6
 
 
 class TestArcLengthClosed:

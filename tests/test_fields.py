@@ -11,13 +11,24 @@ from blochcurve import (
     FieldSample,
     InvalidArgumentError,
     ScenarioParams,
-    h_parallel_sq,
-    h_transverse_sq,
     parallel_transverse_ratio,
     two_parameter_field,
 )
 
 P11 = ScenarioParams(1.0, 1.0)
+
+
+def h_parallel_sq(params, t):
+    """Oracle: squared component of h along the precession axis,
+    (ν₀²/4) sin⁴(2ω₀t)."""
+    s2 = np.sin(2.0 * params.omega0 * t)
+    return 0.25 * params.nu0**2 * s2**4
+
+
+def h_transverse_sq(params, t):
+    """Oracle: squared transverse component, (ν₀²/16) sin²(4ω₀t) + ω₀²."""
+    s4 = np.sin(4.0 * params.omega0 * t)
+    return params.nu0**2 / 16.0 * s4 * s4 + params.omega0**2
 
 
 class TestScenarioParams:

@@ -30,13 +30,11 @@ from blochcurve import (
     curvature_closed,
     curvature_expectation,
     elliptic_e,
-    expectation,
+    elliptic_e_incomplete,
     extrema_summary,
     fidelity,
     geodesic_efficiency,
     geodesic_efficiency_generic,
-    h_parallel_sq,
-    h_transverse_sq,
     integrate_schrodinger,
     parallel_transverse_ratio,
     pauli_compose,
@@ -44,7 +42,6 @@ from blochcurve import (
     scenario_records,
     speed,
     speed_efficiency,
-    state_from_angles,
     synthesize_hamiltonian,
     transport_phase_closed,
     two_parameter_field,
@@ -52,6 +49,7 @@ from blochcurve import (
 from blochcurve.geometry import KAPPA2_CLIP_FLOOR, SERIES_COLUMNS, _clip_nonneg
 from blochcurve.validation import tilted_field_fixture
 from reference_curvature import three_term_curvature, two_fraction_curvature
+from reference_qubit import state_from_angles
 
 P11 = ScenarioParams(1.0, 1.0)
 FIELD11 = partial(two_parameter_field, P11)
@@ -751,8 +749,6 @@ def _summary_row(nu0):
 ARRAY_VALUED = {
     "two_parameter_field": _field_pair,
     "parallel_transverse_ratio": lambda t: parallel_transverse_ratio(P_GENERIC, t),
-    "h_parallel_sq": lambda t: h_parallel_sq(P_GENERIC, t),
-    "h_transverse_sq": lambda t: h_transverse_sq(P_GENERIC, t),
     "speed": lambda t: speed(P_GENERIC, t),
     "acceleration": lambda t: acceleration(P_GENERIC, t),
     "curvature_closed": lambda t: curvature_closed(P_GENERIC, t),
@@ -768,15 +764,12 @@ ARRAY_VALUED = {
     "pauli_compose": lambda t: pauli_compose(0.5 * t, two_parameter_field(P_GENERIC, t).h),
     "arc_length_closed": lambda t: arc_length_closed(P_GENERIC, t),
     "elliptic_e": lambda t: elliptic_e(1.0 - t),
+    "elliptic_e_incomplete": lambda t: elliptic_e_incomplete(3.0 * t, 0.5 - t),
     "extrema_summary": _summary_row,
     "geodesic_efficiency": lambda t: geodesic_efficiency(ScenarioParams(0.7, t)),
-    "state_from_angles": lambda t: state_from_angles(t, 2.0 * t - 1.0),
     "bloch_vector": lambda t: bloch_vector(analytic_state(P_GENERIC, t)),
     "fidelity": lambda t: fidelity(
         analytic_state(P_GENERIC, t), analytic_state(ScenarioParams(1.1, 0.4), t)
-    ),
-    "expectation": lambda t: expectation(
-        pauli_compose(0.5 * t, two_parameter_field(P_GENERIC, t).h), analytic_state(P_GENERIC, t)
     ),
     "pauli_decompose": _decomposed,
     "synthesize_hamiltonian": lambda t: synthesize_hamiltonian(

@@ -34,13 +34,10 @@ PUBLIC_NAMES = [
     "curvature_expectation",
     "elliptic_e",
     "elliptic_e_incomplete",
-    "expectation",
     "extrema_summary",
     "fidelity",
     "geodesic_efficiency",
     "geodesic_efficiency_generic",
-    "h_parallel_sq",
-    "h_transverse_sq",
     "integrate_schrodinger",
     "parallel_transverse_ratio",
     "pauli_compose",
@@ -49,7 +46,6 @@ PUBLIC_NAMES = [
     "scenario_records",
     "speed",
     "speed_efficiency",
-    "state_from_angles",
     "synthesize_hamiltonian",
     "transport_phase_closed",
     "two_parameter_field",

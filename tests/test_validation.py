@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 import blochcurve.dynamics as dynamics_mod
 import blochcurve.fields as fields_mod
 import blochcurve.geometry as geometry_mod
+import blochcurve.qubit_core as qubit_core_mod
+import blochcurve.validation as validation_mod
 from blochcurve import (
     InvalidArgumentError,
     ScenarioParams,
@@ -29,6 +32,7 @@ from blochcurve.validation import (
 from mutants import (
     MIDPOINT_NODES,
     corrupted_field,
+    corrupted_fixture,
     flip_h_y,
     no_hdot_term,
     scale_h_dot_z,
@@ -138,6 +142,24 @@ class TestBattery:
         assert [r.name for r in results if not r.passed] == ["integrator_order"]
         assert by_name(results)["integrator_order"].residual == pytest.approx(2.0, abs=0.01)
 
+    def test_consistency_identity_sees_the_rotation_axis(self, monkeypatch):
+        # d/dt(a·h) = a·h_dot holds because a step turns a about h; the check
+        # steps the rows itself, so steps about an axis turned 1e-3 rad off h
+        # show as ȧ·h ≠ 0, whatever the rows are
+        quaternions = dynamics_mod._quaternions
+        c, s = math.cos(1e-3), math.sin(1e-3)
+        turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+        def off_axis(omega):
+            cos_part, v = quaternions(omega)
+            return cos_part, v @ turn.T
+
+        monkeypatch.setattr(dynamics_mod, "_quaternions", off_axis)
+        results = run_battery(P11, GRID)
+        assert [r.name for r in results if not r.passed] == ["consistency_identity",
+                                                             "bloch_supnorm"]
+        assert by_name(results)["consistency_identity"].residual >= 1e-4
+
     def test_tightened_tolerance_fails_the_one_check(self):
         results = run_battery(P11, TimeGrid(0.0, math.pi, 300),
                               {"bloch_supnorm": 1e-30})
@@ -199,6 +221,8 @@ class TestBattery:
             (fields_mod, "two_parameter_field", corrupted_field(scale_h_dot_z),
              ["field_derivative", "route_agreement", "route_agreement_expect",
               "orthogonality"]),
+            (validation_mod, "tilted_field_fixture", corrupted_fixture(scale_h_dot_z),
+             ["consistency_identity"]),
         ]
         for module, name, mutant, caught in kill_sets:
             with monkeypatch.context() as m:
@@ -220,6 +244,40 @@ class TestBattery:
         monkeypatch.setattr(dynamics_mod, "_propagators", recording)
         run_battery(P11, TimeGrid(0.0, 2.0 * math.pi, 6283))
         assert lengths == [6284, 401, 101, 201]
+
+    def test_nothing_sampled_twice_per_battery(self, monkeypatch):
+        # the scenario's field is sampled once on the nodes, by the
+        # integrator, and the checks read the trajectory's sample; the tilted
+        # field twice per integration (its Magnus steps, its nodes) on three
+        # grids, three times by consistency_identity (its steps of +d and -d,
+        # then h at t +- d in one call), and field_derivative's stencil field
+        # once; and only the decomposition check composes Pauli matrices
+        calls = {"grid": 0, "callable": 0, "compose": 0}
+        field = fields_mod.two_parameter_field
+        sample = fields_mod.CallableField.sample
+        compose = qubit_core_mod.pauli_compose
+
+        def field_recording(params, t):
+            calls["grid"] += np.shape(t) == (6284,)
+            return field(params, t)
+
+        def sample_recording(self, t):
+            calls["callable"] += 1
+            return sample(self, t)
+
+        def compose_recording(h0, h):
+            calls["compose"] += 1
+            return compose(h0, h)
+
+        monkeypatch.setattr(fields_mod, "two_parameter_field", field_recording)
+        monkeypatch.setattr(fields_mod.CallableField, "sample", sample_recording)
+        # every binding of pauli_compose in the package, as imported by name
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "blochcurve"
+                    and getattr(module, "pauli_compose", None) is compose):
+                monkeypatch.setattr(module, "pauli_compose", compose_recording)
+        run_battery(P11, TimeGrid(0.0, 2.0 * math.pi, 6283))
+        assert calls == {"grid": 1, "callable": 10, "compose": 1}
 
     def test_raising_check_reports_failure_instead_of_crashing(self, monkeypatch):
         def broken(*args, **kwargs):
