@@ -77,12 +77,12 @@ class Trajectory:
     beta   : accumulated phase ∫₀ᵗ ⟨ψ|H|ψ⟩ dt' (trapezoidal); multiplying the
              solution by e^{iβ} yields the parallel-transported representative
     arc    : accumulated arc length ∫₀ᵗ v dt', v = √(⟨H²⟩ − ⟨H⟩²) (trapezoidal)
-    sample : the FieldSample at ``times`` that beta and arc were built from
+    sample : the FieldSample at the grid's nodes that beta and arc were built
+             from; its ``t`` is the trajectory's ``times``
     max_step_error : largest per-step error estimate |ω − dt·h(t + dt/2)|
     """
 
     grid: TimeGrid
-    times: np.ndarray
     states: np.ndarray
     bloch: np.ndarray
     beta: np.ndarray
@@ -92,20 +92,24 @@ class Trajectory:
 
     def __post_init__(self):
         n = self.grid.steps + 1
-        states = _pure_states(np.asarray(self.states, dtype=complex).reshape(n, 2))
-        bloch = np.asarray(self.bloch, dtype=float).reshape(n, 3)
-        beta = np.asarray(self.beta, dtype=float).reshape(n)
-        arc = np.asarray(self.arc, dtype=float).reshape(n)
-        if beta[0] != 0.0 or arc[0] != 0.0:
-            raise ContractViolationError("beta[0] and arc[0] must be 0")
-        if np.any(np.diff(arc) < -1e-12):
-            raise ContractViolationError("arc length must be nondecreasing")
-        times = np.asarray(self.times, dtype=float).reshape(n)
-        if not np.array_equal(self.sample.t, times):
-            raise ContractViolationError(f"the field sample must be taken at the {n} nodes")
-        for name, val in (("times", times), ("states", states), ("bloch", bloch),
-                          ("beta", beta), ("arc", arc)):
+        for name, dtype, shape in (("states", complex, (n, 2)), ("bloch", float, (n, 3)),
+                                   ("beta", float, (n,)), ("arc", float, (n,))):
+            val = np.asarray(getattr(self, name), dtype=dtype)
+            if val.shape != shape:
+                raise ContractViolationError(f"{name} must have shape {shape}, got {val.shape}")
             object.__setattr__(self, name, val)
+        _pure_states(self.states)
+        if self.beta[0] != 0.0 or self.arc[0] != 0.0:
+            raise ContractViolationError("beta[0] and arc[0] must be 0")
+        if np.any(np.diff(self.arc) < -1e-12):
+            raise ContractViolationError("arc length must be nondecreasing")
+        if not np.array_equal(self.sample.t, self.grid.times()):
+            raise ContractViolationError(f"the field sample must be taken at the {n} nodes")
+
+    @property
+    def times(self) -> np.ndarray:
+        """The grid's nodes, the times of ``sample``."""
+        return self.sample.t
 
     @property
     def n_nodes(self) -> int:
@@ -207,8 +211,8 @@ def integrate_schrodinger(field: Field, psi0, grid: TimeGrid) -> Trajectory:
     energy = s.h0 + ha
     beta = np.concatenate(([0.0], np.cumsum(0.5 * dt * (energy[:-1] + energy[1:]))))
     arc = np.concatenate(([0.0], np.cumsum(0.5 * dt * (speed[:-1] + speed[1:]))))
-    return Trajectory(grid=grid, times=times, states=states, bloch=bloch, beta=beta, arc=arc,
-                      sample=s, max_step_error=float(error.max()))
+    return Trajectory(grid=grid, states=states, bloch=bloch, beta=beta, arc=arc, sample=s,
+                      max_step_error=float(error.max()))
 
 
 def _magnus_steps(field: Field, t, dt: float):

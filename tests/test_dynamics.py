@@ -80,7 +80,6 @@ class TestTrajectoryContract:
         states = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
         return dict(
             grid=g,
-            times=g.times(),
             states=states,
             bloch=np.array([[0.0, 0.0, 1.0]] * 2),
             beta=np.array([0.0, 0.1]),
@@ -111,9 +110,15 @@ class TestTrajectoryContract:
         with pytest.raises(ContractViolationError):
             Trajectory(**kw)
 
+    def test_rejects_arrays_of_the_wrong_length(self):
+        kw = self._valid_kwargs()
+        kw["states"] = np.array([[1.0, 0.0]] * 3, dtype=complex)
+        with pytest.raises(ContractViolationError, match="states"):
+            Trajectory(**kw)
+
     def test_rejects_a_sample_off_the_nodes(self):
         kw = self._valid_kwargs()
-        for t in (0.5, kw["times"] + 0.25):  # one node; the right count at other times
+        for t in (0.5, kw["grid"].times() + 0.25):  # one node; the right count at other times
             kw["sample"] = FIELD11(t)
             with pytest.raises(ContractViolationError, match="2 nodes"):
                 Trajectory(**kw)

@@ -59,6 +59,17 @@ def test_public_surface_is_pinned():
         assert hasattr(blochcurve, name), name
 
 
+def test_special_functions_exposes_only_the_elliptic_integrals():
+    # the Carlson forms are one private kernel behind E(phi|m); a public
+    # R_F or R_D would show up as a diff of this list
+    import blochcurve.special_functions as module
+
+    public = sorted(name for name, value in vars(module).items()
+                    if callable(value) and not name.startswith("_")
+                    and getattr(value, "__module__", None) == module.__name__)
+    assert public == ["elliptic_e", "elliptic_e_incomplete"]
+
+
 def test_readme_library_example_runs():
     # the README's one python block must run against the current API
     readme = Path(__file__).resolve().parents[1] / "README.md"

@@ -86,7 +86,7 @@ def test_unnormalized_state_is_one_error_at_every_entry_point():
         lambda: fidelity(psi, [1.0, 0.0]),
         lambda: integrate_schrodinger(field, psi, grid),
         lambda: curvature_expectation(field(0.3), psi),
-        lambda: Trajectory(grid=grid, times=grid.times(), states=[psi, psi],
+        lambda: Trajectory(grid=grid, states=[psi, psi],
                            bloch=np.zeros((2, 3)), beta=np.zeros(2), arc=np.zeros(2),
                            sample=field(grid.times())),
     ]

@@ -13,7 +13,7 @@ from blochcurve import (
     elliptic_e_incomplete,
 )
 from blochcurve.errors import ConvergenceError
-from blochcurve.special_functions import carlson_rd, carlson_rf
+from blochcurve.special_functions import _carlson_rf_rd
 from reference_quadrature import QuadratureResult, adaptive_simpson
 
 SCENARIO_PARAMETERS = (-2.5e5, -625.0, -1.0, -0.25, 0.0, 0.5, 0.99)
@@ -24,6 +24,15 @@ def legendre_quadrature(phi, m):
         return math.sqrt(1.0 - m * math.sin(theta) ** 2)
 
     return adaptive_simpson(integrand, 0.0, phi, tol=1e-12).value
+
+
+# the kernel's two outputs, one form at a time
+def carlson_rf(x, y, z):
+    return _carlson_rf_rd(x, y, z)[0]
+
+
+def carlson_rd(x, y, z):
+    return _carlson_rf_rd(x, y, z)[1]
 
 
 class TestCarlson:
@@ -110,6 +119,26 @@ class TestCarlson:
             carlson_rd(-0.5, 1.0, 1.0)
         with pytest.raises(DomainError):
             carlson_rd(np.array([1.0, -1.0]), 1.0, 1.0)
+
+    @pytest.mark.parametrize("nu0", [1.0, 50.0, 1000.0, 1e100])
+    def test_arc_length_arguments_match_mpmath(self, nu0):
+        # the arguments (cos²r, 1 − m·sin²r, 1) of the arc length s(t) at
+        # m = −ν₀²/4; R_F and R_D stop after different numbers of steps at
+        # ν₀ = 1000 and 1e100, and each form is checked where it is summed
+        mpmath = pytest.importorskip("mpmath")
+        r, m = np.linspace(-math.pi / 2.0, math.pi / 2.0, 301), -0.25 * nu0 ** 2
+        x, y = np.cos(r) ** 2, 1.0 - m * np.sin(r) ** 2
+        rf, rd = _carlson_rf_rd(x, y, 1.0)
+        with mpmath.workdps(40):
+            ref_f = np.array([float(mpmath.elliprf(a, b, 1)) for a, b in zip(x, y)])
+            ref_d = np.array([float(mpmath.elliprd(a, b, 1)) for a, b in zip(x, y)])
+        assert np.max(np.abs(rf - ref_f) / ref_f) <= 1e-15
+        assert np.max(np.abs(rd - ref_d) / ref_d) <= 1e-15
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(special_functions_mod, "_MAX_DUPLICATIONS", 1)
+        with pytest.raises(ConvergenceError):
+            _carlson_rf_rd(0.5, 2.0, 1.0)
 
 
 class TestEllipticE:
@@ -216,8 +245,8 @@ class TestEllipticEIncomplete:
         (-7.0, -3e250), (1.0, -1e210),
     ])
     def test_huge_parameters_match_mpmath(self, phi, m):
-        # R_F and R_D see arguments near 1e307: the homogeneity scaling keeps
-        # their stopping bounds and 3/2 powers finite
+        # the Carlson kernel sees arguments near 1e307: the homogeneity scaling
+        # keeps its stopping bounds and R_D's 3/2 powers finite
         mpmath = pytest.importorskip("mpmath")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
