@@ -24,7 +24,6 @@ from .errors import (
     DomainError,
     IntegrationInstabilityError,
     InvalidArgumentError,
-    NumericalConsistencyError,
     SingularityError,
     UndefinedEfficiencyError,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "FieldSample",
     "IntegrationInstabilityError",
     "InvalidArgumentError",
-    "NumericalConsistencyError",
     "ScenarioParams",
     "SingularityError",
     "TimeGrid",

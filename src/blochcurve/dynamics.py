@@ -27,7 +27,7 @@ from .errors import (
     IntegrationInstabilityError,
     InvalidArgumentError,
 )
-from .fields import FieldSample, ScenarioParams
+from .fields import FieldSample, ScenarioParams, _scaled_field
 from .qubit_core import _pauli_into, _pure_states, bloch_vector
 from .special_functions import elliptic_e_incomplete
 
@@ -191,8 +191,10 @@ def integrate_schrodinger(field: Field, psi0, grid: TimeGrid) -> Trajectory:
     the Bloch rows, the Bloch vector a₀ of ψ₀ turned by U, which solve the
     precession equation ȧ = 2 h × a. Fills ``beta`` with the trapezoidal
     accumulation of ⟨ψ|H|ψ⟩ = h₀ + h·a and ``arc`` with the trapezoidal
-    accumulation of the speed v = √(h·h − (h·a)²), which h₀ does not enter.
-    Both read one field sample at the nodes, kept as the trajectory's ``sample``.
+    accumulation of the speed v = √(h·h − (h·a)²), which h₀ does not enter,
+    formed on the field scaled per node by a power of two λ, as κ² is, and
+    divided by λ, so no square of a huge or tiny field overflows. Both read
+    one field sample at the nodes, kept as the trajectory's ``sample``.
     """
     psi = _pure_states(np.asarray(psi0, dtype=complex).reshape(2))
 
@@ -206,9 +208,10 @@ def integrate_schrodinger(field: Field, psi0, grid: TimeGrid) -> Trajectory:
     bloch = _rotate(c, v, bloch_vector(psi))
 
     s = field(times)
-    ha = np.einsum("nk,nk->n", s.h, bloch)
-    speed = np.sqrt(np.maximum(np.einsum("nk,nk->n", s.h, s.h) - ha * ha, 0.0))
-    energy = s.h0 + ha
+    lam, h = _scaled_field(s.h)
+    ha = np.einsum("kn,nk->n", h, bloch)
+    speed = np.sqrt(np.maximum(np.einsum("kn,kn->n", h, h) - ha * ha, 0.0)) / lam
+    energy = s.h0 + np.einsum("nk,nk->n", s.h, bloch)
     beta = np.concatenate(([0.0], np.cumsum(0.5 * dt * (energy[:-1] + energy[1:]))))
     arc = np.concatenate(([0.0], np.cumsum(0.5 * dt * (speed[:-1] + speed[1:]))))
     return Trajectory(grid=grid, states=states, bloch=bloch, beta=beta, arc=arc, sample=s,

@@ -23,11 +23,6 @@ class ContractViolationError(BlochCurveError):
     (unnormalized state, non-Hermitian matrix, broken transport gauge)."""
 
 
-class NumericalConsistencyError(BlochCurveError):
-    """A quantity that must be real/nonnegative came out with a residue too
-    large to be round-off; indicates an implementation or input bug."""
-
-
 class SingularityError(BlochCurveError):
     """The evaluation point is a genuine singularity of the formula
     (instantaneous eigenstate: zero speed, undefined curvature)."""

@@ -119,6 +119,18 @@ class FieldSample:
         object.__setattr__(self, "h_dot", hd)
 
 
+def _scaled_field(h: np.ndarray, *rates: np.ndarray):
+    """λ, λh and λ²ḣ per ḣ in ``rates``, components first: per node, λ is the power
+    of two that brings the largest |h_k| into [½, 1) (1 at h = 0, at most 2^1022). λ·λ,
+    infinite below |h| = 2^-511, is never formed; this layout is several times faster."""
+    hx, hy, hz = np.moveaxis(np.abs(h), -1, 0)
+    lam = np.ldexp(1.0, np.minimum(-np.frexp(np.maximum(np.maximum(hx, hy), hz))[1], 1022))
+    scaled = [np.multiply(np.moveaxis(v, -1, 0), lam, order="C") for v in (h, *rates)]
+    for rate in scaled[1:]:
+        rate *= lam
+    return (lam, *scaled)
+
+
 @dataclass(frozen=True)
 class CallableField:
     """User-supplied field h(t) with optional analytic derivative; its bound

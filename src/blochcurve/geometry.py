@@ -5,10 +5,10 @@ extrema/period summary of the built-in scenario.
 Conventions held throughout: ℏ = 1 and the speed is v = ΔE = √(⟨H²⟩ − ⟨H⟩²)
 (unit proportionality between speed and energy dispersion). The curvature
 coefficient κ² = 4κ_g² (κ_g the geodesic curvature of the Bloch curve) is
-dimensionless and nonnegative: a square in the closed form and the Bloch
-route. The operator route sums signed terms, so there values in [−1e-9, 0)
-are round-off and clip to 0, and anything more negative raises. Neither κ²
-nor η_SE changes with the time unit, (h, ḣ) → (hλ, ḣλ²), so each node's
+dimensionless and nonnegative: every route computes it as a square, the
+closed form and the Bloch route as 4κ_g², the operator route as the squared
+norm ‖P⊥ dT/ds‖² of the covariant derivative of the unit tangent T. Neither
+κ² nor η_SE changes with the time unit, (h, ḣ) → (hλ, ḣλ²), so each node's
 field is scaled exactly by a power of two λ before it is squared.
 
 Every observable takes a scalar t or an array of times (vectors carry their
@@ -24,19 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, fields
-from .errors import (
-    InvalidArgumentError,
-    NumericalConsistencyError,
-    SingularityError,
-    UndefinedEfficiencyError,
-)
-from .fields import FieldSample, ScenarioParams
-from .qubit_core import IDENTITY, _pauli_into, _pure_states, fidelity
+from .errors import InvalidArgumentError, SingularityError, UndefinedEfficiencyError
+from .fields import FieldSample, ScenarioParams, _scaled_field
+from .qubit_core import _pauli_into, _pure_states, fidelity
 from .special_functions import elliptic_e
 
 EPSILON_SINGULAR = 1e-12   # floor of |h × a|²/h² = v²/h² in both field routes
-KAPPA2_CLIP_FLOOR = -1e-9  # operator route: clip [floor, 0) to 0, raise below
-EXPECT_IMAG_RTOL = 1e-12  # |Im κ²| over max(1, |κ²|), operator route
 _EXPECT_NODES = 1024  # operator-route nodes per block: bounds its 2x2 temporaries
 
 
@@ -132,33 +125,36 @@ def curvature_bloch(sample: FieldSample, a):
 
 
 def curvature_expectation(sample: FieldSample, state):
-    """Curvature coefficient from the field sample (H, Ḣ) and operator
-    expectation values in ``state``.
+    """Curvature coefficient from the field sample (H, Ḣ) and the state ψ,
+    as the squared norm of the covariant derivative of the unit tangent.
 
-    Builds Δh = (H − ⟨H⟩)/v as a 2x2 operator and its along-the-flow rate
-    Δh′ = [dΔh/dt]/v exactly from ψ, H and Ḣ = ḣ·σ. The expectation values
-    follow the evolving state through the Ehrenfest identities
+    With Δh = (H − ⟨H⟩)/v and the state transported along the flow
+    (i dψ/dt = (H − ⟨H⟩)ψ, a phase that κ² does not see), the unit tangent
+    is T = dψ/ds = −iΔhψ, s the arc length (ds = v dt). The rate
+    Δh′ = [dΔh/dt]/v comes exactly from ψ, H and Ḣ = ḣ·σ: the expectation
+    values follow the evolving state through the Ehrenfest identities
     d⟨H⟩/dt = ⟨Ḣ⟩ and d⟨H²⟩/dt = ⟨ḢH + HḢ⟩ (the commutator terms
     i⟨[H, H]⟩ and i⟨[H, H²]⟩ vanish), so v² = ⟨H²⟩ − ⟨H⟩² gives
 
         v̇ = (⟨ḢH + HḢ⟩ − 2⟨H⟩⟨Ḣ⟩) / (2v),
-        Δh′ = [(Ḣ − ⟨Ḣ⟩)/v − Δh·v̇/v] / v.
+        Δh′ψ = [(Ḣ − ⟨Ḣ⟩)ψ/v − Δhψ·v̇/v] / v.
 
-    The identity parts h₀·I of H and ḣ₀·I of Ḣ cancel exactly from Δh, v,
-    v̇ and Δh′, so H = h·σ and Ḣ = ḣ·σ are composed from the vector parts
-    alone (keeping h₀ would only cost round-off when |h₀| ≫ |h|). Then
+    Then dT/ds = −i(Δh′ψ − iΔh²ψ) = −iq, and with P⊥ = I − |ψ⟩⟨ψ|
 
-        κ² = ⟨(Δh)⁴⟩ − ⟨(Δh)²⟩²  +  ⟨(Δh′)²⟩ − ⟨Δh′⟩²  +  i⟨[(Δh)², Δh′]⟩.
+        κ² = ‖P⊥ dT/ds‖² = ‖q − ψ⟨ψ|q⟩‖²,
 
-    The total must be real within ``EXPECT_IMAG_RTOL`` relative to
-    max(1, |κ²|) at each time and nonnegative within ``KAPPA2_CLIP_FLOOR``.
-    For a stationary H the Δh′ terms vanish and the kurtosis-like first pair
-    remains. Only 2x2 operators and expectation values enter, so the route is
-    independent of the Bloch-vector algebra. The operator products run in a
-    time-last layout (operators (2, 2, n), states (2, n)) on blocks of at most
-    ``_EXPECT_NODES`` nodes of the flattened grid: every node sees the same
-    elementwise operations, so the blocking changes no bit of the result and
-    bounds the operator temporaries (about 0.65 KB per node).
+    which expands to ⟨(Δh)⁴⟩ − ⟨(Δh)²⟩² + ⟨(Δh′)²⟩ − ⟨Δh′⟩² + i⟨[(Δh)², Δh′]⟩.
+    Computed as a norm, it is real and nonnegative in floating point as
+    well. For a
+    stationary H, Δh′ = 0 and the kurtosis-like first pair remains. The
+    identity parts h₀·I of H and ḣ₀·I of Ḣ cancel exactly from Δh, v, v̇ and
+    Δh′, so H = h·σ and Ḣ = ḣ·σ are composed from the vector parts alone
+    (keeping h₀ would only cost round-off when |h₀| ≫ |h|). Only 2x2
+    operators applied to states enter, so the route is independent of the
+    Bloch-vector algebra. The operators act in a time-last layout (operators
+    (2, 2, n), states (2, n)) on blocks of at most ``_EXPECT_NODES`` nodes of
+    the flattened grid: every node sees the same elementwise operations, so
+    the blocking changes no bit of the result and bounds the temporaries.
 
     ``sample`` may hold an array of times, with ``state`` of shape
     sample.t.shape + (2,). κ² is projective, so each state is divided by its
@@ -176,23 +172,17 @@ def curvature_expectation(sample: FieldSample, state):
     shape, nodes = t.shape, t.size
     t, psi = t.reshape(nodes), psi.reshape(nodes, 2)
     h, h_dot = sample.h.reshape(nodes, 3), sample.h_dot.reshape(nodes, 3)
-    total = np.empty(nodes, dtype=complex)
+    kappa2 = np.empty(nodes)
     for start in range(0, nodes, _EXPECT_NODES):
         block = slice(start, start + _EXPECT_NODES)
-        total[block] = _expectation_block(t[block], h[block], h_dot[block], psi[block])
-    residue = np.abs(total.imag) / np.maximum(1.0, np.abs(total.real))
-    if np.any(~(residue <= EXPECT_IMAG_RTOL)):
-        raise NumericalConsistencyError(
-            f"curvature has imaginary residue {float(np.max(residue)):.3e} "
-            f"relative to max(1, |kappa2|)"
-        )
-    return _clip_nonneg(total.real.reshape(shape), KAPPA2_CLIP_FLOOR)
+        kappa2[block] = _expectation_block(t[block], h[block], h_dot[block], psi[block])
+    return kappa2.reshape(shape)[()]
 
 
 def _expectation_block(t, h, h_dot, psi):
-    """The complex κ² sum of ``curvature_expectation`` on one block of nodes:
-    times (n,), fields (n, 3) and states (n, 2). Raises on the block's first
-    singular node."""
+    """κ² of ``curvature_expectation`` on one block of nodes: times (n,),
+    fields (n, 3) and states (n, 2). Raises on the block's first singular
+    node."""
     psi = np.moveaxis(psi, -1, 0)
     psi = psi / np.sqrt(_braket(psi, psi).real)
     lam, h, h_dot = _scaled_field(h, h_dot)
@@ -216,18 +206,11 @@ def _expectation_block(t, h, h_dot, psi):
     # ½⟨ḢH + HḢ⟩ = Re⟨Hψ|Ḣψ⟩
     v_dot = (_braket(hpsi, hdpsi).real - e * e_dot) / v
 
-    eye = IDENTITY.reshape(IDENTITY.shape + (1,) * t.ndim)
-    dh = (h - e * eye) / v
-    dh_prime = ((h_dot - e_dot * eye) / v - dh * (v_dot / v)) / v
-
-    dh2 = _mm(dh, dh)
-    return (
-        _cexp(_mm(dh2, dh2), psi)
-        - _cexp(dh2, psi) ** 2
-        + _cexp(_mm(dh_prime, dh_prime), psi)
-        - _cexp(dh_prime, psi) ** 2
-        + 1j * _cexp(_mm(dh2, dh_prime) - _mm(dh_prime, dh2), psi)
-    )
+    u = (hpsi - e * psi) / v                                   # Δhψ
+    p = ((hdpsi - e_dot * psi) / v - u * (v_dot / v)) / v      # Δh′ψ
+    q = p - 1j * (_apply(h, u) - e * u) / v                    # Δh′ψ − iΔh²ψ
+    r = q - psi * _braket(psi, q)
+    return _braket(r, r).real
 
 
 def speed_efficiency(sample: FieldSample, a):
@@ -375,23 +358,6 @@ def _dot(x: np.ndarray, y: np.ndarray):
     return np.einsum("...k,...k->...", x, y)
 
 
-def _scaled_field(h: np.ndarray, *rates: np.ndarray):
-    """λ, λh and λ²ḣ per ḣ in ``rates``, components first: per node, λ is the power
-    of two that brings the largest |h_k| into [½, 1) (1 at h = 0, at most 2^1022). λ·λ,
-    infinite below |h| = 2^-511, is never formed; this layout is several times faster."""
-    hx, hy, hz = np.moveaxis(np.abs(h), -1, 0)
-    lam = np.ldexp(1.0, np.minimum(-np.frexp(np.maximum(np.maximum(hx, hy), hz))[1], 1022))
-    scaled = [np.multiply(np.moveaxis(v, -1, 0), lam, order="C") for v in (h, *rates)]
-    for rate in scaled[1:]:
-        rate *= lam
-    return (lam, *scaled)
-
-
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Operator product a·b of time-last stacks (2, 2, ...)."""
-    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
-
-
 def _apply(op: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """op·ψ for time-last operators (2, 2, ...) and states (2, ...)."""
     return op[:, 0] * psi[0] + op[:, 1] * psi[1]
@@ -400,19 +366,3 @@ def _apply(op: np.ndarray, psi: np.ndarray) -> np.ndarray:
 def _braket(x: np.ndarray, y: np.ndarray):
     """⟨x|y⟩ of time-last states (2, ...), per trailing index."""
     return x[0].conj() * y[0] + x[1].conj() * y[1]
-
-
-def _cexp(op: np.ndarray, psi: np.ndarray):
-    return _braket(psi, _apply(op, psi))
-
-
-def _clip_nonneg(value, floor: float):
-    """Clip values in [floor, 0) to 0 and raise on anything below floor or NaN."""
-    value = np.asarray(value, dtype=float)
-    ok = value >= floor
-    if not np.all(ok):
-        bad = float(value.flat[int(np.argmin(ok))])
-        raise NumericalConsistencyError(
-            f"curvature {bad!r} is negative beyond round-off tolerance {floor!r}"
-        )
-    return np.maximum(value, 0.0)[()]

@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import ContractViolationError, InvalidArgumentError
 
-IDENTITY = np.eye(2, dtype=complex)
-
 BLOCH_NORM_ATOL = 1e-10   # unit-length tolerance for pure states
 HERMITICITY_RTOL = 1e-12  # max|M − M†| over max(1, max|M_ij|)
 

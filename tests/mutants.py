@@ -12,7 +12,7 @@ import numpy as np
 
 import blochcurve.fields as fields_mod
 import blochcurve.validation as validation_mod
-from blochcurve import FieldSample
+from blochcurve import FieldSample, pauli_compose
 
 
 def flip_h_y(h, hd):
@@ -79,6 +79,36 @@ def no_hdot_term(sample, a):
     a_ddot = 2.0 * np.cross(hv, a_dot)
     speed2 = np.sum(a_dot * a_dot, axis=-1)
     return 4.0 * np.sum(av * np.cross(a_dot, a_ddot), axis=-1) ** 2 / speed2 ** 3
+
+
+def operator_route(drop):
+    """``geometry._expectation_block`` (κ² = ‖q − ψ⟨ψ|q⟩‖², q = Δh′ψ − iΔh²ψ)
+    with one piece dropped: the −iΔh²ψ part of q (``"dh2"``), the projection
+    off ψ (``"projection"``) or the v̇ term of Δh′ψ (``"v_dot"``). Unscaled and
+    with no singular test; to be monkeypatched over ``blochcurve.geometry``."""
+
+    def ket(op, x):
+        return np.einsum("ijn,jn->in", op, x)
+
+    def bra(x, y):
+        return np.sum(x.conj() * y, axis=0)
+
+    def block(t, h, h_dot, psi):
+        psi = psi.T / np.linalg.norm(psi, axis=-1)
+        hop, hdop = (np.moveaxis(pauli_compose(0.0, x), 0, -1) for x in (h, h_dot))
+        hpsi, hdpsi = ket(hop, psi), ket(hdop, psi)
+        e, e_dot = bra(psi, hpsi).real, bra(psi, hdpsi).real
+        v = np.sqrt(bra(hpsi, hpsi).real - e * e)
+        v_dot = 0.0 if drop == "v_dot" else (bra(hpsi, hdpsi).real - e * e_dot) / v
+        u = (hpsi - e * psi) / v
+        q = ((hdpsi - e_dot * psi) / v - u * (v_dot / v)) / v
+        if drop != "dh2":
+            q = q - 1j * (ket(hop, u) - e * u) / v
+        if drop != "projection":
+            q = q - psi * bra(psi, q)
+        return bra(q, q).real
+
+    return block
 
 
 # Both Gauss points of the Magnus step moved onto the midpoint (monkeypatched

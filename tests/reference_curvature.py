@@ -3,19 +3,26 @@ oracle for ``blochcurve.geometry.curvature_bloch``, which computes κ² as the
 square 4κ_g² of the geodesic curvature of the Bloch curve.
 
 It works on the unscaled field, so it serves where h² and h²·ḣ² are finite
-(it overflows at |h| of about 1e77 and beyond).
+(it overflows at |h| of about 1e77 and beyond). Its three terms are signed,
+so their sum is clipped at 0 within a round-off floor.
 """
 
 import numpy as np
 
 from blochcurve import InvalidArgumentError, SingularityError
-from blochcurve.geometry import (
-    EPSILON_SINGULAR,
-    KAPPA2_CLIP_FLOOR,
-    _clip_nonneg,
-    _dot,
-    _vec3,
-)
+from blochcurve.geometry import EPSILON_SINGULAR, _dot, _vec3
+
+KAPPA2_CLIP_FLOOR = -1e-9  # clip [floor, 0) to 0, fail below
+
+
+def clip_nonneg(value, floor: float = KAPPA2_CLIP_FLOOR):
+    """Clip values in [floor, 0) to 0; anything below floor, or NaN, fails
+    an assertion."""
+    value = np.asarray(value, dtype=float)
+    ok = value >= floor
+    assert np.all(ok), (f"curvature {float(value.flat[int(np.argmin(ok))])!r} is "
+                        f"negative beyond round-off tolerance {floor!r}")
+    return np.maximum(value, 0.0)[()]
 
 
 def three_term_curvature(a, h, h_dot):
@@ -56,7 +63,7 @@ def three_term_curvature(a, h, h_dot):
     term1 = 4.0 * ah * ah / den
     term2 = ((h2 * hd2 - hdh * hdh) - _dot(wvec, wvec)) / den**3
     term3 = 4.0 * ah * _dot(av, np.cross(hv, hd)) / den**2
-    return _clip_nonneg(term1 + term2 + term3, KAPPA2_CLIP_FLOOR)
+    return clip_nonneg(term1 + term2 + term3)
 
 
 def two_fraction_curvature(params, t):

@@ -228,6 +228,19 @@ class TestIntegrateSchrodinger:
         traj = integrate_schrodinger(FIELD11, np.array([1.0, 0.0j]), grid)
         assert traj.arc[-1] == pytest.approx(4.0 * elliptic_e(-0.25), abs=1e-8)
 
+    def test_arc_length_is_finite_at_a_huge_field(self):
+        # |h| ~ 1e155: h·h overflows unless the speed is formed on the field
+        # scaled per node, as both field routes of κ² form theirs
+        p = ScenarioParams(1e155, 1.0)
+        grid = TimeGrid(0.0, 2.0 * math.pi / 1e155, 400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate_schrodinger(partial(two_parameter_field, p), np.array([1.0, 0.0j]),
+                                         grid)
+        closed = arc_length_closed(p, grid.times())
+        assert np.all(np.isfinite(traj.arc))
+        assert np.max(np.abs(traj.arc - closed)) <= 1e-12 * closed[-1]
+
     def test_beta_accumulates_energy_for_eigenstate(self):
         # constant sigma_z drive on its eigenstate: beta(t) = w t exactly
         w = 0.9

@@ -17,7 +17,6 @@ PUBLIC_NAMES = [
     "FieldSample",
     "IntegrationInstabilityError",
     "InvalidArgumentError",
-    "NumericalConsistencyError",
     "ScenarioParams",
     "SingularityError",
     "TimeGrid",

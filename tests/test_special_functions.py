@@ -140,6 +140,20 @@ class TestCarlson:
         with pytest.raises(ConvergenceError):
             _carlson_rf_rd(0.5, 2.0, 1.0)
 
+    def test_rd_sums_after_seven_duplications(self, monkeypatch):
+        # the arguments of the arc length at ν₀ = 1000 on the 62830-step grid
+        # over [0, 2π]: R_D's stopping rule first holds after 7 duplications
+        # (R_F's sooner), so it returns within 8 passes and not within 7, where
+        # a rule relaxed by 4x would already return
+        phi = 2.0 * np.linspace(0.0, 2.0 * math.pi, 62831)
+        r = phi - np.rint(phi / math.pi) * math.pi
+        x, y = np.cos(r) ** 2, 1.0 + 0.25e6 * np.sin(r) ** 2
+        monkeypatch.setattr(special_functions_mod, "_MAX_DUPLICATIONS", 8)
+        _carlson_rf_rd(x, y, 1.0)
+        monkeypatch.setattr(special_functions_mod, "_MAX_DUPLICATIONS", 7)
+        with pytest.raises(ConvergenceError):
+            _carlson_rf_rd(x, y, 1.0)
+
 
 class TestEllipticE:
     def test_endpoint_values(self):

@@ -35,6 +35,7 @@ from mutants import (
     corrupted_fixture,
     flip_h_y,
     no_hdot_term,
+    operator_route,
     scale_h_dot_z,
     two_terms_only,
 )
@@ -116,7 +117,7 @@ class TestBattery:
 
     @pytest.mark.parametrize("omega0, nu0", [(1e-4, 1.0), (1e-3, 10.0)])
     def test_passes_at_large_curvature(self, omega0, nu0):
-        # kappa2_max = 4e8: the operator route's imaginary residue scales with it
+        # kappa2_max = 4e8: the route-agreement residuals are relative to it
         results = run_battery(ScenarioParams(omega0, nu0), TimeGrid(0.0, 2.0 * math.pi, 2000))
         assert [r.name for r in results if not r.passed] == []
 
@@ -209,11 +210,19 @@ class TestBattery:
         # each mutant and the exact set of checks it fails; the chirality
         # term vanishes along the built-in drive, the h_dot term carries all
         # of its curvature, and the 2nd-order midpoint rule shows in the
-        # order check (and in the Bloch rows once dt is coarse)
+        # order check (and in the Bloch rows once dt is coarse); along the
+        # built-in drive ⟨H⟩ = 0 makes Δh²ψ = ψ, which the projection removes,
+        # so only the tilted field sees the operator route drop it
         kill_sets = [
             (geometry_mod, "curvature_bloch", two_terms_only, ["route_agreement_general"]),
             (geometry_mod, "curvature_bloch", no_hdot_term,
              ["route_agreement", "route_agreement_general"]),
+            (geometry_mod, "_expectation_block", operator_route("dh2"),
+             ["route_agreement_general"]),
+            (geometry_mod, "_expectation_block", operator_route("projection"),
+             ["route_agreement_expect", "route_agreement_general"]),
+            (geometry_mod, "_expectation_block", operator_route("v_dot"),
+             ["route_agreement_expect", "route_agreement_general"]),
             (dynamics_mod, "_STEP_POINTS", MIDPOINT_NODES, midpoint_caught),
             (fields_mod, "two_parameter_field", corrupted_field(flip_h_y),
              ["route_agreement", "route_agreement_expect", "fidelity", "bloch_supnorm",
