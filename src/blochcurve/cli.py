@@ -147,9 +147,11 @@ def cmd_sweep(omega0: float, nu0_values, out: str | None, fmt: str) -> int:
     """
     from ._floattext import table_chunks
 
-    params = fields.ScenarioParams(omega0, nu0_values)
-    blocks = ((b.omega0, b.nu0, *vars(geometry.extrema_summary(b)).values(),
-               geometry.geodesic_efficiency(b)) for b in params.blocks(_SWEEP_ROWS))
+    nu0 = fields.ScenarioParams(omega0, nu0_values).nu0
+    params = (fields.ScenarioParams(omega0, nu0[i:i + _SWEEP_ROWS])
+              for i in range(0, nu0.size, _SWEEP_ROWS))
+    blocks = ((p.omega0, p.nu0, *vars(geometry.extrema_summary(p)).values(),
+               geometry.geodesic_efficiency(p)) for p in params)
     _write_text(out, table_chunks(blocks, SWEEP_COLUMNS, fmt))
     return 0
 

@@ -28,7 +28,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .fields import FieldSample, ScenarioParams, _scaled_field
-from .qubit_core import _pauli_into, _pure_states, bloch_vector
+from .qubit_core import _pauli_apply, _pure_states, bloch_vector
 from .special_functions import elliptic_e_incomplete
 
 STEP_ERROR_LIMIT = 1e-2      # per-step |ω − dt·h(t + dt/2)| that flags an unresolved step
@@ -200,10 +200,8 @@ def integrate_schrodinger(field: Field, psi0, grid: TimeGrid) -> Trajectory:
 
     times, dt = grid.times(), grid.dt
     c, v, phase, error = _propagators(field, times, dt)
-    v_sigma = np.empty((len(v), 2, 2), dtype=complex)
-    _pauli_into(np.moveaxis(v_sigma, (1, 2), (0, 1)), 0.0, *v.T)
     # h₀ only moves the global phase; per-step factors would compound their round-off
-    states = ((c[:, None] * psi - 1j * (v_sigma @ psi))
+    states = ((c[:, None] * psi - 1j * _pauli_apply(*v.T, psi).T)
               * np.exp(-1j * np.cumsum(np.append(0.0, phase)))[:, None])
     bloch = _rotate(c, v, bloch_vector(psi))
 
@@ -284,11 +282,11 @@ def arc_length_closed(params: ScenarioParams, t):
     return 0.5 * elliptic_e_incomplete(2.0 * w * t, -0.25 * (params.nu0 / w) ** 2)
 
 
-def synthesize_hamiltonian(m, m_dot, gauge_atol: float = TRANSPORT_GAUGE_ATOL) -> np.ndarray:
+def synthesize_hamiltonian(m, m_dot) -> np.ndarray:
     """Traceless Hamiltonian H = i|ṁ⟩⟨m| − i|m⟩⟨ṁ| driving a
     parallel-transported state at maximal speed.
 
-    Requires the transport gauge ⟨m|ṁ⟩ = 0 within ``gauge_atol``; under that
+    Requires the transport gauge |⟨m|ṁ⟩| ≤ ``TRANSPORT_GAUGE_ATOL``; under that
     condition H is Hermitian, traceless, and satisfies i ṁ = H m. States
     (..., 2) broadcast to a stack of operators (..., 2, 2); the first node
     that breaks the gauge raises.
@@ -297,7 +295,7 @@ def synthesize_hamiltonian(m, m_dot, gauge_atol: float = TRANSPORT_GAUGE_ATOL) -
     if mv.shape[-1:] != (2,):
         raise InvalidArgumentError(f"expected 2 amplitudes on the last axis, got shape {mv.shape}")
     overlap = np.abs(np.sum(mv.conj() * md, axis=-1))
-    broken = ~(overlap <= gauge_atol)
+    broken = ~(overlap <= TRANSPORT_GAUGE_ATOL)
     if np.any(broken):
         k = int(np.argmax(broken))
         raise ContractViolationError(

@@ -18,14 +18,13 @@ which is traceless by construction and periodic with T = π/(2ω₀).
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import DomainError, InvalidArgumentError
 
 
 @dataclass(frozen=True)
@@ -36,8 +35,10 @@ class ScenarioParams:
     the field's fastest phase rate 4ω₀, ν₀², the curvature peak 4(ν₀/ω₀)² and
     the field rate ν₀(2ω₀ + ν₀/4) ≥ |ḣ_k| must be finite doubles too, so that
     no closed form and no field overflows.
-    A 1-D array ``nu0`` (each entry checked) is accepted only by
-    ``geometry.extrema_summary`` and ``geometry.geodesic_efficiency``.
+    A 1-D array ``nu0`` is accepted only by ``geometry.extrema_summary`` and
+    ``geometry.geodesic_efficiency``. Each bound is monotone in ν₀, so the
+    list is checked at its largest entry, in O(1) memory; only when that
+    fails are the entries walked in order, to name the first that fails.
     """
 
     omega0: float
@@ -53,26 +54,14 @@ class ScenarioParams:
         nu0 = np.asarray(self.nu0, dtype=float)
         if nu0.ndim > 1:
             raise InvalidArgumentError(f"nu0 must be a scalar or 1-D, got shape {nu0.shape}")
-        # each half of nu0 in turn, in two scratch rows that together hold no
-        # more doubles than nu0: ν₀², ν₀²/4 + 2(ν₀ω₀) and (ν₀/ω₀)·4(ν₀/ω₀)
-        flat, half, bad = nu0.reshape(-1), (nu0.size + 1) // 2, None
-        scratch = np.empty((2, half))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in (0, half):
-                x = flat[start:start + half]
-                s, r = scratch[:, :x.size]
-                ok = np.isfinite(np.multiply(x, x, out=s)) & (x >= 0.0)
-                s *= 0.25
-                s += np.multiply(np.multiply(x, w, out=r), 2.0, out=r)
-                ok &= np.isfinite(s)
-                np.multiply(np.divide(x, w, out=s), 4.0, out=r)
-                ok &= np.isfinite(np.multiply(s, r, out=s))
-                if not ok.all():
-                    bad = start + int(np.argmin(ok))
-                    break
-        if bad is not None:
+        # each bound is a chain of roundings that never decreases as ν₀ ≥ 0
+        # grows, so the largest entry decides for the whole list (a NaN
+        # propagates into the max)
+        flat = nu0.reshape(-1)
+        if flat.size and not (flat.min() >= 0.0 and _in_range(float(flat.max()), w)):
+            bad, value = next((i, x) for i, x in enumerate(map(float, flat))
+                              if not _in_range(x, w))
             name = f"nu0[{bad}]" if nu0.ndim else "nu0"
-            value = float(flat[bad])
             if not (math.isfinite(value) and value >= 0.0):
                 raise InvalidArgumentError(f"{name} must be finite and >= 0, got {value!r}")
             raise InvalidArgumentError(
@@ -80,13 +69,13 @@ class ScenarioParams:
                 "nu0**2, 4*(nu0/omega0)**2 and nu0*(2*omega0 + nu0/4) must be finite")
         object.__setattr__(self, "nu0", nu0 if nu0.ndim else float(nu0))
 
-    def blocks(self, rows: int):
-        """Consecutive slices of at most ``rows`` entries of the 1-D ``nu0``,
-        each as params of its own; the entries are not checked again."""
-        for start in range(0, self.nu0.size, rows):
-            block = copy.copy(self)
-            object.__setattr__(block, "nu0", self.nu0[start:start + rows])
-            yield block
+
+def _in_range(x: float, w: float) -> bool:
+    """Whether ν₀ = x is in the domain at ω₀ = w: x ≥ 0 and ν₀²/4 + 2ν₀ω₀ and
+    (ν₀/ω₀)·4(ν₀/ω₀) finite (so ν₀² is too). On Python floats, which overflow
+    to inf without a warning."""
+    r = x / w
+    return x >= 0.0 and math.isfinite(x * x * 0.25 + x * w * 2.0) and math.isfinite(r * (r * 4.0))
 
 
 @dataclass(frozen=True)
@@ -122,12 +111,17 @@ class FieldSample:
 def _scaled_field(h: np.ndarray, *rates: np.ndarray):
     """λ, λh and λ²ḣ per ḣ in ``rates``, components first: per node, λ is the power
     of two that brings the largest |h_k| into [½, 1) (1 at h = 0, at most 2^1022). λ·λ,
-    infinite below |h| = 2^-511, is never formed; this layout is several times faster."""
+    infinite below |h| = 2^-511, is never formed; this layout is several times faster.
+    A λ²ḣ beyond the largest double raises DomainError: κ² is then not a double."""
     hx, hy, hz = np.moveaxis(np.abs(h), -1, 0)
     lam = np.ldexp(1.0, np.minimum(-np.frexp(np.maximum(np.maximum(hx, hy), hz))[1], 1022))
-    scaled = [np.multiply(np.moveaxis(v, -1, 0), lam, order="C") for v in (h, *rates)]
-    for rate in scaled[1:]:
-        rate *= lam
+    with np.errstate(over="ignore"):
+        scaled = [np.multiply(np.moveaxis(v, -1, 0), lam, order="C") for v in (h, *rates)]
+        for rate in scaled[1:]:
+            rate *= lam
+    if not all(np.all(np.isfinite(rate)) for rate in scaled[1:]):
+        raise DomainError("the field rate scaled to the field overflows: "
+                          "kappa2 is not representable as a double")
     return (lam, *scaled)
 
 

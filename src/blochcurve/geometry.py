@@ -26,11 +26,11 @@ import numpy as np
 from . import dynamics, fields
 from .errors import InvalidArgumentError, SingularityError, UndefinedEfficiencyError
 from .fields import FieldSample, ScenarioParams, _scaled_field
-from .qubit_core import _pauli_into, _pure_states, fidelity
+from .qubit_core import _pauli_apply, _pure_states, fidelity
 from .special_functions import elliptic_e
 
 EPSILON_SINGULAR = 1e-12   # floor of |h × a|²/h² = v²/h² in both field routes
-_EXPECT_NODES = 1024  # operator-route nodes per block: bounds its 2x2 temporaries
+_EXPECT_NODES = 1024  # operator-route nodes per block: bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,9 @@ def curvature_bloch(sample: FieldSample, a):
     undefined; the test is relative, so a weak field is not mistaken for one.
     κ² is projective, so a is rescaled to unit length after the check. a
     carries its (finite) components on the last axis; its leading axes
-    broadcast against the sample's grid. The sample is read as given.
+    broadcast against the sample's grid. The sample is read as given; where
+    its scaled rate ḣλ² overflows, κ² is not a double and DomainError is
+    raised.
     """
     av = _vec3(a)
     a2 = _dot(av, av)
@@ -149,17 +151,20 @@ def curvature_expectation(sample: FieldSample, state):
     stationary H, Δh′ = 0 and the kurtosis-like first pair remains. The
     identity parts h₀·I of H and ḣ₀·I of Ḣ cancel exactly from Δh, v, v̇ and
     Δh′, so H = h·σ and Ḣ = ḣ·σ are composed from the vector parts alone
-    (keeping h₀ would only cost round-off when |h₀| ≫ |h|). Only 2x2
-    operators applied to states enter, so the route is independent of the
-    Bloch-vector algebra. The operators act in a time-last layout (operators
-    (2, 2, n), states (2, n)) on blocks of at most ``_EXPECT_NODES`` nodes of
-    the flattened grid: every node sees the same elementwise operations, so
-    the blocking changes no bit of the result and bounds the temporaries.
+    (keeping h₀ would only cost round-off when |h₀| ≫ |h|). Only the Pauli
+    action (h·σ)ψ on states enters, no operator is formed, so the route is
+    independent of the Bloch-vector algebra. It runs in a time-last layout
+    (field components (3, n), states (2, n)) on blocks of at most
+    ``_EXPECT_NODES`` nodes of the flattened grid: every node sees the same
+    elementwise operations, so the blocking changes no bit of the result and
+    bounds the temporaries.
 
     ``sample`` may hold an array of times, with ``state`` of shape
     sample.t.shape + (2,). κ² is projective, so each state is divided by its
     norm after the contract check. The field is scaled per node, which
-    changes no bit of a result that is finite unscaled. A SingularityError
+    changes no bit of a result that is finite unscaled; where the scaled
+    rate ḣλ² overflows, κ² is not a double and DomainError is raised, as in
+    ``curvature_bloch``. A SingularityError
     names the first time of ``sample.t`` where v² ≤ ``EPSILON_SINGULAR``·h²
     (h² = ⟨H²⟩), the Bloch route's test since v² = |h × a|²; being relative,
     it does not mistake a weak field for an eigenstate.
@@ -186,10 +191,8 @@ def _expectation_block(t, h, h_dot, psi):
     psi = np.moveaxis(psi, -1, 0)
     psi = psi / np.sqrt(_braket(psi, psi).real)
     lam, h, h_dot = _scaled_field(h, h_dot)
-    h, h_dot = (_pauli_into(np.empty((2, 2) + t.shape, dtype=complex), 0.0, *x)
-                for x in (h, h_dot))
-    hpsi = _apply(h, psi)
-    hdpsi = _apply(h_dot, psi)
+    hpsi = _pauli_apply(*h, psi)
+    hdpsi = _pauli_apply(*h_dot, psi)
     e = _braket(psi, hpsi).real
     v = np.sqrt(np.maximum(_braket(hpsi, hpsi).real - e * e, 0.0))
     singular = v * v <= EPSILON_SINGULAR * (v * v + e * e)   # h² = ⟨H²⟩ = v² + ⟨H⟩²
@@ -208,7 +211,7 @@ def _expectation_block(t, h, h_dot, psi):
 
     u = (hpsi - e * psi) / v                                   # Δhψ
     p = ((hdpsi - e_dot * psi) / v - u * (v_dot / v)) / v      # Δh′ψ
-    q = p - 1j * (_apply(h, u) - e * u) / v                    # Δh′ψ − iΔh²ψ
+    q = p - 1j * (_pauli_apply(*h, u) - e * u) / v             # Δh′ψ − iΔh²ψ
     r = q - psi * _braket(psi, q)
     return _braket(r, r).real
 
@@ -356,11 +359,6 @@ def _vec3(x) -> np.ndarray:
 
 def _dot(x: np.ndarray, y: np.ndarray):
     return np.einsum("...k,...k->...", x, y)
-
-
-def _apply(op: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """op·ψ for time-last operators (2, 2, ...) and states (2, ...)."""
-    return op[:, 0] * psi[0] + op[:, 1] * psi[1]
 
 
 def _braket(x: np.ndarray, y: np.ndarray):

@@ -64,18 +64,19 @@ def pauli_compose(h0, h) -> np.ndarray:
         raise InvalidArgumentError("field components must be finite")
     hx, hy, hz = np.moveaxis(hv, -1, 0)
     m = np.empty(np.broadcast_shapes(h0.shape, hx.shape) + (2, 2), dtype=complex)
-    _pauli_into(np.moveaxis(m, (-2, -1), (0, 1)), h0, hx, hy, hz)
+    m[..., 0, 0] = h0 + hz
+    m[..., 0, 1] = hx - 1j * hy
+    m[..., 1, 0] = hx + 1j * hy
+    m[..., 1, 1] = h0 - hz
     return m
 
 
-def _pauli_into(m: np.ndarray, h0, hx, hy, hz) -> np.ndarray:
-    """Write h0·I + h·σ into the operator-first stack m (2, 2, ...), with no
-    checks: the one Pauli formula, for callers whose field is checked."""
-    m[0, 0] = h0 + hz
-    m[0, 1] = hx - 1j * hy
-    m[1, 0] = hx + 1j * hy
-    m[1, 1] = h0 - hz
-    return m
+def _pauli_apply(hx, hy, hz, psi) -> np.ndarray:
+    """(h·σ)ψ = (hz ψ₀ + (hx − i hy) ψ₁, (hx + i hy) ψ₀ − hz ψ₁) for states
+    shaped (2, ...), with no checks: the one Pauli action, for callers whose
+    field is checked. The components broadcast against ψ₀ and ψ₁."""
+    return np.stack((hz * psi[0] + (hx - 1j * hy) * psi[1],
+                     (hx + 1j * hy) * psi[0] - hz * psi[1]))
 
 
 def _operator_scale(m: np.ndarray) -> np.ndarray:

@@ -517,7 +517,7 @@ class TestSynthesizeHamiltonian:
         m = analytic_state(P11, t)
         md = (analytic_state(P11, t + d)
               - analytic_state(P11, t - d)) / (2.0 * d)
-        h0, h = pauli_decompose(synthesize_hamiltonian(m, md, gauge_atol=1e-6))
+        h0, h = pauli_decompose(synthesize_hamiltonian(m, md))
         assert abs(h0) <= 1e-6
         assert np.max(np.abs(h - two_parameter_field(P11, t).h)) <= 1e-6
 

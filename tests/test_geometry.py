@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -13,6 +14,7 @@ import blochcurve.fields as fields_mod
 from blochcurve import (
     CallableField,
     ContractViolationError,
+    DomainError,
     FieldSample,
     InvalidArgumentError,
     ScenarioParams,
@@ -240,6 +242,23 @@ class TestCurvatureBloch:
         h = (2.0**-1060, 0.0, 0.0)
         assert curvature_bloch(node(h), (0.6, 0.0, 0.8)) == pytest.approx(2.25, rel=1e-15)
         assert speed_efficiency(node(h), (0.0, 0.0, 1.0)) == 1.0
+
+    def test_overflowing_scaled_rate_raises_on_both_routes(self):
+        # lambda = 2^996 brings h into [1/2, 1); lambda^2 h_dot = 1e10 * 2^1992 is
+        # not a double, so neither is kappa2
+        s = FieldSample(0.0, 0.0, (1e-300, 0.0, 0.0), (0.0, 1e10, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not representable"):
+                curvature_bloch(s, (0.0, 0.0, 1.0))
+            with pytest.raises(DomainError, match="not representable"):
+                curvature_expectation(s, np.array([1.0, 0.0j]))
+
+    def test_large_scaled_rate_still_agrees_on_both_routes(self):
+        # lambda^2 h_dot ~ 2^664 * 1e-150 is finite, and so is kappa2 = 1e100
+        s = FieldSample(0.0, 0.0, (1e-100, 0.0, 0.0), (0.0, 1e-150, 0.0))
+        assert curvature_bloch(s, (0.0, 0.0, 1.0)) == 1.0000000000000002e+100
+        assert curvature_expectation(s, np.array([1.0, 0.0j])) == 1.0000000000000002e+100
 
     def test_nonnegative_along_generic_drive(self):
         spec = CallableField(
