@@ -122,7 +122,8 @@ def cmd_simulate(params: fields.ScenarioParams, grid: dynamics.TimeGrid,
 
 def cmd_validate(params: fields.ScenarioParams, grid: dynamics.TimeGrid,
                  tolerances: dict) -> int:
-    """Run the invariant battery and print one line per check."""
+    """Run the invariant battery and print one line per name of
+    ``DEFAULT_TOLERANCES``, in that order, then a summary line."""
     results = validation.run_battery(params, grid, tolerances)
     width = max(len(r.name) for r in results)
     for r in results:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -11,6 +12,7 @@ import blochcurve.cli as cli_mod
 import blochcurve.fields as fields_mod
 import blochcurve.geometry as geometry_mod
 from blochcurve import (
+    DEFAULT_TOLERANCES,
     ExtremaSummary,
     ScenarioParams,
     TimeGrid,
@@ -501,6 +503,17 @@ class TestDomain:
         assert captured.out == ""
         assert captured.err == ("error: t_max = 1e+308 is out of range: "
                                 "4*omega0*t_max and nu0*t_max must be finite\n")
+
+    def test_validate_reports_every_check_name_at_a_huge_omega0(self, capsys):
+        # at omega0 = 1e155 some checks raise; each still reads as its own
+        # names, so the report lists all 19 in order whichever of them fail
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            main(["validate", "--omega0", "1e155", "--nu0", "1",
+                  "--t-max", "6.283185307179586e-155", "--steps", "400"])
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines[:-1]] == list(DEFAULT_TOLERANCES)
+        assert re.fullmatch(r"\d+ of 19 checks failed: .*", lines[-1])
 
     def test_validate_reports_an_overflowing_step_once(self, capsys):
         # the Magnus step's cross product overflows at omega0 = 1e155

@@ -21,8 +21,9 @@ from blochcurve import (
 from blochcurve.validation import (
     _ELLIPTIC_M,
     _ELLIPTIC_PHI,
+    _CHECKS,
     DEFAULT_TOLERANCES,
-    _check_extrema,
+    _check_acc_at_extrema,
     _gauss_legendre,
     _legendre_e,
     _refined_extrema,
@@ -108,8 +109,8 @@ def test_gauss_legendre_reference_matches_adaptive_simpson():
 class TestBattery:
     def test_clean_run_passes_everything(self):
         results = run_battery(P11, GRID)
-        names = {r.name for r in results}
-        assert names == set(DEFAULT_TOLERANCES)
+        assert [r.name for r in results] == list(DEFAULT_TOLERANCES)
+        assert list(DEFAULT_TOLERANCES) == [name for name, _ in _CHECKS]
         bad = [r.name for r in results if not r.passed]
         assert bad == []
         for r in results:
@@ -297,6 +298,44 @@ class TestBattery:
         assert not res["route_agreement"].passed
         assert math.isinf(res["route_agreement"].residual)
 
+    def test_raising_extrema_summary_fails_exactly_its_three_names(self, monkeypatch):
+        # every extrema check reads the summary; none may take another's name along
+        def broken(params):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(geometry_mod, "extrema_summary", broken)
+        results = run_battery(P11, TimeGrid(0.0, math.pi, 300))
+        assert [r.name for r in results] == list(DEFAULT_TOLERANCES)
+        failed = [r for r in results if not r.passed]
+        assert [r.name for r in failed] == ["extrema_value", "extrema_time", "acc_at_extrema"]
+        for r in failed:
+            assert math.isinf(r.residual)
+            assert r.detail == "check raised RuntimeError: boom"
+
+    def test_raising_decomposition_leaves_the_trace_measured(self, monkeypatch):
+        # the trace of the synthesized operator needs no Pauli decomposition
+        clean = by_name(run_battery(P11, TimeGrid(0.0, math.pi, 300)))
+
+        def broken(ham):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(validation_mod, "pauli_decompose", broken)
+        results = run_battery(P11, TimeGrid(0.0, math.pi, 300))
+        assert [r.name for r in results if not r.passed] == ["decomposition", "synthesis"]
+        trace = by_name(results)["synthesis_trace"]
+        assert trace.passed
+        assert trace.residual == clean["synthesis_trace"].residual
+
+    def test_a_tolerance_governs_only_its_own_name(self):
+        # at nu0 = 1e-7 the curvature is flat to round-off; the flatness
+        # cut of the time check does not read the value tolerance
+        params = ScenarioParams(1.0, 1e-7)
+        default = run_battery(params, GRID)
+        tightened = run_battery(params, GRID, {"extrema_value": 1e-30})
+        assert [r.name for r in tightened] == [r.name for r in default]
+        assert ([(r.name, r.passed) for r in tightened if r.name != "extrema_value"]
+                == [(r.name, r.passed) for r in default if r.name != "extrema_value"])
+
 
 class TestExtrema:
     @pytest.mark.parametrize("omega0, nu0", [
@@ -334,11 +373,10 @@ class TestExtrema:
         # acc_max - acc_min = 1.96e8 here: |acc| = 6.1e-9 at the curvature
         # extremum times is round-off, not a misplaced extremum
         params = ScenarioParams(1e3, 1e5)
-        results = by_name(_check_extrema(SimpleNamespace(params=params), merge_tolerances(None)))
-        acc = results["acc_at_extrema"]
-        assert acc.passed, acc
-        assert acc.residual <= 1e-15
-        assert "1.960e+08" in acc.detail
+        residual, detail = _check_acc_at_extrema(SimpleNamespace(params=params))
+        assert residual <= DEFAULT_TOLERANCES["acc_at_extrema"], (residual, detail)
+        assert residual <= 1e-15
+        assert "1.960e+08" in detail
 
     def test_times_compare_modulo_the_period(self, monkeypatch):
         original = geometry_mod.extrema_summary
