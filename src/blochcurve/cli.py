@@ -15,7 +15,7 @@ streams end to end: it parses its list into one array, checks all of it,
 then computes and writes one block of rows at a time.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration or I/O error,
-3 numerical failure (singularity, instability, non-convergence).
+3 numerical failure (singularity, instability).
 """
 
 from __future__ import annotations

@@ -137,13 +137,20 @@ def analytic_state(params: ScenarioParams, t) -> np.ndarray:
     with φ from ``transport_phase_closed``. Satisfies ⟨m|ṁ⟩ = 0 and the
     Schrödinger equation for the built-in field. Returns the amplitudes
     (α, β) on the last axis: shape (2,) for a scalar t, t.shape + (2,) else.
+
+    e^{−iφ}·e^{iν₀t} = (cos φ cos ν₀t + sin φ sin ν₀t) + i(cos φ sin ν₀t −
+    sin φ cos ν₀t) is built from real parts: numpy's complex product is fused
+    in its array loop and not on scalars, and swaps its operands on large
+    arrays, so a node would get different bits alone, in a block or in a grid.
     """
     t = np.asarray(t, dtype=float)
     w, n = params.omega0, params.nu0
-    gauge = np.exp(-1j * transport_phase_closed(params, t))
-    return np.stack(
-        [gauge * np.cos(w * t), gauge * np.exp(1j * n * t) * np.sin(w * t)], axis=-1
-    )
+    phi = transport_phase_closed(params, t)
+    cp, sp, cn, sn = np.cos(phi), np.sin(phi), np.cos(n * t), np.sin(n * t)
+    c, s = np.cos(w * t), np.sin(w * t)
+    re = np.stack([cp * c, (cp * cn + sp * sn) * s], axis=-1)
+    im = np.stack([-sp * c, (cp * sn - sp * cn) * s], axis=-1)
+    return re + 1j * im  # exact: 1j * im and the sum round nothing
 
 
 def analytic_state_derivative(params: ScenarioParams, t) -> np.ndarray:

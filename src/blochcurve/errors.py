@@ -36,10 +36,6 @@ class IntegrationInstabilityError(BlochCurveError):
     """A step's error estimate exceeded the resolution threshold; reduce dt."""
 
 
-class ConvergenceError(BlochCurveError):
-    """An iterative/recursive numerical routine failed to converge."""
-
-
 class UndefinedEfficiencyError(BlochCurveError):
     """An efficiency ratio is undefined for the given input (zero Hamiltonian
     or zero path length)."""

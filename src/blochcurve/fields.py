@@ -223,6 +223,7 @@ def parallel_transverse_ratio(params: ScenarioParams, t):
     """
     w = params.omega0
     rho = params.nu0 / w
-    par = rho * np.sin(2.0 * w * t) ** 2
+    s2 = np.sin(2.0 * w * t)
+    par = rho * (s2 * s2)
     trans = rho * np.sin(4.0 * w * t)
     return 4.0 * par * par / (trans * trans + 16.0)

@@ -87,9 +87,10 @@ def curvature_closed(params: ScenarioParams, t):
     """
     w = params.omega0
     rho = params.nu0 / w
-    x = (rho * np.sin(2.0 * w * t)) ** 2
+    rs, rc = rho * np.sin(2.0 * w * t), rho * np.cos(2.0 * w * t)
+    x = rs * rs
     q = (8.0 + x) / (4.0 + x)
-    return 4.0 * (rho * np.cos(2.0 * w * t)) ** 2 * (q * q / (4.0 + x))
+    return 4.0 * (rc * rc) * (q * q / (4.0 + x))
 
 
 def curvature_bloch(sample: FieldSample, a):
@@ -233,7 +234,8 @@ def speed_efficiency(sample: FieldSample, a):
     h_sq = _dot(hv, hv)
     if np.any((h_sq == 0.0) & (h0 == 0.0)):
         raise UndefinedEfficiencyError("zero Hamiltonian has no speed efficiency")
-    num = np.sqrt(np.maximum(h_sq - _dot(av, hv) ** 2, 0.0))
+    ah = _dot(av, hv)
+    num = np.sqrt(np.maximum(h_sq - ah * ah, 0.0))
     return num / (np.abs(h0) + np.sqrt(h_sq))
 
 

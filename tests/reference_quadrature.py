@@ -12,10 +12,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from blochcurve import InvalidArgumentError
-from blochcurve.errors import ConvergenceError
 
 _MAX_DEPTH = 50  # bisection levels per top panel
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+class QuadratureDepthError(RuntimeError):
+    """A panel would need subdividing past ``_MAX_DEPTH`` levels."""
 
 
 @dataclass(frozen=True)
@@ -37,7 +40,7 @@ def adaptive_simpson(
 
     Each panel is accepted when the Richardson estimate |S_half − S_whole|/15
     is below its share of the tolerance, and the accepted value includes the
-    extrapolation correction. Raises ConvergenceError when a panel would need
+    extrapolation correction. Raises QuadratureDepthError when a panel would need
     subdividing past ``_MAX_DEPTH`` levels.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -68,7 +71,7 @@ def adaptive_simpson(
         if abs(delta) <= 15.0 * tol_here:
             return left + right + delta / 15.0, abs(delta) / 15.0
         if depth >= _MAX_DEPTH:
-            raise ConvergenceError(
+            raise QuadratureDepthError(
                 f"adaptive_simpson exceeded depth {_MAX_DEPTH} on [{lo!r}, {hi!r}]"
             )
         lval, lerr = recurse(lo, mid, flo, flm, fmid, left, tol_here / 2.0, depth + 1)

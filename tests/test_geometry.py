@@ -815,6 +815,60 @@ def test_array_call_matches_per_node_calls(name):
     assert float(np.max(np.abs(whole - nodes))) <= 1e-15 * scale
 
 
+def _simulate_columns(params, t):
+    """What each column function of ``simulate`` gives at the times t, and the
+    state that the operator route reads."""
+    sample = two_parameter_field(params, t)
+    a, psi = analytic_bloch(params, t), analytic_state(params, t)
+    return {
+        "field": np.concatenate([sample.h, sample.h_dot], axis=-1),
+        "a": a,
+        "v": speed(params, t),
+        "acc": acceleration(params, t),
+        "kappa2_closed": curvature_closed(params, t),
+        "kappa2_bloch": curvature_bloch(sample, a),
+        "kappa2_expect": curvature_expectation(sample, psi),
+        "ratio": parallel_transverse_ratio(params, t),
+        "eta_se": speed_efficiency(sample, a),
+        "arc": arc_length_closed(params, t),
+        "phase": transport_phase_closed(params, t),
+        "state": psi,
+    }
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestSimulateColumnsPerNode:
+    """A node's bits do not depend on what shares its call: the whole
+    62831-node grid, a block of it, or the node alone. Streaming ``simulate``
+    in node blocks rests on this."""
+
+    T = TimeGrid(0.0, 2.0 * math.pi, 62830).times()
+
+    @pytest.fixture(scope="class", params=[1.0, 50.0])
+    def whole(self, request):
+        params = ScenarioParams(1.0, request.param)
+        return params, _simulate_columns(params, self.T)
+
+    @pytest.mark.parametrize("block", [4096, 16384])
+    def test_blocks_join_into_the_whole_grid(self, whole, block):
+        params, cols = whole
+        parts = [_simulate_columns(params, self.T[a:a + block])
+                 for a in range(0, len(self.T), block)]
+        for name, col in cols.items():
+            joined = np.concatenate([part[name] for part in parts])
+            assert np.array_equal(_bits(joined), _bits(col)), name
+
+    def test_a_scalar_call_is_its_node(self, whole):
+        params, cols = whole
+        nodes = [_simulate_columns(params, t) for t in self.T[::7].tolist()]
+        for name, col in cols.items():
+            alone = np.array([node[name] for node in nodes])
+            assert np.array_equal(_bits(alone), _bits(col[::7])), name
+
+
 class TestClipFloor:
     # the three-term oracle's clip; every library route is a square
     def test_passthrough_and_clip(self):

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -12,11 +13,56 @@ from blochcurve import (
     elliptic_e,
     elliptic_e_incomplete,
 )
-from blochcurve.errors import ConvergenceError
 from blochcurve.special_functions import _carlson_rf_rd
-from reference_quadrature import QuadratureResult, adaptive_simpson
+from reference_quadrature import QuadratureDepthError, QuadratureResult, adaptive_simpson
 
 SCENARIO_PARAMETERS = (-2.5e5, -625.0, -1.0, -0.25, 0.0, 0.5, 0.99)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _arc_arguments(m):
+    """The Carlson arguments (cos²r, 1 − m·sin²r, 1) of E(φ|m) over |r| ≤ π/2."""
+    r = np.linspace(-math.pi / 2.0, math.pi / 2.0, 301)
+    s, c = np.sin(r), np.cos(r)
+    return c * c, 1.0 - m * s * s
+
+
+@functools.lru_cache(maxsize=None)
+def _mpmath_rf_rd(m):
+    mpmath = pytest.importorskip("mpmath")
+    x, y = _arc_arguments(m)
+    with mpmath.workdps(40):
+        return (np.array([float(mpmath.elliprf(a, b, 1)) for a, b in zip(x, y)]),
+                np.array([float(mpmath.elliprd(a, b, 1)) for a, b in zip(x, y)]))
+
+
+def _carlson_errors(m):
+    """Largest relative errors of R_F and R_D on E(φ|m)'s arguments."""
+    rf, rd = _carlson_rf_rd(*_arc_arguments(m), 1.0)
+    ref_f, ref_d = _mpmath_rf_rd(m)
+    return np.max(np.abs(rf - ref_f) / ref_f), np.max(np.abs(rd - ref_d) / ref_d)
+
+
+# E(m) from −1e30 to 1, as the sweep reaches it and beyond
+AGM_PARAMETERS = np.concatenate([-np.logspace(30.0, -20.0, 301),
+                                 np.linspace(0.0, 1.0, 200, endpoint=False),
+                                 1.0 - 10.0 ** -np.arange(1.0, 16.0), [1.0 - 2.0 ** -52]])
+
+
+@functools.lru_cache(maxsize=None)
+def _mpmath_e(m):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return np.array([float(mpmath.ellipe(x)) for x in m])
+
+
+def _agm_error(m):
+    m = np.atleast_1d(m)
+    ref = _mpmath_e(tuple(m.tolist()))
+    return np.max(np.abs(elliptic_e(m) - ref) / ref)
 
 
 def legendre_quadrature(phi, m):
@@ -93,8 +139,10 @@ class TestCarlson:
         with pytest.raises(DomainError):
             carlson_rf(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1.0)
 
+    # the last is checked after the scaling by 4^-k, which takes y to 0; the
+    # kernel would return R_F = 1.08e-146 there, and mpmath gives 6.92e-148
     @pytest.mark.parametrize("args", [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0),
-                                      (1.0, 2.0, -0.5), (2.0, -0.5, 1.0)])
+                                      (1.0, 2.0, -0.5), (2.0, -0.5, 1.0), (0.0, 1e-300, 1e300)])
     def test_rf_domain_in_every_position(self, args):
         with pytest.raises(DomainError):
             carlson_rf(*args)
@@ -123,62 +171,45 @@ class TestCarlson:
     @pytest.mark.parametrize("nu0", [1.0, 50.0, 1000.0, 1e100])
     def test_arc_length_arguments_match_mpmath(self, nu0):
         # the arguments (cos²r, 1 − m·sin²r, 1) of the arc length s(t) at
-        # m = −ν₀²/4; R_F and R_D stop after different numbers of steps at
-        # ν₀ = 1000 and 1e100, and each form is checked where it is summed
-        mpmath = pytest.importorskip("mpmath")
-        r, m = np.linspace(-math.pi / 2.0, math.pi / 2.0, 301), -0.25 * nu0 ** 2
-        x, y = np.cos(r) ** 2, 1.0 - m * np.sin(r) ** 2
-        rf, rd = _carlson_rf_rd(x, y, 1.0)
-        with mpmath.workdps(40):
-            ref_f = np.array([float(mpmath.elliprf(a, b, 1)) for a, b in zip(x, y)])
-            ref_d = np.array([float(mpmath.elliprd(a, b, 1)) for a, b in zip(x, y)])
-        assert np.max(np.abs(rf - ref_f) / ref_f) <= 1e-15
-        assert np.max(np.abs(rd - ref_d) / ref_d) <= 1e-15
+        # m = −ν₀²/4
+        assert max(_carlson_errors(-0.25 * nu0 ** 2)) <= 1e-15
 
-    def test_iteration_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(special_functions_mod, "_MAX_DUPLICATIONS", 1)
-        with pytest.raises(ConvergenceError):
-            _carlson_rf_rd(0.5, 2.0, 1.0)
-
-    def test_rd_sums_after_seven_duplications(self, monkeypatch):
-        # the arguments of the arc length at ν₀ = 1000 on the 62830-step grid
-        # over [0, 2π]: R_D's stopping rule first holds after 7 duplications
-        # (R_F's sooner), so it returns within 8 passes and not within 7, where
-        # a rule relaxed by 4x would already return
-        phi = 2.0 * np.linspace(0.0, 2.0 * math.pi, 62831)
-        r = phi - np.rint(phi / math.pi) * math.pi
-        x, y = np.cos(r) ** 2, 1.0 + 0.25e6 * np.sin(r) ** 2
-        monkeypatch.setattr(special_functions_mod, "_MAX_DUPLICATIONS", 8)
-        _carlson_rf_rd(x, y, 1.0)
-        monkeypatch.setattr(special_functions_mod, "_MAX_DUPLICATIONS", 7)
-        with pytest.raises(ConvergenceError):
-            _carlson_rf_rd(x, y, 1.0)
+    @pytest.mark.parametrize("steps", [10, 11, special_functions_mod._DUPLICATIONS])
+    def test_the_duplication_depth_is_needed(self, monkeypatch, steps):
+        # on E(φ|m)'s arguments at m = −1e307 ten duplications leave R_F
+        # 1.2e-11 off; eleven already meet the bound that the depth keeps
+        monkeypatch.setattr(special_functions_mod, "_DUPLICATIONS", steps)
+        rf_error, rd_error = _carlson_errors(-1e307)
+        if steps == 10:
+            assert rf_error > 1e-12
+        else:
+            assert max(rf_error, rd_error) <= 1e-15
 
 
 class TestEllipticE:
     def test_endpoint_values(self):
         assert elliptic_e(0.0) == pytest.approx(math.pi / 2.0, abs=1e-15)
         assert elliptic_e(1.0) == 1.0
-        # exact inside arrays too: a far entry keeps every entry iterating,
-        # and a Carlson value at m = 0 would then miss pi/2
+        # exact inside arrays too, where a far entry shares the call: every
+        # entry takes the same steps, and a Carlson value at m = 0 would miss pi/2
         vals = elliptic_e(np.array([-3.0, 0.0, 0.5, 1.0, -1e30]))
         assert vals[1] == math.pi / 2.0
         assert vals[3] == 1.0
         assert vals[0] == pytest.approx(elliptic_e(-3.0), rel=1e-15)
 
     def test_matches_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
-        m = np.concatenate([-np.logspace(30.0, -20.0, 301),
-                            np.linspace(0.0, 1.0, 200, endpoint=False),
-                            1.0 - 10.0 ** -np.arange(1.0, 16.0), [1.0 - 2.0 ** -52]])
-        with mpmath.workdps(40):
-            ref = np.array([float(mpmath.ellipe(x)) for x in m.tolist()])
-        assert np.max(np.abs(elliptic_e(m) - ref) / ref) <= 1e-14
+        assert _agm_error(AGM_PARAMETERS) <= 1e-14
 
-    def test_iteration_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(special_functions_mod, "_MAX_AGM_STEPS", 1)
-        with pytest.raises(ConvergenceError):
-            elliptic_e(-1.0)
+    @pytest.mark.parametrize("steps", [10, 11, special_functions_mod._AGM_STEPS])
+    def test_the_agm_depth_is_needed(self, monkeypatch, steps):
+        # ten steps leave E(−1.7e308) 5.2e-11 off; eleven already meet the
+        # 1e-14 bound to m = −1e30 and the error's slow growth beyond (2.0e-14)
+        monkeypatch.setattr(special_functions_mod, "_AGM_STEPS", steps)
+        if steps == 10:
+            assert _agm_error(-1.7e308) > 1e-11
+        else:
+            assert _agm_error(-1.7e308) <= 3e-14
+            assert _agm_error(AGM_PARAMETERS) <= 1e-14
 
     def test_peak_memory_is_a_few_arrays(self):
         # the sweep's parameters: m = -(nu0/omega0)^2/4 over six decades of nu0
@@ -278,6 +309,24 @@ class TestEllipticEIncomplete:
             elliptic_e_incomplete(1.0, math.nan)
 
 
+class TestScalarCallIsItsArrayEntry:
+    """An entry's bits do not depend on what shares its call."""
+
+    def test_complete_on_the_sweeps_parameters(self):
+        # m = −(ν₀/ω₀)²/4 over the six decades of ν₀ that the sweep spans
+        m = -0.25 * np.logspace(-3.0, 3.0, 1001) ** 2
+        alone = np.array([elliptic_e(x) for x in m.tolist()])
+        assert np.array_equal(_bits(alone), _bits(elliptic_e(m)))
+
+    @pytest.mark.parametrize("m", [-0.25, -625.0])
+    def test_incomplete_on_the_simulate_grid(self, m):
+        # φ = 2ω₀t on simulate's 62830-step grid over [0, 2π], at ν₀ = 1 and 50
+        phi = 2.0 * np.linspace(0.0, 2.0 * math.pi, 62831)
+        whole = elliptic_e_incomplete(phi, m)
+        alone = np.array([elliptic_e_incomplete(x, m) for x in phi[::70].tolist()])
+        assert np.array_equal(_bits(alone), _bits(whole[::70]))
+
+
 class TestAdaptiveSimpson:
     def test_exact_on_cubic(self):
         res = adaptive_simpson(lambda x: x ** 3 - 2 * x ** 2 + 3 * x - 1, 0.0, 1.0)
@@ -322,7 +371,7 @@ class TestAdaptiveSimpson:
 
     def test_depth_limit_raises(self):
         # unresolvable oscillation near the left endpoint
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(QuadratureDepthError):
             adaptive_simpson(lambda x: math.sin(1.0 / x), 1e-15, 1.0, tol=1e-10)
 
     def test_validates_bounds_and_tolerance(self):
