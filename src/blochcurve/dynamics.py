@@ -137,19 +137,11 @@ def analytic_state(params: ScenarioParams, t) -> np.ndarray:
     with φ from ``transport_phase_closed``. Satisfies ⟨m|ṁ⟩ = 0 and the
     Schrödinger equation for the built-in field. Returns the amplitudes
     (α, β) on the last axis: shape (2,) for a scalar t, t.shape + (2,) else.
-
-    e^{−iφ}·e^{iν₀t} = (cos φ cos ν₀t + sin φ sin ν₀t) + i(cos φ sin ν₀t −
-    sin φ cos ν₀t) is built from real parts: numpy's complex product is fused
-    in its array loop and not on scalars, and swaps its operands on large
-    arrays, so a node would get different bits alone, in a block or in a grid.
+    Built from the real parts of ``_phase_factors``.
     """
-    t = np.asarray(t, dtype=float)
-    w, n = params.omega0, params.nu0
-    phi = transport_phase_closed(params, t)
-    cp, sp, cn, sn = np.cos(phi), np.sin(phi), np.cos(n * t), np.sin(n * t)
-    c, s = np.cos(w * t), np.sin(w * t)
-    re = np.stack([cp * c, (cp * cn + sp * sn) * s], axis=-1)
-    im = np.stack([-sp * c, (cp * sn - sp * cn) * s], axis=-1)
+    cp, sp, p, q, c, s = _phase_factors(params, np.asarray(t, dtype=float))
+    re = np.stack([cp * c, p * s], axis=-1)
+    im = np.stack([-sp * c, q * s], axis=-1)
     return re + 1j * im  # exact: 1j * im and the sum round nothing
 
 
@@ -158,25 +150,35 @@ def analytic_state_derivative(params: ScenarioParams, t) -> np.ndarray:
 
     With φ̇ = ν₀ sin²(ω₀t) the components are
 
-        ṁ₀ = e^{−iφ} [ −iφ̇ cos(ω₀t) − ω₀ sin(ω₀t) ]
-        ṁ₁ = e^{−iφ} e^{iν₀t} [ (−iφ̇ + iν₀) sin(ω₀t) + ω₀ cos(ω₀t) ]
+        ṁ₀ = e^{−iφ} [ −ω₀ sin(ω₀t) − iφ̇ cos(ω₀t) ]
+        ṁ₁ = e^{−iφ} e^{iν₀t} [ ω₀ cos(ω₀t) + i(ν₀ − φ̇) sin(ω₀t) ]
 
     which makes ⟨m|ṁ⟩ = i(ν₀ sin²(ω₀t) − φ̇) vanish identically, so this
     derivative feeds ``synthesize_hamiltonian`` with no finite-difference
-    noise in the gauge condition. Shaped like ``analytic_state``.
+    noise in the gauge condition. Built from the real parts of
+    ``_phase_factors``; shaped like ``analytic_state``.
     """
     t = np.asarray(t, dtype=float)
     w, n = params.omega0, params.nu0
-    gauge = np.exp(-1j * transport_phase_closed(params, t))
-    c, s = np.cos(w * t), np.sin(w * t)
+    cp, sp, p, q, c, s = _phase_factors(params, t)
     phi_dot = n * s * s
-    return np.stack(
-        [
-            gauge * (-1j * phi_dot * c - w * s),
-            gauge * np.exp(1j * n * t) * ((-1j * phi_dot + 1j * n) * s + w * c),
-        ],
-        axis=-1,
-    )
+    x0, y0 = -w * s, -phi_dot * c      # ṁ₀ = (cos φ − i sin φ)(x0 + iy0)
+    x1, y1 = w * c, (n - phi_dot) * s  # ṁ₁ = (p + iq)(x1 + iy1)
+    re = np.stack([cp * x0 + sp * y0, p * x1 - q * y1], axis=-1)
+    im = np.stack([cp * y0 - sp * x0, p * y1 + q * x1], axis=-1)
+    return re + 1j * im
+
+
+def _phase_factors(params: ScenarioParams, t: np.ndarray):
+    """cos φ, sin φ, the parts p + iq = e^{−iφ}·e^{iν₀t}, cos ω₀t and sin ω₀t.
+    The closed-form state and its derivative multiply these real parts, never
+    complex numbers: numpy's complex product is fused in its array loop and
+    not on scalars, and swaps its operands on large arrays, so a node would
+    get different bits alone, in a block or in a grid."""
+    w, n = params.omega0, params.nu0
+    phi = transport_phase_closed(params, t)
+    cp, sp, cn, sn = np.cos(phi), np.sin(phi), np.cos(n * t), np.sin(n * t)
+    return cp, sp, cp * cn + sp * sn, cp * sn - sp * cn, np.cos(w * t), np.sin(w * t)
 
 
 def analytic_bloch(params: ScenarioParams, t) -> np.ndarray:

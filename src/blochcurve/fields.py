@@ -157,10 +157,16 @@ class CallableField:
             # h at t and at the four stencil points t ± dt, t ± 2dt, in one call
             d = self.step
             offsets = np.array([0.0, -2.0 * d, -d, d, 2.0 * d]).reshape((5,) + (1,) * t.ndim)
-            h, h_m2, h_m1, h_p1, h_p2 = _components(self.h, t + offsets)
-            hd = (h_m2 - 8.0 * h_m1 + 8.0 * h_p1 - h_p2) / (12.0 * d)
+            h, *stencil = _components(self.h, t + offsets)
+            hd = _central_difference(*stencil, d)
         h0 = self.h0(t) if callable(self.h0) else self.h0
         return FieldSample(t, h0, h, hd)
+
+
+def _central_difference(f_m2, f_m1, f_p1, f_p2, d: float):
+    """f′ to 4th order from f at −2d, −d, +d, +2d around each point:
+    (f(−2d) − 8f(−d) + 8f(d) − f(2d)) / (12d)."""
+    return (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * d)
 
 
 def _components(fn: Callable[[np.ndarray], object], t: np.ndarray) -> np.ndarray:

@@ -104,17 +104,13 @@ def curvature_bloch(sample: FieldSample, a):
     |ȧ|² ≤ 4·``EPSILON_SINGULAR``·h² means a is (numerically) collinear with
     h, i.e. an instantaneous eigenstate with zero speed, where curvature is
     undefined; the test is relative, so a weak field is not mistaken for one.
-    κ² is projective, so a is rescaled to unit length after the check. a
-    carries its (finite) components on the last axis; its leading axes
+    κ² is projective, so ``_unit_bloch`` rescales a to unit length after
+    its check. a carries its components on the last axis; its leading axes
     broadcast against the sample's grid. The sample is read as given; where
     its scaled rate ḣλ² overflows, κ² is not a double and DomainError is
     raised.
     """
-    av = _vec3(a)
-    a2 = _dot(av, av)
-    if not np.all(np.abs(a2 - 1.0) <= 1e-9):
-        raise InvalidArgumentError("Bloch vector a must have unit length")
-    ax, ay, az = np.moveaxis(av, -1, 0) / np.sqrt(a2)
+    ax, ay, az = np.moveaxis(_unit_bloch(a), -1, 0)
     _, (hx, hy, hz), (gx, gy, gz) = _scaled_field(sample.h, sample.h_dot)
     h2 = hx * hx + hy * hy + hz * hz
     ah = ax * hx + ay * hy + az * hz
@@ -224,11 +220,11 @@ def speed_efficiency(sample: FieldSample, a):
     The numerator is the energy dispersion in the state with Bloch vector a,
     the denominator the spectral norm of H (largest |eigenvalue|, from
     eig(H†H) = (h₀ ± ‖h‖)²). Equals 1 exactly when h₀ = 0 and a ⊥ h: all of
-    the Hamiltonian drives the state. a carries its (finite) components on
-    the last axis; its leading axes broadcast against the sample's grid. h₀
+    the Hamiltonian drives the state. a is checked and rescaled by
+    ``_unit_bloch``, as in ``curvature_bloch``, and broadcasts likewise. h₀
     and h are scaled per node, as κ²'s field is.
     """
-    av = _vec3(a)
+    av = _unit_bloch(a)
     lam, hv = _scaled_field(sample.h)
     hv, h0 = np.moveaxis(hv, 0, -1), sample.h0 * lam
     h_sq = _dot(hv, hv)
@@ -350,13 +346,18 @@ def scenario_records(
     return dict(zip(SERIES_COLUMNS, columns))
 
 
-def _vec3(x) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.shape[-1:] != (3,):
-        raise InvalidArgumentError(f"expected 3 components on the last axis, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+def _unit_bloch(a) -> np.ndarray:
+    """The Bloch vector a at the API boundary: 3 components on the last axis,
+    all finite, and |a|² within 1e-9 of 1; returned divided by |a|."""
+    av = np.asarray(a, dtype=float)
+    if av.shape[-1:] != (3,):
+        raise InvalidArgumentError(f"expected 3 components on the last axis, got shape {av.shape}")
+    if not np.all(np.isfinite(av)):
         raise InvalidArgumentError("vector components must be finite")
-    return v
+    a2 = _dot(av, av)
+    if not np.all(np.abs(a2 - 1.0) <= 1e-9):
+        raise InvalidArgumentError("Bloch vector a must have unit length")
+    return av / np.sqrt(a2)[..., None]
 
 
 def _dot(x: np.ndarray, y: np.ndarray):

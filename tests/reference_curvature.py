@@ -10,9 +10,22 @@ so their sum is clipped at 0 within a round-off floor.
 import numpy as np
 
 from blochcurve import InvalidArgumentError, SingularityError
-from blochcurve.geometry import EPSILON_SINGULAR, _dot, _vec3
+from blochcurve.geometry import EPSILON_SINGULAR
 
 KAPPA2_CLIP_FLOOR = -1e-9  # clip [floor, 0) to 0, fail below
+
+
+def _vec3(x) -> np.ndarray:
+    v = np.asarray(x, dtype=float)
+    if v.shape[-1:] != (3,):
+        raise InvalidArgumentError(f"expected 3 components on the last axis, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidArgumentError("vector components must be finite")
+    return v
+
+
+def _dot(x, y):
+    return np.einsum("...k,...k->...", x, y)
 
 
 def clip_nonneg(value, floor: float = KAPPA2_CLIP_FLOOR):

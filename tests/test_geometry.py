@@ -535,6 +535,16 @@ class TestSpeedEfficiency:
         assert eta == pytest.approx(4.0 / 7.0, rel=1e-15)
         assert speed_efficiency(node(h), (0.0, 0.6, 0.8)) == 1.0
 
+    @pytest.mark.parametrize("route", [curvature_bloch, speed_efficiency])
+    def test_both_field_routes_reject_a_non_unit_bloch_vector(self, route):
+        # speed_efficiency(s, 2*a) used to return 1.0 along the built-in drive
+        t = np.linspace(0.1, 3.0, 30)
+        s, a = two_parameter_field(P11, t), analytic_bloch(P11, t)
+        for scale in (2.0, 1.0 + 1e-8):
+            with pytest.raises(InvalidArgumentError, match="unit length"):
+                route(s, scale * a)
+        route(s, (1.0 + 1e-10) * a)  # |a|² within 1e-9 of 1 is unit
+
     def test_undefined_for_zero_hamiltonian(self):
         with pytest.raises(UndefinedEfficiencyError):
             speed_efficiency(node((0.0, 0.0, 0.0)), (0.0, 0.0, 1.0))
@@ -816,8 +826,9 @@ def test_array_call_matches_per_node_calls(name):
 
 
 def _simulate_columns(params, t):
-    """What each column function of ``simulate`` gives at the times t, and the
-    state that the operator route reads."""
+    """What each column function of ``simulate`` gives at the times t, the
+    state that the operator route reads, and its derivative, which the
+    battery's Hamiltonian synthesis reads."""
     sample = two_parameter_field(params, t)
     a, psi = analytic_bloch(params, t), analytic_state(params, t)
     return {
@@ -833,6 +844,7 @@ def _simulate_columns(params, t):
         "arc": arc_length_closed(params, t),
         "phase": transport_phase_closed(params, t),
         "state": psi,
+        "state_dot": analytic_state_derivative(params, t),
     }
 
 

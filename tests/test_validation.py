@@ -136,18 +136,21 @@ class TestBattery:
         assert [r.name for r in results if not r.passed] == []
         assert by_name(results)["field_derivative"].residual <= 1e-10
 
-    def test_midpoint_nodes_fail_only_the_order_check(self, monkeypatch):
+    def test_midpoint_nodes_fail_only_the_order_sensitive_checks(self, monkeypatch):
         # the exponential midpoint rule is unitary and accurate enough at
-        # dt = 1e-3 for every other check; only its order (2, not 4) shows
+        # dt = 1e-3 for every other check; only its order (2, not 4) shows,
+        # in the order check and in the tilted rows, which drift off the
+        # exact flow by O(dt²) and so break d/dt(a·h) = a·h_dot
         monkeypatch.setattr(dynamics_mod, "_STEP_POINTS", MIDPOINT_NODES)
         results = run_battery(P11, TimeGrid(0.0, 2.0 * math.pi, 6283))
-        assert [r.name for r in results if not r.passed] == ["integrator_order"]
+        assert [r.name for r in results if not r.passed] == ["consistency_identity",
+                                                             "integrator_order"]
         assert by_name(results)["integrator_order"].residual == pytest.approx(2.0, abs=0.01)
 
     def test_consistency_identity_sees_the_rotation_axis(self, monkeypatch):
         # d/dt(a·h) = a·h_dot holds because a step turns a about h; the check
-        # steps the rows itself, so steps about an axis turned 1e-3 rad off h
-        # show as ȧ·h ≠ 0, whatever the rows are
+        # differentiates the integrated rows, so steps about an axis turned
+        # 1e-3 rad off h show as ȧ·h ≠ 0
         quaternions = dynamics_mod._quaternions
         c, s = math.cos(1e-3), math.sin(1e-3)
         turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -204,16 +207,18 @@ class TestBattery:
         assert not res["route_agreement_general"].passed
 
     @pytest.mark.parametrize("grid, midpoint_caught", [
-        (TimeGrid(0.0, 2.0 * math.pi, 6283), ["integrator_order"]),
-        (TimeGrid(0.0, math.pi, 300), ["bloch_supnorm", "integrator_order"]),
+        (TimeGrid(0.0, 2.0 * math.pi, 6283), ["consistency_identity", "integrator_order"]),
+        (TimeGrid(0.0, math.pi, 300),
+         ["consistency_identity", "bloch_supnorm", "integrator_order"]),
     ], ids=["defaults", "300 steps"])
     def test_curvature_mutant_kill_sets(self, monkeypatch, grid, midpoint_caught):
         # each mutant and the exact set of checks it fails; the chirality
         # term vanishes along the built-in drive, the h_dot term carries all
         # of its curvature, and the 2nd-order midpoint rule shows in the
-        # order check (and in the Bloch rows once dt is coarse); along the
-        # built-in drive ⟨H⟩ = 0 makes Δh²ψ = ψ, which the projection removes,
-        # so only the tilted field sees the operator route drop it
+        # order check and the tilted rows' a·h (and in the Bloch rows once dt
+        # is coarse); along the built-in drive ⟨H⟩ = 0 makes Δh²ψ = ψ, which
+        # the projection removes, so only the tilted field sees the operator
+        # route drop it
         kill_sets = [
             (geometry_mod, "curvature_bloch", two_terms_only, ["route_agreement_general"]),
             (geometry_mod, "curvature_bloch", no_hdot_term,
@@ -259,9 +264,9 @@ class TestBattery:
         # the scenario's field is sampled once on the nodes, by the
         # integrator, and the checks read the trajectory's sample; the tilted
         # field twice per integration (its Magnus steps, its nodes) on three
-        # grids, three times by consistency_identity (its steps of +d and -d,
-        # then h at t +- d in one call), and field_derivative's stencil field
-        # once; and only the decomposition check composes Pauli matrices
+        # grids, and its checks read the 400-step trajectory's sample;
+        # field_derivative's stencil field once; and only the decomposition
+        # check composes Pauli matrices
         calls = {"grid": 0, "callable": 0, "compose": 0}
         field = fields_mod.two_parameter_field
         sample = fields_mod.CallableField.sample
@@ -287,7 +292,7 @@ class TestBattery:
                     and getattr(module, "pauli_compose", None) is compose):
                 monkeypatch.setattr(module, "pauli_compose", compose_recording)
         run_battery(P11, TimeGrid(0.0, 2.0 * math.pi, 6283))
-        assert calls == {"grid": 1, "callable": 10, "compose": 1}
+        assert calls == {"grid": 1, "callable": 7, "compose": 1}
 
     def test_raising_check_reports_failure_instead_of_crashing(self, monkeypatch):
         def broken(*args, **kwargs):
