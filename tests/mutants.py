@@ -1,29 +1,50 @@
-"""Deliberately broken library functions for the mutation tests.
-
-Each mutant must be caught by the validation battery. The field mutants, of
-the built-in field or of the battery's tilted fixture, work on one node or on
-a whole grid alike: vector components sit on the last axis, so ``h[..., 1]``
-is the y component of every node.
+"""Deliberately broken library functions for the kill matrix in
+``test_validation.py``, which pins the exact checks each one fails; an empty
+list there is a gap of the battery. The field mutants, of the built-in field or
+of the battery's tilted fixture, work on one node or on a whole grid alike:
+vector components sit on the last axis, so ``h[..., 1]`` is the y component of
+every node.
 """
 
+import dataclasses
+import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 
+import blochcurve.dynamics as dynamics_mod
 import blochcurve.fields as fields_mod
+import blochcurve.geometry as geometry_mod
 import blochcurve.validation as validation_mod
 from blochcurve import FieldSample, pauli_compose
 
 
-def flip_h_y(h, hd):
-    """Reverse the y component of the field and of its rate."""
-    h[..., 1] = -h[..., 1]
-    hd[..., 1] = -hd[..., 1]
+def patch_everywhere(monkeypatch, module, name, new):
+    """Rebind ``module.name`` and every other ``blochcurve`` binding of the
+    same object, so callers that imported it by name see ``new`` as well."""
+    target = getattr(module, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "blochcurve":
+            for attr, value in list(vars(mod).items()):
+                if value is target:
+                    monkeypatch.setattr(mod, attr, new)
 
 
-def scale_h_dot_z(h, hd):
-    """Make the z rate 1% too large; the field itself stays right."""
-    hd[..., 2] *= 1.01
+def scaled(original, factor):
+    """``original`` with its result multiplied by ``factor``."""
+    return lambda *args: factor * original(*args)
+
+
+def component(k, h=1.0, h_dot=1.0):
+    """Multiply component ``k`` (0, 1, 2 for x, y, z) of the field by ``h``
+    and of its rate by ``h_dot``, in place."""
+
+    def mutate(hv, hd):
+        hv[..., k] *= h
+        hd[..., k] *= h_dot
+
+    return mutate
 
 
 def _mutated(s, mutate):
@@ -34,8 +55,8 @@ def _mutated(s, mutate):
 
 
 def corrupted_field(mutate):
-    """``two_parameter_field`` with ``mutate(h, h_dot)`` applied in place to
-    every sample; to be monkeypatched over ``blochcurve.fields``."""
+    """``fields.two_parameter_field`` with ``mutate(h, h_dot)`` applied in
+    place to every sample."""
     original = fields_mod.two_parameter_field
 
     def corrupted(params, t):
@@ -45,8 +66,8 @@ def corrupted_field(mutate):
 
 
 def corrupted_fixture(mutate):
-    """``tilted_field_fixture`` whose field applies ``mutate(h, h_dot)`` to
-    every sample; to be monkeypatched over ``blochcurve.validation``."""
+    """``validation.tilted_field_fixture`` whose field applies
+    ``mutate(h, h_dot)`` to every sample."""
     original = validation_mod.tilted_field_fixture
 
     def corrupted():
@@ -85,7 +106,7 @@ def operator_route(drop):
     """``geometry._expectation_block`` (κ² = ‖q − ψ⟨ψ|q⟩‖², q = Δh′ψ − iΔh²ψ)
     with one piece dropped: the −iΔh²ψ part of q (``"dh2"``), the projection
     off ψ (``"projection"``) or the v̇ term of Δh′ψ (``"v_dot"``). Unscaled and
-    with no singular test; to be monkeypatched over ``blochcurve.geometry``."""
+    with no singular test."""
 
     def ket(op, x):
         return np.einsum("ijn,jn->in", op, x)
@@ -111,7 +132,31 @@ def operator_route(drop):
     return block
 
 
-# Both Gauss points of the Magnus step moved onto the midpoint (monkeypatched
-# over ``blochcurve.dynamics._STEP_POINTS``): the exponential midpoint rule,
-# still exactly unitary but only 2nd order.
+def off_axis_quaternions(angle):
+    """``dynamics._quaternions`` with the rotation axis turned ``angle`` rad about z."""
+    original = dynamics_mod._quaternions
+    c, s = math.cos(angle), math.sin(angle)
+    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+    def off_axis(omega):
+        cos_part, v = original(omega)
+        return cos_part, v @ turn.T
+
+    return off_axis
+
+
+def late_acc_max(fraction):
+    """``geometry.extrema_summary`` with t_accmax ``fraction`` of a period late."""
+    original = geometry_mod.extrema_summary
+
+    def shifted(params):
+        ext = original(params)
+        return dataclasses.replace(ext, t_accmax=ext.t_accmax + fraction * ext.period)
+
+    return shifted
+
+
+# Both Gauss points of the Magnus step moved onto the midpoint (to replace
+# ``dynamics._STEP_POINTS``): the exponential midpoint rule, still exactly
+# unitary but only 2nd order.
 MIDPOINT_NODES = np.array([0.5, 0.5, 0.5])

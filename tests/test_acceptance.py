@@ -36,7 +36,7 @@ from blochcurve import (
     two_parameter_field,
 )
 from blochcurve.cli import main as cli_main
-from mutants import corrupted_field, flip_h_y, two_terms_only
+from mutants import component, corrupted_field, two_terms_only
 from reference_quadrature import adaptive_simpson
 
 P11 = ScenarioParams(1.0, 1.0)
@@ -275,7 +275,8 @@ def test_criterion_12_validation_cli_gate(capsys, monkeypatch):
         clean = cli_main(["validate"])
 
         with monkeypatch.context() as m:
-            m.setattr(fields_mod, "two_parameter_field", corrupted_field(flip_h_y))
+            m.setattr(fields_mod, "two_parameter_field",
+                      corrupted_field(component(1, h=-1.0, h_dot=-1.0)))
             flipped = cli_main(["validate"])
 
         with monkeypatch.context() as m:

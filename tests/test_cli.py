@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 import blochcurve.cli as cli_mod
-import blochcurve.fields as fields_mod
-import blochcurve.geometry as geometry_mod
 from blochcurve import (
     DEFAULT_TOLERANCES,
     ExtremaSummary,
@@ -22,7 +20,6 @@ from blochcurve import (
 )
 from blochcurve._floattext import table_chunks
 from blochcurve.cli import SERIES_COLUMNS, SWEEP_COLUMNS, main
-from mutants import corrupted_field, flip_h_y, two_terms_only
 from reference_render import reference_render
 
 PI_TXT = "3.141592653589793"
@@ -125,8 +122,8 @@ class TestSimulate:
     def test_route_columns_agree(self, tmp_path):
         _, rows = parse_csv(run_simulate(tmp_path, "--t-max", PI_TXT))
         for row in rows:
-            assert abs(row["kappa2_bloch"] - row["kappa2_closed"]) <= 1e-9
-            assert abs(row["kappa2_expect"] - row["kappa2_closed"]) <= 1e-4
+            assert abs(row["kappa2_bloch"] - row["kappa2_closed"]) <= 1e-13
+            assert abs(row["kappa2_expect"] - row["kappa2_closed"]) <= 1e-13
 
 
 class TestConfigFile:
@@ -193,19 +190,6 @@ class TestValidateCommand:
     def test_unknown_tolerance_name(self, capsys):
         assert main(["validate", "--tol", "bogus=1e-6"]) == 2
         assert "bogus" in capsys.readouterr().err
-
-    def test_detects_corrupted_field(self, monkeypatch, capsys):
-        monkeypatch.setattr(fields_mod, "two_parameter_field", corrupted_field(flip_h_y))
-        code = main(["validate", "--steps", "300", "--t-max", PI_TXT])
-        assert code == 1
-        assert "[FAIL]" in capsys.readouterr().out
-
-    def test_detects_dropped_curvature_term(self, monkeypatch, capsys):
-        monkeypatch.setattr(geometry_mod, "curvature_bloch", two_terms_only)
-        code = main(["validate", "--steps", "300", "--t-max", PI_TXT])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "[FAIL] route_agreement_general" in out
 
 
 class TestSweep:

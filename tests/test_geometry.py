@@ -727,8 +727,8 @@ class TestScenarioRecords:
                 -transport_phase_closed(P11, t), abs=1e-12
             )
             assert cols["arc_length"][k] == pytest.approx(arc_length_closed(P11, t), abs=1e-9)
-            assert abs(cols["kappa2_bloch"][k] - cols["kappa2_closed"][k]) <= 1e-9
-            assert abs(cols["kappa2_expect"][k] - cols["kappa2_closed"][k]) <= 1e-4
+            assert abs(cols["kappa2_bloch"][k] - cols["kappa2_closed"][k]) <= 1e-13
+            assert abs(cols["kappa2_expect"][k] - cols["kappa2_closed"][k]) <= 1e-13
 
     def test_arc_is_nondecreasing(self):
         ss = scenario_records(P11, TimeGrid(0.0, 2.0, 50))["arc_length"]

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +9,7 @@ import blochcurve.dynamics as dynamics_mod
 import blochcurve.fields as fields_mod
 import blochcurve.geometry as geometry_mod
 import blochcurve.qubit_core as qubit_core_mod
+import blochcurve.special_functions as special_functions_mod
 import blochcurve.validation as validation_mod
 from blochcurve import (
     InvalidArgumentError,
@@ -32,12 +32,15 @@ from blochcurve.validation import (
 )
 from mutants import (
     MIDPOINT_NODES,
+    component,
     corrupted_field,
     corrupted_fixture,
-    flip_h_y,
+    late_acc_max,
     no_hdot_term,
+    off_axis_quaternions,
     operator_route,
-    scale_h_dot_z,
+    patch_everywhere,
+    scaled,
     two_terms_only,
 )
 from reference_quadrature import adaptive_simpson
@@ -137,32 +140,17 @@ class TestBattery:
         assert by_name(results)["field_derivative"].residual <= 1e-10
 
     def test_midpoint_nodes_fail_only_the_order_sensitive_checks(self, monkeypatch):
-        # the exponential midpoint rule is unitary and accurate enough at
-        # dt = 1e-3 for every other check; only its order (2, not 4) shows,
-        # in the order check and in the tilted rows, which drift off the
-        # exact flow by O(dt²) and so break d/dt(a·h) = a·h_dot
-        monkeypatch.setattr(dynamics_mod, "_STEP_POINTS", MIDPOINT_NODES)
+        # the exponential midpoint rule is 2nd order (its kill set is in KILL_MATRIX)
+        patch_everywhere(monkeypatch, dynamics_mod, "_STEP_POINTS", MIDPOINT_NODES)
         results = run_battery(P11, TimeGrid(0.0, 2.0 * math.pi, 6283))
-        assert [r.name for r in results if not r.passed] == ["consistency_identity",
-                                                             "integrator_order"]
         assert by_name(results)["integrator_order"].residual == pytest.approx(2.0, abs=0.01)
 
     def test_consistency_identity_sees_the_rotation_axis(self, monkeypatch):
         # d/dt(a·h) = a·h_dot holds because a step turns a about h; the check
         # differentiates the integrated rows, so steps about an axis turned
-        # 1e-3 rad off h show as ȧ·h ≠ 0
-        quaternions = dynamics_mod._quaternions
-        c, s = math.cos(1e-3), math.sin(1e-3)
-        turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-        def off_axis(omega):
-            cos_part, v = quaternions(omega)
-            return cos_part, v @ turn.T
-
-        monkeypatch.setattr(dynamics_mod, "_quaternions", off_axis)
+        # 1e-3 rad off h show as ȧ·h ≠ 0 (its kill set is in KILL_MATRIX)
+        patch_everywhere(monkeypatch, dynamics_mod, "_quaternions", off_axis_quaternions(1e-3))
         results = run_battery(P11, GRID)
-        assert [r.name for r in results if not r.passed] == ["consistency_identity",
-                                                             "bloch_supnorm"]
         assert by_name(results)["consistency_identity"].residual >= 1e-4
 
     def test_tightened_tolerance_fails_the_one_check(self):
@@ -171,79 +159,6 @@ class TestBattery:
         res = by_name(results)
         assert not res["bloch_supnorm"].passed
         assert res["elliptic"].passed
-
-    def test_flipped_field_component_is_caught(self, monkeypatch):
-        # each mutant corrupts the built-in field and names the checks that
-        # must notice; both curvature routes consume h_dot, so a rate-only
-        # corruption must trip the stencil and the closed-form route
-        mutants = [
-            (flip_h_y, ("route_agreement", "orthogonality", "eta_se")),
-            (scale_h_dot_z, ("field_derivative", "route_agreement")),
-        ]
-        grid = TimeGrid(0.0, math.pi, 300)
-        for mutate, caught in mutants:
-            corrupted = corrupted_field(mutate)
-            # a grid sample is corrupted at every node exactly as one-node
-            # samples are, not in a single row
-            whole = corrupted(P11, grid.times())
-            nodes = [corrupted(P11, t) for t in grid.times().tolist()]
-            assert np.array_equal(whole.h, [s.h for s in nodes]), mutate.__name__
-            assert np.array_equal(whole.h_dot, [s.h_dot for s in nodes]), mutate.__name__
-            monkeypatch.setattr(fields_mod, "two_parameter_field", corrupted)
-            res = by_name(run_battery(P11, grid))
-            for name in caught:
-                assert not res[name].passed, (mutate.__name__, name)
-            for name in ("elliptic", "decomposition", "extrema_value"):
-                assert res[name].passed, (mutate.__name__, name)
-            monkeypatch.undo()
-
-    def test_dropped_curvature_term_is_caught_off_the_special_path(self, monkeypatch):
-        # without the chirality term both routes still agree along the
-        # built-in drive (a.h = 0 kills it); only the general-position
-        # fixture can expose the loss
-        monkeypatch.setattr(geometry_mod, "curvature_bloch", two_terms_only)
-        res = by_name(run_battery(P11, TimeGrid(0.0, math.pi, 300)))
-        assert res["route_agreement"].passed
-        assert not res["route_agreement_general"].passed
-
-    @pytest.mark.parametrize("grid, midpoint_caught", [
-        (TimeGrid(0.0, 2.0 * math.pi, 6283), ["consistency_identity", "integrator_order"]),
-        (TimeGrid(0.0, math.pi, 300),
-         ["consistency_identity", "bloch_supnorm", "integrator_order"]),
-    ], ids=["defaults", "300 steps"])
-    def test_curvature_mutant_kill_sets(self, monkeypatch, grid, midpoint_caught):
-        # each mutant and the exact set of checks it fails; the chirality
-        # term vanishes along the built-in drive, the h_dot term carries all
-        # of its curvature, and the 2nd-order midpoint rule shows in the
-        # order check and the tilted rows' a·h (and in the Bloch rows once dt
-        # is coarse); along the built-in drive ⟨H⟩ = 0 makes Δh²ψ = ψ, which
-        # the projection removes, so only the tilted field sees the operator
-        # route drop it
-        kill_sets = [
-            (geometry_mod, "curvature_bloch", two_terms_only, ["route_agreement_general"]),
-            (geometry_mod, "curvature_bloch", no_hdot_term,
-             ["route_agreement", "route_agreement_general"]),
-            (geometry_mod, "_expectation_block", operator_route("dh2"),
-             ["route_agreement_general"]),
-            (geometry_mod, "_expectation_block", operator_route("projection"),
-             ["route_agreement_expect", "route_agreement_general"]),
-            (geometry_mod, "_expectation_block", operator_route("v_dot"),
-             ["route_agreement_expect", "route_agreement_general"]),
-            (dynamics_mod, "_STEP_POINTS", MIDPOINT_NODES, midpoint_caught),
-            (fields_mod, "two_parameter_field", corrupted_field(flip_h_y),
-             ["route_agreement", "route_agreement_expect", "fidelity", "bloch_supnorm",
-              "orthogonality", "eta_se", "synthesis", "arc_agreement"]),
-            (fields_mod, "two_parameter_field", corrupted_field(scale_h_dot_z),
-             ["field_derivative", "route_agreement", "route_agreement_expect",
-              "orthogonality"]),
-            (validation_mod, "tilted_field_fixture", corrupted_fixture(scale_h_dot_z),
-             ["consistency_identity"]),
-        ]
-        for module, name, mutant, caught in kill_sets:
-            with monkeypatch.context() as m:
-                m.setattr(module, name, mutant)
-                results = run_battery(P11, grid)
-            assert [r.name for r in results if not r.passed] == caught, (name, caught)
 
     def test_one_propagator_scan_per_battery(self, monkeypatch):
         # the scenario is integrated once, and its trajectory carries the
@@ -264,9 +179,8 @@ class TestBattery:
         # the scenario's field is sampled once on the nodes, by the
         # integrator, and the checks read the trajectory's sample; the tilted
         # field twice per integration (its Magnus steps, its nodes) on three
-        # grids, and its checks read the 400-step trajectory's sample;
-        # field_derivative's stencil field once; and only the decomposition
-        # check composes Pauli matrices
+        # grids, and its checks read the 400-step trajectory's sample; and
+        # only the decomposition check composes Pauli matrices
         calls = {"grid": 0, "callable": 0, "compose": 0}
         field = fields_mod.two_parameter_field
         sample = fields_mod.CallableField.sample
@@ -284,15 +198,11 @@ class TestBattery:
             calls["compose"] += 1
             return compose(h0, h)
 
-        monkeypatch.setattr(fields_mod, "two_parameter_field", field_recording)
+        patch_everywhere(monkeypatch, fields_mod, "two_parameter_field", field_recording)
         monkeypatch.setattr(fields_mod.CallableField, "sample", sample_recording)
-        # every binding of pauli_compose in the package, as imported by name
-        for name, module in list(sys.modules.items()):
-            if (name.split(".")[0] == "blochcurve"
-                    and getattr(module, "pauli_compose", None) is compose):
-                monkeypatch.setattr(module, "pauli_compose", compose_recording)
+        patch_everywhere(monkeypatch, qubit_core_mod, "pauli_compose", compose_recording)
         run_battery(P11, TimeGrid(0.0, 2.0 * math.pi, 6283))
-        assert calls == {"grid": 1, "callable": 7, "compose": 1}
+        assert calls == {"grid": 1, "callable": 6, "compose": 1}
 
     def test_raising_check_reports_failure_instead_of_crashing(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -394,32 +304,121 @@ class TestExtrema:
         res = by_name(run_battery(P11, TimeGrid(0.0, math.pi, 300)))
         assert res["extrema_time"].residual <= 1e-8
 
-    def test_mutant_kill_set(self, monkeypatch):
-        # each mutant and the exact set of checks it fails
-        def scaled(module, name, factor):
-            original = getattr(module, name)
-            return module, name, lambda params, t: factor * original(params, t)
 
-        def late_acc_max():
-            original = geometry_mod.extrema_summary
+def test_corrupted_field_mutates_every_node_alike():
+    # a grid sample is corrupted at every node exactly as one-node samples
+    # are, not in a single row
+    grid = TimeGrid(0.0, math.pi, 300)
+    for mutate in (component(1, h=-1.0, h_dot=-1.0), component(2, h_dot=1.01)):
+        corrupted = corrupted_field(mutate)
+        whole = corrupted(P11, grid.times())
+        nodes = [corrupted(P11, t) for t in grid.times().tolist()]
+        assert np.array_equal(whole.h, [s.h for s in nodes])
+        assert np.array_equal(whole.h_dot, [s.h_dot for s in nodes])
 
-            def shifted(params):
-                ext = original(params)
-                return dataclasses.replace(ext, t_accmax=ext.t_accmax + 1e-5 * ext.period)
 
-            return geometry_mod, "extrema_summary", shifted
+# The battery's mutation contract. Each row is a mutant, the library object it
+# replaces (through ``patch_everywhere``, so every binding of it) and the exact
+# checks it fails, in report order, at both grids; a dict where the grids
+# differ. Weaker detection shows up as a diff of this table.
+KILL_GRIDS = {
+    "defaults": TimeGrid(0.0, 2.0 * math.pi, 6283),
+    "300 steps": TimeGrid(0.0, math.pi, 300),
+}
+H_FLIP = ["field_derivative", "route_agreement", "route_agreement_expect", "fidelity",
+          "bloch_supnorm", "orthogonality", "eta_se", "synthesis", "arc_agreement"]
+H_SCALE = ["field_derivative", "route_agreement", "route_agreement_expect", "bloch_supnorm",
+           "orthogonality", "arc_agreement"]
+RATE = ["field_derivative", "route_agreement", "route_agreement_expect", "orthogonality"]
 
-        kill_set = [
-            (scaled(geometry_mod, "acceleration", 1.01), ["extrema_value"]),
-            (scaled(fields_mod, "parallel_transverse_ratio", 1.01), ["extrema_value"]),
-            # passed the former absolute 1e-6 value tolerance
-            (scaled(geometry_mod, "acceleration", 1.0 + 1e-7), ["extrema_value"]),
-            (scaled(fields_mod, "parallel_transverse_ratio", 1.0 + 1e-7), ["extrema_value"]),
-            # passed the former 1e-4 time tolerance
-            (late_acc_max(), ["extrema_time"]),
-        ]
-        for (module, name, mutant), caught in kill_set:
-            with monkeypatch.context() as m:
-                m.setattr(module, name, mutant)
-                results = run_battery(P11, TimeGrid(0.0, math.pi, 300))
-            assert [r.name for r in results if not r.passed] == caught, name
+
+def _field(mutate):
+    return fields_mod, "two_parameter_field", corrupted_field(mutate)
+
+
+def _times(module, name, factor):
+    return module, name, scaled(getattr(module, name), factor)
+
+
+KILL_MATRIX = [
+    # the chirality term vanishes along the built-in drive (a·h = 0), so only
+    # the tilted fixture sees it dropped; the h_dot term carries all of the
+    # built-in drive's curvature
+    ("curvature_bloch-two_terms_only", (geometry_mod, "curvature_bloch", two_terms_only),
+     ["route_agreement_general"]),
+    ("curvature_bloch-no_hdot_term", (geometry_mod, "curvature_bloch", no_hdot_term),
+     ["route_agreement", "route_agreement_general"]),
+    # along the built-in drive ⟨H⟩ = 0 makes Δh²ψ = ψ, which the projection
+    # removes, so only the tilted field sees the operator route drop it
+    ("operator_route-dh2", (geometry_mod, "_expectation_block", operator_route("dh2")),
+     ["route_agreement_general"]),
+    ("operator_route-projection",
+     (geometry_mod, "_expectation_block", operator_route("projection")),
+     ["route_agreement_expect", "route_agreement_general"]),
+    ("operator_route-v_dot", (geometry_mod, "_expectation_block", operator_route("v_dot")),
+     ["route_agreement_expect", "route_agreement_general"]),
+    # the 2nd-order midpoint rule shows in the order check and the tilted
+    # rows' a·h, and in the Bloch rows once dt is coarse
+    ("midpoint_rule", (dynamics_mod, "_STEP_POINTS", MIDPOINT_NODES),
+     {"defaults": ["consistency_identity", "integrator_order"],
+      "300 steps": ["consistency_identity", "bloch_supnorm", "integrator_order"]}),
+    # steps about an axis 1e-3 rad off h break d/dt(a·h) = a·h_dot
+    ("quaternions-off_axis", (dynamics_mod, "_quaternions", off_axis_quaternions(1e-3)),
+     {"defaults": ["consistency_identity", "bloch_supnorm", "arc_agreement"],
+      "300 steps": ["consistency_identity", "bloch_supnorm"]}),
+    # a field component and its rate flipped together leave the stencil right
+    ("field-flip_h_y_and_h_dot_y", _field(component(1, h=-1.0, h_dot=-1.0)),
+     ["route_agreement", "route_agreement_expect", "fidelity", "bloch_supnorm",
+      "orthogonality", "eta_se", "synthesis", "arc_agreement"]),
+    ("field-h_dot_z*1.01", _field(component(2, h_dot=1.01)), RATE),
+    ("tilted_fixture-h_dot_z*1.01",
+     (validation_mod, "tilted_field_fixture", corrupted_fixture(component(2, h_dot=1.01))),
+     ["consistency_identity"]),
+    # each of the six components alone, sign-flipped and 1e-6 too large; the
+    # drift that h_z's error puts into the Bloch rows passes bloch_supnorm's
+    # 1e-6 only over the longer window
+    *[(f"field-flip_h_{c}", _field(component(k, h=-1.0)), H_FLIP) for k, c in enumerate("xyz")],
+    ("field-h_x*(1+1e-6)", _field(component(0, h=1.0 + 1e-6)), H_SCALE),
+    ("field-h_y*(1+1e-6)", _field(component(1, h=1.0 + 1e-6)), H_SCALE),
+    ("field-h_z*(1+1e-6)", _field(component(2, h=1.0 + 1e-6)),
+     {"defaults": ["field_derivative", "route_agreement", "route_agreement_expect",
+                   "bloch_supnorm", "orthogonality"],
+      "300 steps": RATE}),
+    *[(f"field-flip_h_dot_{c}", _field(component(k, h_dot=-1.0)), RATE)
+      for k, c in enumerate("xyz")],
+    *[(f"field-h_dot_{c}*(1+1e-6)", _field(component(k, h_dot=1.0 + 1e-6)), RATE)
+      for k, c in enumerate("xyz")],
+    # the closed forms, each 1% off
+    *[(f"{name}*1.01", _times(module, name, 1.01), caught) for module, name, caught in [
+        (geometry_mod, "speed", ["extrema_value"]),
+        (geometry_mod, "acceleration", ["extrema_value"]),
+        (fields_mod, "parallel_transverse_ratio", ["extrema_value"]),
+        (geometry_mod, "curvature_closed",
+         ["route_agreement", "route_agreement_expect", "extrema_value"]),
+        (geometry_mod, "speed_efficiency", ["eta_se"]),
+        (dynamics_mod, "arc_length_closed", ["arc_agreement"]),
+        (dynamics_mod, "analytic_bloch", ["route_agreement", "bloch_supnorm", "eta_se"]),
+        (special_functions_mod, "elliptic_e", ["elliptic", "arc_agreement"]),
+        (special_functions_mod, "elliptic_e_incomplete", ["elliptic", "arc_agreement"]),
+        # gaps (ROADMAP item 2): no check compares η_GE or the transport
+        # phase with a trajectory yet
+        (geometry_mod, "geodesic_efficiency", []),
+        (dynamics_mod, "transport_phase_closed", []),
+    ]],
+    # offsets below an absolute 1e-6 value and a 1e-4 time tolerance, which
+    # the extrema checks must not loosen back to
+    ("acceleration*(1+1e-7)", _times(geometry_mod, "acceleration", 1.0 + 1e-7),
+     ["extrema_value"]),
+    ("parallel_transverse_ratio*(1+1e-7)",
+     _times(fields_mod, "parallel_transverse_ratio", 1.0 + 1e-7), ["extrema_value"]),
+    ("extrema_summary-late_t_accmax", (geometry_mod, "extrema_summary", late_acc_max(1e-5)),
+     ["extrema_time"]),
+]
+
+
+@pytest.mark.parametrize("grid_id", KILL_GRIDS)
+@pytest.mark.parametrize("target, caught", [pytest.param(t, c, id=i) for i, t, c in KILL_MATRIX])
+def test_kill_matrix(monkeypatch, target, caught, grid_id):
+    patch_everywhere(monkeypatch, *target)
+    failed = [r.name for r in run_battery(P11, KILL_GRIDS[grid_id]) if not r.passed]
+    assert failed == (caught[grid_id] if isinstance(caught, dict) else caught)
