@@ -43,31 +43,15 @@ SWEEP_COLUMNS = ("omega0", "nu0",
 _SWEEP_ROWS = 8192          # sweep rows computed and rendered per block
 _PARSE_SEGMENT = 1 << 16    # characters of --nu0-list parsed per step
 
-_DEFAULTS = {
-    "omega0": 1.0,
-    "nu0": 1.0,
-    "t_max": 2.0 * math.pi,
-    "steps": 6283,
-    "format": "csv",
-}
-
-
-def _output_format(text: str) -> str:
-    if text not in ("csv", "json"):
-        raise ValueError(text)
-    return text
-
-
-# Every option, by the name a --config file uses: its flag, the cast applied
-# to a config-file value, and the argparse settings of the flag.
+# Every option, by the name a --config file uses, with the argparse settings of
+# its flag: the name with "--" in front and "-" for "_" (t_max is --t-max).
 _OPTIONS = {
-    "omega0": ("--omega0", float, dict(type=float, help="rotation rate (> 0), default 1")),
-    "nu0": ("--nu0", float, dict(type=float, help="drive strength (>= 0), default 1")),
-    "t_max": ("--t-max", float, dict(type=float, help="end of the time grid, default 2*pi")),
-    "steps": ("--steps", int, dict(type=int, help="number of grid intervals, default 6283")),
-    "out": ("--out", str, dict(help="output path (default: stdout)")),
-    "format": ("--format", _output_format,
-               dict(choices=("csv", "json"), help="output format, default csv")),
+    "omega0": dict(type=float, default=1.0, help="rotation rate (> 0), default 1"),
+    "nu0": dict(type=float, default=1.0, help="drive strength (>= 0), default 1"),
+    "t_max": dict(type=float, default=2.0 * math.pi, help="end of the time grid, default 2*pi"),
+    "steps": dict(type=int, default=6283, help="number of grid intervals, default 6283"),
+    "out": dict(help="output path (default: stdout)"),
+    "format": dict(choices=("csv", "json"), default="csv", help="output format, default csv"),
 }
 
 # Each subcommand registers, and accepts in a --config file, only the options
@@ -84,21 +68,31 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ns = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    ns = parser.parse_args(argv)
     try:
-        opts = _resolve_options(ns)
+        if ns.config:
+            # file lines go in as flags before the explicit ones, which win as parsed last
+            flags = _parse_config_file(ns.config, ns.command)
+            ns = parser.parse_args(argv[:1] + flags + argv[1:])
         if ns.command == "sweep":
-            return cmd_sweep(opts["omega0"], _parse_nu0_list(ns.nu0_list),
-                             opts["out"], opts["format"])
-        params = fields.ScenarioParams(opts["omega0"], opts["nu0"])
-        grid = dynamics.TimeGrid(0.0, opts["t_max"], opts["steps"])
+            return cmd_sweep(ns.omega0, _parse_nu0_list(ns.nu0_list), ns.out, ns.format)
+        tolerances = {}
+        for item in getattr(ns, "tol", ()):
+            name, _, value = item.partition("=")
+            if not name or not value:
+                raise InvalidArgumentError(f"--tol expects NAME=VALUE, got {item!r}")
+            tolerances[name] = _cast(value, float, name)
+        params = fields.ScenarioParams(ns.omega0, ns.nu0)
+        grid = dynamics.TimeGrid(0.0, ns.t_max, ns.steps)
         if not (math.isfinite(4.0 * params.omega0 * grid.t1)
                 and math.isfinite(params.nu0 * grid.t1)):
             raise InvalidArgumentError(f"t_max = {grid.t1!r} is out of range: "
                                        "4*omega0*t_max and nu0*t_max must be finite")
         if ns.command == "simulate":
-            return cmd_simulate(params, grid, opts["out"], opts["format"])
-        return cmd_validate(params, grid, opts["tol"])
+            return cmd_simulate(params, grid, ns.out, ns.format)
+        return cmd_validate(params, grid, tolerances)
     except (OSError, InvalidArgumentError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -169,10 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (help_text, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         for option in options:
-            flag, _, settings = _OPTIONS[option]
-            sp.add_argument(flag, dest=option, default=None, **settings)
-        sp.add_argument("--config", default=None,
-                        help="key=value file mirroring the flags; flags win")
+            sp.add_argument(_flag(option), **_OPTIONS[option])
+        sp.add_argument("--config", help="key=value file mirroring the flags; flags win")
     sub.choices["validate"].add_argument(
         "--tol", action="append", default=[], metavar="NAME=VALUE",
         help="override a named validation tolerance (repeatable)")
@@ -182,33 +174,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_options(ns) -> dict:
-    """The subcommand's option values: flag, else config file, else default."""
-    names = _COMMANDS[ns.command][1]
-    takes_tol = ns.command == "validate"
-    file_map = _parse_config_file(ns.config, names, takes_tol) if ns.config else {}
-    opts = {}
-    for name in names:
-        value = getattr(ns, name)
-        if value is None and name in file_map:
-            value = _cast(file_map[name], _OPTIONS[name][1], name)
-        opts[name] = _DEFAULTS.get(name) if value is None else value
-    if takes_tol:
-        tolerances = {k[4:]: _cast(v, float, k)
-                      for k, v in file_map.items() if k.startswith("tol.")}
-        for item in ns.tol:
-            name, _, value = item.partition("=")
-            if not name or not value:
-                raise InvalidArgumentError(f"--tol expects NAME=VALUE, got {item!r}")
-            tolerances[name] = _cast(value, float, name)
-        opts["tol"] = tolerances
-    return opts
-
-
-def _parse_config_file(path: str, keys, takes_tol: bool) -> dict[str, str]:
+def _parse_config_file(path: str, command: str) -> list[str]:
+    """The file's ``key = value`` lines as the flags they name, in file order:
+    ``--flag=value``, or ``--tol=NAME=value`` for ``tol.NAME`` under validate.
+    Each is one token, so a value that starts with '-' is never an option."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    mapping: dict[str, str] = {}
+    keys = _COMMANDS[command][1]
+    flags = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -217,10 +190,17 @@ def _parse_config_file(path: str, keys, takes_tol: bool) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not eq or not key or not value:
             raise InvalidArgumentError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        if key not in keys and not (takes_tol and key.startswith("tol.")):
+        if key in keys:
+            flags.append(f"{_flag(key)}={value}")
+        elif command == "validate" and key.startswith("tol."):
+            flags.append(f"--tol={key[4:]}={value}")
+        else:
             raise InvalidArgumentError(f"{path}:{lineno}: unknown key {key!r}")
-        mapping[key] = value
-    return mapping
+    return flags
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _parse_nu0_list(text: str) -> np.ndarray:

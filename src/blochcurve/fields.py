@@ -95,7 +95,12 @@ class FieldSample:
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
-        h0 = np.broadcast_to(np.asarray(self.h0, dtype=float), t.shape)
+        h0 = np.asarray(self.h0, dtype=float)
+        try:
+            h0 = np.broadcast_to(h0, t.shape)
+        except ValueError:
+            raise InvalidArgumentError(
+                f"h0 of shape {h0.shape} does not broadcast to t of shape {t.shape}") from None
         h = np.asarray(self.h, dtype=float)
         hd = np.asarray(self.h_dot, dtype=float)
         if h.shape != t.shape + (3,) or hd.shape != h.shape:
@@ -125,6 +130,9 @@ def _scaled_field(h: np.ndarray, *rates: np.ndarray):
     return (lam, *scaled)
 
 
+_STENCIL_STEP = 1e-4  # step of CallableField's derivative stencil
+
+
 @dataclass(frozen=True)
 class CallableField:
     """User-supplied field h(t) with optional analytic derivative; its bound
@@ -136,17 +144,12 @@ class CallableField:
     constant or a callable returning a scalar or an array shaped like t.
     ``sample`` calls each user callable once per grid. When ``h_dot`` is
     omitted the derivative comes from a 4th-order central stencil with step
-    ``step``, evaluated in that same single call of ``h``.
+    ``_STENCIL_STEP``, evaluated in that same single call of ``h``.
     """
 
     h: Callable[[np.ndarray], object]
     h0: object = 0.0
     h_dot: Optional[Callable[[np.ndarray], object]] = None
-    step: float = 1e-4
-
-    def __post_init__(self):
-        if not (self.step > 0.0 and math.isfinite(self.step)):
-            raise InvalidArgumentError("derivative step must be positive")
 
     def sample(self, t) -> FieldSample:
         t = np.asarray(t, dtype=float)
@@ -155,7 +158,7 @@ class CallableField:
             hd = _components(self.h_dot, t)
         else:
             # h at t and at the four stencil points t ± dt, t ± 2dt, in one call
-            d = self.step
+            d = _STENCIL_STEP
             offsets = np.array([0.0, -2.0 * d, -d, d, 2.0 * d]).reshape((5,) + (1,) * t.ndim)
             h, *stencil = _components(self.h, t + offsets)
             hd = _central_difference(*stencil, d)

@@ -10,9 +10,9 @@ integrator's convergence order on step halving. Checks measure and
 tolerance alone, so a report always names the checks of ``DEFAULT_TOLERANCES``
 in order and reads as evidence rather than a verdict.
 
-Checks call into :mod:`fields` and :mod:`geometry` through the module objects
-on purpose: corrupting one formula (as the mutation tests do) must propagate
-into the battery and trip at least one check.
+Which checks each corrupted formula must fail is pinned in ``KILL_MATRIX``
+(``tests/test_validation.py``), the battery's mutation contract; its rows with
+an empty list are formulas that no check sees yet.
 """
 
 from __future__ import annotations

@@ -145,19 +145,44 @@ class TestConfigFile:
         assert rows[-1]["t"] == 1.0
 
     def test_unknown_key_reports_location(self, tmp_path, capsys):
-        # a key no subcommand reads, and keys this subcommand does not read
+        # a key no subcommand reads, keys this subcommand does not read, and
+        # a line that is not key=value
         cfg = tmp_path / "bad.cfg"
-        for argv, text in (
-            (["simulate"], "bogus = 1\n"),
-            (["simulate"], "tol.fidelity = 1e-3\n"),
-            (["validate"], "format = json\n"),
-            (["sweep", "--nu0-list", "1"], "steps = 5\n"),
+        for argv, text, message in (
+            (["simulate"], "bogus = 1\n", "unknown key"),
+            (["simulate"], "tol.fidelity = 1e-3\n", "unknown key"),
+            (["validate"], "format = json\n", "unknown key"),
+            (["sweep", "--nu0-list", "1"], "steps = 5\n", "unknown key"),
+            (["simulate"], "steps 5\n", "expected key=value"),
         ):
             cfg.write_text(text)
             assert main([*argv, "--config", str(cfg)]) == 2, text
             err = capsys.readouterr().err
-            assert "unknown key" in err
+            assert message in err
             assert ":1" in err
+
+    def test_bad_value_is_reported_like_a_bad_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        for command, key, flag, value in (("simulate", "format", "--format", "xml"),
+                                          ("validate", "omega0", "--omega0", "abc")):
+            cfg.write_text(f"{key} = {value}\n")
+            with pytest.raises(SystemExit) as from_file:
+                main([command, "--config", str(cfg)])
+            file_err = capsys.readouterr().err
+            with pytest.raises(SystemExit) as from_flag:
+                main([command, flag, value])
+            flag_err = capsys.readouterr().err
+            assert from_file.value.code == from_flag.value.code == 2
+            assert f"argument {flag}" in file_err
+            assert file_err.splitlines()[-1] == flag_err.splitlines()[-1]
+
+    def test_value_starting_with_a_dash_stays_a_value(self, tmp_path, monkeypatch):
+        # out = -dash.csv must reach --out as its value, not as an option
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("out = -dash.csv\nnu0 = -0.0\nsteps = 20\n")
+        assert main(["simulate", "--config", "run.cfg"]) == 0
+        assert main(["simulate", "--nu0=-0.0", "--steps", "20", "--out", "flags.csv"]) == 0
+        assert (tmp_path / "-dash.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 2

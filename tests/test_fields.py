@@ -14,6 +14,8 @@ from blochcurve import (
     FieldSample,
     InvalidArgumentError,
     ScenarioParams,
+    TimeGrid,
+    integrate_schrodinger,
     parallel_transverse_ratio,
     two_parameter_field,
 )
@@ -205,6 +207,8 @@ class TestFieldSample:
             FieldSample(np.zeros(4), 0.0, np.zeros((3, 3)), np.zeros((3, 3)))
         with pytest.raises(InvalidArgumentError):
             FieldSample(0.0, 0.0, (1.0, 0.0), (0.0, 0.0))
+        with pytest.raises(InvalidArgumentError, match=r"h0 of shape \(2,\) .* shape \(\)"):
+            FieldSample(0.0, [1.0, 2.0], (1, 0, 0), (0, 0, 0))
 
     def test_coerces_to_arrays(self):
         s = FieldSample(0.0, 0.5, [1, 2, 3], [0, 0, 0])
@@ -252,10 +256,6 @@ class TestCallableField:
             assert np.array_equal(whole.h[idx], one.h)
             assert np.array_equal(whole.h_dot[idx], one.h_dot)
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(InvalidArgumentError):
-            CallableField(h=lambda t: (1, 0, 0), step=0.0)
-
     def test_sample_calls_each_callable_once_per_grid(self):
         calls = {"h": [], "h_dot": [], "h0": []}
 
@@ -283,6 +283,10 @@ class TestCallableField:
         with pytest.raises(InvalidArgumentError, match="broadcast"):
             CallableField(h=lambda t: (t, np.zeros(3), 0.0),
                           h_dot=lambda t: (0, 0, 0)).sample(t)
+        with pytest.raises(InvalidArgumentError, match=r"h0 of shape \(3,\) .* shape \(11,\)"):
+            integrate_schrodinger(CallableField(h=lambda t: (1.0, 0.0, 0.0),
+                                                h0=lambda t: np.zeros(3)).sample,
+                                  [1.0, 0.0], TimeGrid(0.0, 1.0, 10))
 
 
 class TestParallelTransverseSplit:
