@@ -61,8 +61,22 @@ class TimeGrid:
     def dt(self) -> float:
         return (self.t1 - self.t0) / self.steps
 
-    def times(self) -> np.ndarray:
-        return np.linspace(self.t0, self.t1, self.steps + 1)
+    def times(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Nodes ``start`` to ``stop`` − 1, all ``steps`` + 1 by default, cut
+        like a slice: k·dt + t0, and t1 at the last node. That is bit for bit
+        ``np.linspace(t0, t1, steps + 1)[start:stop]``, so a node has one
+        time however the grid is cut into blocks."""
+        stop = self.steps + 1 if stop is None else min(stop, self.steps + 1)
+        t = np.arange(start, stop, dtype=np.float64)
+        if self.dt == 0.0:    # dt underflows: k/steps·(t1 − t0), as linspace does
+            t /= self.steps
+            t *= self.t1 - self.t0
+        else:
+            t *= self.dt
+        t += self.t0
+        if stop == self.steps + 1 and t.size:
+            t[-1] = self.t1
+        return t
 
 
 @dataclass(frozen=True)

@@ -326,12 +326,21 @@ def scenario_records(
     analytic state; none takes a step size. Arc length is the exact
     ``dynamics.arc_length_closed`` counted from the grid's start; the phase
     column is β(t) = −φ(t) (gauge bookkeeping: ``transport_phase_closed``).
+
+    Every column gives a node the same bits whatever else shares the call,
+    so ``simulate`` streams the same table block by block through
+    ``_scenario_columns``, the one code path of both.
     """
-    t = grid.times()
+    s0 = dynamics.arc_length_closed(params, grid.t0)
+    return dict(zip(SERIES_COLUMNS, _scenario_columns(params, grid.times(), s0)))
+
+
+def _scenario_columns(params: ScenarioParams, t: np.ndarray, s0) -> tuple:
+    """The ``SERIES_COLUMNS`` of ``scenario_records`` at the 1-D node times
+    ``t``, with the arc length counted from s0 = s(t₀)."""
     sample = fields.two_parameter_field(params, t)
     a = dynamics.analytic_bloch(params, t)
-    arc = dynamics.arc_length_closed(params, t)
-    columns = (
+    return (
         t, *a.T, *sample.h.T,
         speed(params, t),
         acceleration(params, t),
@@ -340,10 +349,9 @@ def scenario_records(
         curvature_expectation(sample, dynamics.analytic_state(params, t)),
         fields.parallel_transverse_ratio(params, t),
         speed_efficiency(sample, a),
-        arc - arc[0],
+        dynamics.arc_length_closed(params, t) - s0,
         -dynamics.transport_phase_closed(params, t),
     )
-    return dict(zip(SERIES_COLUMNS, columns))
 
 
 def _unit_bloch(a) -> np.ndarray:

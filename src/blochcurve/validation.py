@@ -125,19 +125,39 @@ class _Context:
         self.params = params
         self.scale = max(1.0, 4.0 * (params.nu0 / params.omega0) ** 2)  # max(1, κ²_max)
         self.grid = grid
-        self.times = grid.times()
         self.traj = dynamics.integrate_schrodinger(
             partial(fields.two_parameter_field, params),
             dynamics.analytic_state(params, grid.t0), grid,
         )
+        self.times = self.traj.times
         self.sample = self.traj.sample
         self.a_closed = dynamics.analytic_bloch(params, self.times)
         self.m_closed = dynamics.analytic_state(params, self.times)
 
-    # Lazy, so an error is reported by each check that needs the value.
+    # Lazy and computed once, so a value that raises is reported by each
+    # check that reads it, and the others do not compute it.
     @cached_property
     def kappa2_closed(self) -> np.ndarray:
         return geometry.curvature_closed(self.params, self.times)
+
+    @cached_property
+    def summary(self) -> geometry.ExtremaSummary:
+        return geometry.extrema_summary(self.params)
+
+    @cached_property
+    def extrema(self) -> list:
+        """Per case of ``_extrema_cases``: the closed [max, min] values and
+        times, then the refined times and values."""
+        return [(closed, times, *_refined_extrema(self.params, f, locate))
+                for f, locate, closed, times in _extrema_cases(self.summary)]
+
+    @cached_property
+    def synthesized(self):
+        """100 golden-ratio t and the Hamiltonian synthesized there from the closed form."""
+        t = _golden_points(100, float(self.times[0]), float(self.times[-1]))
+        return t, dynamics.synthesize_hamiltonian(
+            dynamics.analytic_state(self.params, t),
+            dynamics.analytic_state_derivative(self.params, t))
 
     @cached_property
     def general(self):
@@ -272,8 +292,7 @@ _FLAT = 1e-12  # (max - min) / max(1, closed range) at or below this: no extremu
 
 def _check_extrema_value(ctx):
     worst = 0.0
-    for f, locate, closed, _ in _extrema_cases(geometry.extrema_summary(ctx.params)):
-        _, y = _refined_extrema(ctx.params, f, locate)
+    for closed, _, _, y in ctx.extrema:
         worst = max(worst, np.max(np.abs(y - closed)) / max(1.0, closed[0] - closed[1]))
     return (worst,
             "max |refined - closed| / max(1, closed max - closed min) per observable;"
@@ -282,10 +301,9 @@ def _check_extrema_value(ctx):
 
 
 def _check_extrema_time(ctx):
-    s = geometry.extrema_summary(ctx.params)
+    s = ctx.summary
     worst = 0.0
-    for f, locate, closed, closed_times in _extrema_cases(s)[:3]:  # the ratio has no times
-        t, y = _refined_extrema(ctx.params, f, locate)
+    for closed, closed_times, t, y in ctx.extrema[:3]:  # the ratio has no times
         if (y[0] - y[1]) / max(1.0, closed[0] - closed[1]) <= _FLAT:
             continue
         # circular distance: v_min and kappa2_max sit at t = 0 ≡ T
@@ -295,7 +313,7 @@ def _check_extrema_time(ctx):
 
 
 def _check_acc_at_extrema(ctx):
-    s = geometry.extrema_summary(ctx.params)
+    s = ctx.summary
     scale = max(1.0, s.acc_max - s.acc_min)
     acc = geometry.acceleration(ctx.params, np.array([s.t_k2max, s.t_k2min]))
     return (np.max(np.abs(acc)) / scale,
@@ -348,15 +366,8 @@ def _check_elliptic(ctx):
     return worst, "E(m) at six m and E(phi|m) at three phi > pi vs Gauss-Legendre quadrature"
 
 
-def _synthesized(ctx):
-    """100 golden-ratio t and the Hamiltonian synthesized there from the closed form."""
-    t = _golden_points(100, float(ctx.times[0]), float(ctx.times[-1]))
-    return t, dynamics.synthesize_hamiltonian(dynamics.analytic_state(ctx.params, t),
-                                              dynamics.analytic_state_derivative(ctx.params, t))
-
-
 def _check_synthesis(ctx):
-    t, ham = _synthesized(ctx)
+    t, ham = ctx.synthesized
     ref = fields.two_parameter_field(ctx.params, t)
     h0_syn, h_syn = pauli_decompose(ham)
     worst = max(np.max(np.abs(h_syn - ref.h)), np.max(np.abs(h0_syn - ref.h0)))
@@ -364,7 +375,7 @@ def _check_synthesis(ctx):
 
 
 def _check_synthesis_trace(ctx):
-    _, ham = _synthesized(ctx)
+    _, ham = ctx.synthesized
     return np.max(np.abs(ham[:, 0, 0] + ham[:, 1, 1])), "|tr H| of the synthesized operator"
 
 

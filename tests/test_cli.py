@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import blochcurve.cli as cli_mod
+import blochcurve.fields as fields_mod
 from blochcurve import (
     DEFAULT_TOLERANCES,
     ExtremaSummary,
@@ -35,6 +37,18 @@ def run_simulate(tmp_path, *extra):
     code = main(["simulate", "--steps", "50", "--out", str(out), *extra])
     assert code == 0
     return out.read_text()
+
+
+def first_difference(text, expected):
+    """None if the texts are equal, else the first line where they differ,
+    as (index, line, expected line): a failure message that a long table
+    cannot make slow to build."""
+    lines, wanted = text.split("\n"), expected.split("\n")
+    if lines == wanted:
+        return None
+    k = next((k for k, pair in enumerate(zip(lines, wanted)) if pair[0] != pair[1]),
+             min(len(lines), len(wanted)))
+    return k, lines[k:k + 1], wanted[k:k + 1]
 
 
 def parse_csv(text):
@@ -397,6 +411,61 @@ class TestSweepStream:
             tracemalloc.stop()
         assert np.array_equal(values, nu0)
         assert peak <= 3 * values.nbytes
+
+
+_BLOCK = cli_mod._SIMULATE_NODES
+
+
+class TestSimulateStream:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("nodes", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    def test_blocks_join_into_the_whole_table(self, tmp_path, fmt, nodes):
+        # block seams at each multiple of the block size; the whole-grid
+        # columns through the per-row reference renderer are the oracle
+        out = tmp_path / "series.txt"
+        assert main(["simulate", "--omega0", "0.7", "--nu0", "1.3", "--t-max", "3",
+                     "--steps", str(nodes - 1), "--format", fmt, "--out", str(out)]) == 0
+        columns = scenario_records(ScenarioParams(0.7, 1.3), TimeGrid(0.0, 3.0, nodes - 1))
+        expected = reference_render(list(columns.values()), SERIES_COLUMNS, fmt)
+        assert first_difference(out.read_bytes().decode(), expected) is None
+
+    def test_samples_the_field_once_per_block(self, monkeypatch):
+        # both curvature routes read the one sample of their block
+        calls = []
+        original = fields_mod.two_parameter_field
+
+        def counted(params, t):
+            calls.append(np.shape(t))
+            return original(params, t)
+
+        monkeypatch.setattr(fields_mod, "two_parameter_field", counted)
+        assert main(["simulate", "--steps", str(2 * _BLOCK), "--out", os.devnull]) == 0
+        assert calls == [(_BLOCK,), (_BLOCK,), (1,)]
+
+    def test_peak_memory_does_not_grow_with_the_steps(self):
+        # every allocation is bounded by the block and chunk sizes
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--steps", str(steps), "--out", os.devnull]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the whole grid would hold about 0.35 kB per node, 35 MB here
+        large = peak(100_000)
+        assert large <= 8 * 2**20
+        assert large <= peak(20_000) + 2**20
+
+    @pytest.mark.parametrize("argv", [
+        ["--omega0", "0"], ["--nu0", "1e200"], ["--t-max", "1e308"], ["--steps", "0"],
+    ])
+    def test_a_failing_run_leaves_no_file(self, tmp_path, capsys, argv):
+        # every error comes before --out is opened, so none leaves a partial table
+        out = tmp_path / "series.csv"
+        assert main(["simulate", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestRender:

@@ -65,6 +65,27 @@ class TestTimeGrid:
         assert g.dt == 0.25
         assert np.allclose(g.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
 
+    @pytest.mark.parametrize("t0, t1, steps", [
+        (0.0, 2.0 * math.pi, 1), (0.0, 2.0 * math.pi, 6283), (0.0, 2.0 * math.pi, 62830),
+        (0.0, 3.0, 8193), (-1.7, 0.3, 977), (1e-300, 3e-300, 9), (0.0, 5e-324, 3),
+        (0.0, 6.283185307179586e300, 400),
+    ])
+    def test_blocks_are_the_linspace_nodes(self, t0, t1, steps):
+        # whole or cut into blocks, a node has linspace's time, bit for bit;
+        # (0, 5e-324) has a step that underflows to 0
+        g = TimeGrid(t0, t1, steps)
+        whole = np.linspace(t0, t1, steps + 1)
+        assert np.array_equal(g.times().view(np.uint64), whole.view(np.uint64))
+        for block in (2, 4096):
+            cuts = range(0, steps + 1, block)
+            joined = np.concatenate([g.times(a, min(a + block, steps + 1)) for a in cuts])
+            assert np.array_equal(joined.view(np.uint64), whole.view(np.uint64))
+        for k in (*range(0, steps + 1, max(1, steps // 97)), steps):
+            assert g.times(k, k + 1).view(np.uint64) == whole[k:k + 1].view(np.uint64)
+        assert g.times(steps, steps + 1).tolist() == [t1]
+        assert g.times(steps, steps + 4096).tolist() == [t1]    # cut like a slice
+        assert g.times(3, 3).size == 0
+
     def test_rejects_degenerate(self):
         with pytest.raises(InvalidArgumentError):
             TimeGrid(0.0, 0.0, 10)

@@ -204,6 +204,35 @@ class TestBattery:
         run_battery(P11, TimeGrid(0.0, 2.0 * math.pi, 6283))
         assert calls == {"grid": 1, "callable": 6, "compose": 1}
 
+    def test_shared_artifacts_are_computed_once_per_battery(self, monkeypatch):
+        # three checks read the extrema summary, two the refined extrema and
+        # two the synthesized Hamiltonian; each is computed once, and each of
+        # the four observables is refined once
+        calls = {"summary": 0, "refined": [], "synthesis": 0}
+        summary = geometry_mod.extrema_summary
+        refined = validation_mod._refined_extrema
+        synthesize = dynamics_mod.synthesize_hamiltonian
+
+        def summary_recording(params):
+            calls["summary"] += 1
+            return summary(params)
+
+        def refined_recording(params, f, locate=None):
+            calls["refined"].append(f.__name__)
+            return refined(params, f, locate)
+
+        def synthesize_recording(m, m_dot):
+            calls["synthesis"] += 1
+            return synthesize(m, m_dot)
+
+        monkeypatch.setattr(geometry_mod, "extrema_summary", summary_recording)
+        monkeypatch.setattr(validation_mod, "_refined_extrema", refined_recording)
+        monkeypatch.setattr(dynamics_mod, "synthesize_hamiltonian", synthesize_recording)
+        run_battery(P11, TimeGrid(0.0, math.pi, 300))
+        assert calls == {"summary": 1, "synthesis": 1,
+                         "refined": ["speed", "acceleration", "curvature_closed",
+                                     "parallel_transverse_ratio"]}
+
     def test_raising_check_reports_failure_instead_of_crashing(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("boom")
@@ -288,7 +317,8 @@ class TestExtrema:
         # acc_max - acc_min = 1.96e8 here: |acc| = 6.1e-9 at the curvature
         # extremum times is round-off, not a misplaced extremum
         params = ScenarioParams(1e3, 1e5)
-        residual, detail = _check_acc_at_extrema(SimpleNamespace(params=params))
+        ctx = SimpleNamespace(params=params, summary=geometry_mod.extrema_summary(params))
+        residual, detail = _check_acc_at_extrema(ctx)
         assert residual <= DEFAULT_TOLERANCES["acc_at_extrema"], (residual, detail)
         assert residual <= 1e-15
         assert "1.960e+08" in detail
