@@ -256,11 +256,9 @@ def table_chunks(blocks, names, fmt: str) -> Iterator[str]:
 
     # Word layout: the first segment, then per value its 4 words and what its
     # following segment leaves after its first byte, which rides in byte 7
-    # of the value's last word. Row 0 of a JSON table drops the ",\n  ".
+    # of the value's last word. A JSON row starts with ",\n  ", cut from row 0.
     between = "" if fmt == "csv" else ",\n  "
     template = _to_words(between + segments[0])
-    lead = len(template)
-    first_row = np.array((_to_words(segments[0]) + [0] * lead)[:lead], dtype=np.uint64)
     offsets = []
     for seg in segments[1:]:
         offsets.append(len(template))
@@ -270,7 +268,7 @@ def table_chunks(blocks, names, fmt: str) -> Iterator[str]:
     step = max(1, _CHUNK_VALUES // len(offsets))
 
     yield ",".join(names) + "\n" if fmt == "csv" else "[\n  "
-    row0 = True
+    skip = len(between)
     for columns in blocks:
         for start in range(0, len(columns[0]), step):
             chunk = np.stack([c[start:start + step] for c in columns], axis=1)
@@ -281,9 +279,8 @@ def table_chunks(blocks, names, fmt: str) -> Iterator[str]:
             table[:] = template
             for j, o in enumerate(offsets):
                 table[:, o:o + 4] = words[:, j]
-            if row0:
-                table[0, :lead] = first_row
-                row0 = False
-            yield table.astype("<u8", copy=False).tobytes().translate(None, b"\0").decode("ascii")
+            yield (table.astype("<u8", copy=False).tobytes().translate(None, b"\0")
+                   .decode("ascii")[skip:])
+            skip = 0
     if fmt == "json":
         yield "\n]\n"

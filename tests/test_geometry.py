@@ -47,7 +47,7 @@ from blochcurve import (
     transport_phase_closed,
     two_parameter_field,
 )
-from blochcurve.geometry import SERIES_COLUMNS
+from blochcurve.geometry import SERIES_COLUMNS, _scenario_columns
 from blochcurve.validation import tilted_field_fixture
 from reference_curvature import (
     KAPPA2_CLIP_FLOOR,
@@ -826,26 +826,14 @@ def test_array_call_matches_per_node_calls(name):
 
 
 def _simulate_columns(params, t):
-    """What each column function of ``simulate`` gives at the times t, the
-    state that the operator route reads, and its derivative, which the
-    battery's Hamiltonian synthesis reads."""
-    sample = two_parameter_field(params, t)
-    a, psi = analytic_bloch(params, t), analytic_state(params, t)
-    return {
-        "field": np.concatenate([sample.h, sample.h_dot], axis=-1),
-        "a": a,
-        "v": speed(params, t),
-        "acc": acceleration(params, t),
-        "kappa2_closed": curvature_closed(params, t),
-        "kappa2_bloch": curvature_bloch(sample, a),
-        "kappa2_expect": curvature_expectation(sample, psi),
-        "ratio": parallel_transverse_ratio(params, t),
-        "eta_se": speed_efficiency(sample, a),
-        "arc": arc_length_closed(params, t),
-        "phase": transport_phase_closed(params, t),
-        "state": psi,
-        "state_dot": analytic_state_derivative(params, t),
-    }
+    """The columns that ``simulate`` streams at the times t, from the function
+    it streams them from, plus h_dot, the state that the operator route reads,
+    and its derivative, which the battery's Hamiltonian synthesis reads."""
+    cols = dict(zip(SERIES_COLUMNS, _scenario_columns(params, t, 0.0)))
+    cols["h_dot"] = two_parameter_field(params, t).h_dot
+    cols["state"] = analytic_state(params, t)
+    cols["state_dot"] = analytic_state_derivative(params, t)
+    return cols
 
 
 def _bits(x):

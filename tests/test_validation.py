@@ -119,6 +119,13 @@ class TestBattery:
         for r in results:
             assert r.residual <= r.tolerance
 
+    def test_every_check_function_has_a_tolerance(self):
+        # name N runs _check_N: a _check_ function without a DEFAULT_TOLERANCES
+        # entry would never run (a name without a function fails the import)
+        functions = {name[len("_check_"):] for name, value in vars(validation_mod).items()
+                     if name.startswith("_check_") and callable(value)}
+        assert functions == set(DEFAULT_TOLERANCES)
+
     @pytest.mark.parametrize("omega0, nu0", [(1e-4, 1.0), (1e-3, 10.0)])
     def test_passes_at_large_curvature(self, omega0, nu0):
         # kappa2_max = 4e8: the route-agreement residuals are relative to it
