@@ -50,8 +50,6 @@ from .geometry import (
 from .qubit_core import (
     bloch_vector,
     fidelity,
-    pauli_compose,
-    pauli_decompose,
 )
 from .special_functions import (
     elliptic_e,
@@ -98,8 +96,6 @@ __all__ = [
     "geodesic_efficiency_generic",
     "integrate_schrodinger",
     "parallel_transverse_ratio",
-    "pauli_compose",
-    "pauli_decompose",
     "run_battery",
     "scenario_records",
     "speed",

@@ -28,7 +28,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .fields import FieldSample, ScenarioParams, _scaled_field
-from .qubit_core import _pauli_apply, _pure_states, bloch_vector
+from .qubit_core import _braket, _pauli_apply, _pure_states, bloch_vector
 from .special_functions import elliptic_e_incomplete
 
 STEP_ERROR_LIMIT = 1e-2      # per-step |ω − dt·h(t + dt/2)| that flags an unresolved step
@@ -305,25 +305,29 @@ def arc_length_closed(params: ScenarioParams, t):
     return 0.5 * elliptic_e_incomplete(2.0 * w * t, -0.25 * (params.nu0 / w) ** 2)
 
 
-def synthesize_hamiltonian(m, m_dot) -> np.ndarray:
-    """Traceless Hamiltonian H = i|ṁ⟩⟨m| − i|m⟩⟨ṁ| driving a
-    parallel-transported state at maximal speed.
+def synthesize_hamiltonian(m, m_dot) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (h₀, h) of the Hamiltonian H = h₀·I + h·σ = i|ṁ⟩⟨m| − i|m⟩⟨ṁ|
+    that drives a parallel-transported state at maximal speed:
 
-    Requires the transport gauge |⟨m|ṁ⟩| ≤ ``TRANSPORT_GAUGE_ATOL``; under that
-    condition H is Hermitian, traceless, and satisfies i ṁ = H m. States
-    (..., 2) broadcast to a stack of operators (..., 2, 2); the first node
-    that breaks the gauge raises.
+        h₀ = tr(H)/2 = −Im⟨m|ṁ⟩,   h_k = tr(Hσ_k)/2 = −Im⟨m|σ_k ṁ⟩,
+
+    each σ_k ṁ by the one Pauli action. Requires the transport gauge
+    |⟨m|ṁ⟩| ≤ ``TRANSPORT_GAUGE_ATOL``, under which H m = i ṁ and
+    |tr H| = 2|h₀| hold to within it. States (..., 2) broadcast to h₀ of
+    shape (...) and h of shape (..., 3); the first node that breaks the gauge
+    raises.
     """
     mv, md = np.broadcast_arrays(np.asarray(m, dtype=complex), np.asarray(m_dot, dtype=complex))
     if mv.shape[-1:] != (2,):
         raise InvalidArgumentError(f"expected 2 amplitudes on the last axis, got shape {mv.shape}")
-    overlap = np.abs(np.sum(mv.conj() * md, axis=-1))
-    broken = ~(overlap <= TRANSPORT_GAUGE_ATOL)
+    psi, dpsi = np.moveaxis(mv, -1, 0), np.moveaxis(md, -1, 0)
+    overlap = _braket(psi, dpsi)
+    gap = np.abs(overlap)
+    broken = ~(gap <= TRANSPORT_GAUGE_ATOL)
     if np.any(broken):
         k = int(np.argmax(broken))
         raise ContractViolationError(
-            f"not parallel-transported at node {k}: |<m|dm/dt>| = {float(overlap.flat[k]):.3e}"
+            f"not parallel-transported at node {k}: |<m|dm/dt>| = {float(gap.flat[k]):.3e}"
         )
-    ket_bra = md[..., :, None] * mv.conj()[..., None, :]
-    bra_ket = mv[..., :, None] * md.conj()[..., None, :]
-    return 1j * (ket_bra - bra_ket)
+    h = [-_braket(psi, _pauli_apply(*axis, dpsi)).imag for axis in np.eye(3)]
+    return -overlap.imag, np.stack(h, axis=-1)

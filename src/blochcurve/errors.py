@@ -20,7 +20,7 @@ class DomainError(BlochCurveError, ValueError):
 
 class ContractViolationError(BlochCurveError):
     """A documented precondition on structured input was violated
-    (unnormalized state, non-Hermitian matrix, broken transport gauge)."""
+    (unnormalized state, broken transport gauge)."""
 
 
 class SingularityError(BlochCurveError):

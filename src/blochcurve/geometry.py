@@ -26,7 +26,7 @@ import numpy as np
 from . import dynamics, fields
 from .errors import InvalidArgumentError, SingularityError, UndefinedEfficiencyError
 from .fields import FieldSample, ScenarioParams, _scaled_field
-from .qubit_core import _pauli_apply, _pure_states, fidelity
+from .qubit_core import _braket, _pauli_apply, _pure_states, fidelity
 from .special_functions import elliptic_e
 
 EPSILON_SINGULAR = 1e-12   # floor of |h × a|²/h² = v²/h² in both field routes
@@ -104,20 +104,29 @@ def curvature_bloch(sample: FieldSample, a):
     |ȧ|² ≤ 4·``EPSILON_SINGULAR``·h² means a is (numerically) collinear with
     h, i.e. an instantaneous eigenstate with zero speed, where curvature is
     undefined; the test is relative, so a weak field is not mistaken for one.
-    κ² is projective, so ``_unit_bloch`` rescales a to unit length after
-    its check. a carries its components on the last axis; its leading axes
-    broadcast against the sample's grid. The sample is read as given; where
+    A SingularityError names the first such time of ``sample.t``, broadcast
+    like the result, as in ``curvature_expectation``. κ² is projective, so
+    ``_unit_bloch`` rescales a to unit length after its check. a carries its
+    components on the last axis; its leading axes broadcast against the
+    sample's grid. The sample is read as given; where
     its scaled rate ḣλ² overflows, κ² is not a double and DomainError is
     raised.
     """
     ax, ay, az = np.moveaxis(_unit_bloch(a), -1, 0)
-    _, (hx, hy, hz), (gx, gy, gz) = _scaled_field(sample.h, sample.h_dot)
+    lam, (hx, hy, hz), (gx, gy, gz) = _scaled_field(sample.h, sample.h_dot)
     h2 = hx * hx + hy * hy + hz * hz
     ah = ax * hx + ay * hy + az * hz
     hxa2 = h2 - ah * ah   # |h × a|² = |ȧ|²/4
-    if np.any(hxa2 <= EPSILON_SINGULAR * h2):
-        raise SingularityError("state is an instantaneous eigenstate (a collinear with h); "
-                               "curvature is undefined")
+    singular = hxa2 <= EPSILON_SINGULAR * h2
+    if np.any(singular):
+        k = int(np.argmax(singular))
+        t_bad, lam_bad, v2, h2_bad = (float(np.broadcast_to(x, singular.shape).flat[k])
+                                      for x in (sample.t, lam, hxa2, h2))
+        raise SingularityError(
+            f"evolution speed {math.sqrt(max(v2, 0.0)) / lam_bad:.3e} below singular threshold "
+            f"{math.sqrt(EPSILON_SINGULAR * h2_bad) / lam_bad:.3e} at t = {t_bad!r}",
+            t=t_bad,
+        )
     ahg = ax * (hy * gz - hz * gy) + ay * (hz * gx - hx * gz) + az * (hx * gy - hy * gx)
     k = (2.0 * ah * hxa2 + ahg) / hxa2
     return k * (k / hxa2)
@@ -370,8 +379,3 @@ def _unit_bloch(a) -> np.ndarray:
 
 def _dot(x: np.ndarray, y: np.ndarray):
     return np.einsum("...k,...k->...", x, y)
-
-
-def _braket(x: np.ndarray, y: np.ndarray):
-    """⟨x|y⟩ of time-last states (2, ...), per trailing index."""
-    return x[0].conj() * y[0] + x[1].conj() * y[1]

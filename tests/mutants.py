@@ -17,7 +17,8 @@ import blochcurve.dynamics as dynamics_mod
 import blochcurve.fields as fields_mod
 import blochcurve.geometry as geometry_mod
 import blochcurve.validation as validation_mod
-from blochcurve import FieldSample, pauli_compose
+from blochcurve import FieldSample
+from reference_qubit import pauli_matrix
 
 
 def patch_everywhere(monkeypatch, module, name, new):
@@ -116,7 +117,7 @@ def operator_route(drop):
 
     def block(t, h, h_dot, psi):
         psi = psi.T / np.linalg.norm(psi, axis=-1)
-        hop, hdop = (np.moveaxis(pauli_compose(0.0, x), 0, -1) for x in (h, h_dot))
+        hop, hdop = (np.moveaxis(pauli_matrix(0.0, x), 0, -1) for x in (h, h_dot))
         hpsi, hdpsi = ket(hop, psi), ket(hdop, psi)
         e, e_dot = bra(psi, hpsi).real, bra(psi, hdpsi).real
         v = np.sqrt(bra(hpsi, hpsi).real - e * e)
@@ -130,6 +131,29 @@ def operator_route(drop):
         return bra(q, q).real
 
     return block
+
+
+def synthesized_h_z(factor):
+    """``dynamics.synthesize_hamiltonian`` with the z component of h
+    multiplied by ``factor``."""
+    original = dynamics_mod.synthesize_hamiltonian
+
+    def scaled_z(m, m_dot):
+        h0, h = original(m, m_dot)
+        return h0, h * np.array([1.0, 1.0, factor])
+
+    return scaled_z
+
+
+def off_gauge_derivative(eps):
+    """``dynamics.analytic_state_derivative`` plus eps·i·m, which puts
+    ⟨m|ṁ⟩ = i·eps off the transport gauge."""
+    state, original = dynamics_mod.analytic_state, dynamics_mod.analytic_state_derivative
+
+    def shifted(params, t):
+        return original(params, t) + 1j * eps * state(params, t)
+
+    return shifted
 
 
 def off_axis_quaternions(angle):

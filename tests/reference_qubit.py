@@ -1,5 +1,6 @@
-"""State and expectation-value formulas kept as test oracles; the library
-itself builds states from closed forms and reads ⟨ψ|M|ψ⟩ as h₀ + a·h."""
+"""State, operator and expectation-value formulas kept as test oracles; the
+library itself builds states from closed forms, applies an operator h₀·I + h·σ
+to states by its Pauli action and reads ⟨ψ|M|ψ⟩ as h₀ + a·h."""
 
 import numpy as np
 
@@ -10,6 +11,30 @@ def state_from_angles(theta, phi):
     half = np.asarray(theta, dtype=float) / 2.0
     phi = np.asarray(phi, dtype=float)
     return np.stack(np.broadcast_arrays(np.cos(half), np.exp(1j * phi) * np.sin(half)), axis=-1)
+
+
+def pauli_matrix(h0, h):
+    """The matrix h₀·I + h·σ = [[h₀ + h_z, h_x − ih_y], [h_x + ih_y, h₀ − h_z]],
+    a stack (..., 2, 2) for h₀ broadcast against h (..., 3)."""
+    hx, hy, hz = np.moveaxis(np.asarray(h, dtype=float), -1, 0)
+    h0 = np.asarray(h0, dtype=float)
+    m = np.empty(np.broadcast_shapes(h0.shape, hx.shape) + (2, 2), dtype=complex)
+    m[..., 0, 0] = h0 + hz
+    m[..., 0, 1] = hx - 1j * hy
+    m[..., 1, 0] = hx + 1j * hy
+    m[..., 1, 1] = h0 - hz
+    return m
+
+
+def pauli_pair(matrix):
+    """Invert ``pauli_matrix`` by h₀ = tr(M)/2 and h_k = tr(Mσ_k)/2: the pair
+    (h₀ of shape (...), h of shape (..., 3)) of a stack (..., 2, 2), which is
+    read as Hermitian (its anti-Hermitian part is dropped)."""
+    m = np.asarray(matrix, dtype=complex)
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    h0 = 0.5 * (m00.real + m11.real)
+    h = 0.5 * np.stack([m01.real + m10.real, m10.imag - m01.imag, m00.real - m11.real], axis=-1)
+    return h0[()], h
 
 
 def expectation(matrix, state):

@@ -29,7 +29,6 @@ from blochcurve import (
     geodesic_efficiency,
     integrate_schrodinger,
     parallel_transverse_ratio,
-    pauli_decompose,
     speed,
     speed_efficiency,
     synthesize_hamiltonian,
@@ -38,6 +37,7 @@ from blochcurve import (
 from blochcurve.cli import main as cli_main
 from mutants import component, corrupted_field, two_terms_only
 from reference_quadrature import adaptive_simpson
+from reference_qubit import pauli_matrix
 
 P11 = ScenarioParams(1.0, 1.0)
 FIELD11 = partial(two_parameter_field, P11)
@@ -257,9 +257,8 @@ def test_criterion_11_hamiltonian_synthesis(capsys):
             t = float(t)
             m = analytic_state(P11, t)
             md = analytic_state_derivative(P11, t)
-            ham = synthesize_hamiltonian(m, md)
-            worst_trace = max(worst_trace, abs(complex(np.trace(ham))))
-            h0, h = pauli_decompose(ham)
+            h0, h = synthesize_hamiltonian(m, md)
+            worst_trace = max(worst_trace, abs(complex(np.trace(pauli_matrix(h0, h)))))
             target = two_parameter_field(P11, t).h
             worst_field = max(worst_field, abs(h0),
                               float(np.max(np.abs(h - target))))

@@ -25,8 +25,6 @@ from blochcurve import (
     elliptic_e,
     fidelity,
     integrate_schrodinger,
-    pauli_compose,
-    pauli_decompose,
     speed,
     speed_efficiency,
     synthesize_hamiltonian,
@@ -37,6 +35,7 @@ from blochcurve.validation import tilted_field_fixture
 
 import reference_magnus
 from reference_quadrature import adaptive_simpson
+from reference_qubit import pauli_matrix, pauli_pair
 
 P11 = ScenarioParams(1.0, 1.0)
 FIELD11 = partial(two_parameter_field, P11)
@@ -197,7 +196,7 @@ class TestAnalyticState:
             m = analytic_state(P11, t)
             md = analytic_state_derivative(P11, t)
             s = FIELD11(t)
-            hm = pauli_compose(s.h0, s.h) @ m
+            hm = pauli_matrix(s.h0, s.h) @ m
             assert np.max(np.abs(1j * md - hm)) <= 1e-12
 
     def test_derivative_matches_central_difference(self):
@@ -423,11 +422,11 @@ def test_overflowing_step_raises_without_a_warning():
 
 def test_states_are_the_checked_pauli_product():
     # the states are c psi0 - i (v . sigma) psi0 with v . sigma written by the
-    # one Pauli formula; the public, checked pauli_compose gives the same bits
+    # one Pauli formula; the composed matrix gives the same bits
     field, psi0 = tilted_field(), np.array([math.cos(0.35), math.sin(0.35) * np.exp(0.4j)])
     grid = TimeGrid(0.0, 3.0, 400)
     c, v, phase, _ = dynamics_mod._propagators(field, grid.times(), grid.dt)
-    states = ((c[:, None] * psi0 - 1j * (pauli_compose(0.0, v) @ psi0))
+    states = ((c[:, None] * psi0 - 1j * (pauli_matrix(0.0, v) @ psi0))
               * np.exp(-1j * np.cumsum(np.append(0.0, phase)))[:, None])
     assert np.array_equal(integrate_schrodinger(field, psi0, grid).states, states)
 
@@ -530,15 +529,27 @@ class TestArcLengthClosed:
 class TestSynthesizeHamiltonian:
     def test_zero_velocity_gives_zero_operator(self):
         m = np.array([1.0, 0.0j])
-        h = synthesize_hamiltonian(m, np.zeros(2, dtype=complex))
+        h0, h = synthesize_hamiltonian(m, np.zeros(2, dtype=complex))
+        assert h0 == 0.0
         assert np.max(np.abs(h)) == 0.0
+
+    def test_pair_decomposes_the_operator(self):
+        # (h0, h) against the traces of the matrix i|dm><m| - i|m><dm|
+        t = RNG.uniform(0.0, 2.0 * math.pi, size=25)
+        m, md = analytic_state(P11, t), analytic_state_derivative(P11, t)
+        ham = 1j * (md[:, :, None] * m.conj()[:, None, :] - m[:, :, None] * md.conj()[:, None, :])
+        h0_ref, h_ref = pauli_pair(ham)
+        h0, h = synthesize_hamiltonian(m, md)
+        assert h0.shape == (25,) and h.shape == (25, 3)
+        assert np.max(np.abs(h0 - h0_ref)) <= 1e-15
+        assert np.max(np.abs(h - h_ref)) <= 1e-15
 
     def test_reconstructs_builtin_drive_from_finite_differences(self):
         t, d = 0.3, 1e-6
         m = analytic_state(P11, t)
         md = (analytic_state(P11, t + d)
               - analytic_state(P11, t - d)) / (2.0 * d)
-        h0, h = pauli_decompose(synthesize_hamiltonian(m, md))
+        h0, h = synthesize_hamiltonian(m, md)
         assert abs(h0) <= 1e-6
         assert np.max(np.abs(h - two_parameter_field(P11, t).h)) <= 1e-6
 
@@ -546,18 +557,17 @@ class TestSynthesizeHamiltonian:
         for t in RNG.uniform(0.0, 2.0 * math.pi, size=25):
             m = analytic_state(P11, float(t))
             md = analytic_state_derivative(P11, float(t))
-            ham = synthesize_hamiltonian(m, md)
-            assert abs(np.trace(ham)) <= 1e-12
-            h0, h = pauli_decompose(ham)
+            h0, h = synthesize_hamiltonian(m, md)
+            assert 2.0 * abs(h0) <= 1e-12  # |tr H|
             assert np.max(np.abs(h - two_parameter_field(P11, float(t)).h)) <= 1e-12
             # i dm/dt = H m holds at the synthesized point
-            assert np.max(np.abs(1j * md - ham @ m)) <= 1e-12
+            assert np.max(np.abs(1j * md - pauli_matrix(h0, h) @ m)) <= 1e-12
 
     def test_synthesized_drive_is_maximally_efficient(self):
         t = 1.1
         m = analytic_state(P11, t)
         md = analytic_state_derivative(P11, t)
-        h0, h = pauli_decompose(synthesize_hamiltonian(m, md))
+        h0, h = synthesize_hamiltonian(m, md)
         sample = FieldSample(t, h0, h, np.zeros(3))
         assert speed_efficiency(sample, bloch_vector(m)) == pytest.approx(
             1.0, abs=1e-12

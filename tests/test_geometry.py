@@ -38,8 +38,6 @@ from blochcurve import (
     geodesic_efficiency_generic,
     integrate_schrodinger,
     parallel_transverse_ratio,
-    pauli_compose,
-    pauli_decompose,
     scenario_records,
     speed,
     speed_efficiency,
@@ -55,7 +53,7 @@ from reference_curvature import (
     three_term_curvature,
     two_fraction_curvature,
 )
-from reference_qubit import state_from_angles
+from reference_qubit import pauli_matrix, state_from_angles
 
 P11 = ScenarioParams(1.0, 1.0)
 FIELD11 = partial(two_parameter_field, P11)
@@ -83,7 +81,7 @@ class TestSpeed:
         # v = sqrt(<H^2> - <H>^2) along the analytic path
         for t in np.linspace(0.0, 2.0, 21):
             psi = analytic_state(P11, float(t))
-            ham = pauli_compose(0.0, two_parameter_field(P11, float(t)).h)
+            ham = pauli_matrix(0.0, two_parameter_field(P11, float(t)).h)
             hpsi = ham @ psi
             e = float(np.real(np.vdot(psi, hpsi)))
             h2 = float(np.real(np.vdot(hpsi, hpsi)))
@@ -289,7 +287,7 @@ class TestCurvatureExpectation:
         psi = state_from_angles(0.7, 0.3)
         ah = float(bloch_vector(psi) @ h)
         v = math.sqrt(float(h @ h) - ah * ah)
-        dh = (pauli_compose(0.0, h) - ah * np.eye(2)) / v
+        dh = (pauli_matrix(0.0, h) - ah * np.eye(2)) / v
         dh2 = dh @ dh
         kurtosis = (
             float(np.real(np.vdot(psi, dh2 @ dh2 @ psi)))
@@ -338,13 +336,16 @@ class TestCurvatureExpectation:
             curvature_expectation(spec.sample(0.0), np.array([1.0, 0.0j]))
 
     def test_array_call_names_the_singular_time(self):
-        # only the node at t = 1.0 holds the sigma_z eigenstate
+        # only the node at t = 1.0 holds the sigma_z eigenstate; both field
+        # routes name it, in one message
         spec = constant_field((0.0, 0.0, 1.0))
         t = np.array([0.0, 0.5, 1.0, 1.5])
         psi = state_from_angles(np.array([0.4, 1.0, 0.0, 2.0]), 0.2)
-        with pytest.raises(SingularityError) as exc:
-            curvature_expectation(spec.sample(t), psi)
-        assert exc.value.t == 1.0
+        for route, state in ((curvature_expectation, psi), (curvature_bloch, bloch_vector(psi))):
+            with pytest.raises(SingularityError, match=r"^evolution speed 0\.000e\+00 below "
+                               r"singular threshold 1\.000e-06 at t = 1\.0$") as exc:
+                route(spec.sample(t), state)
+            assert exc.value.t == 1.0, route.__name__
 
     def test_singular_message_quotes_the_field_as_given(self):
         # 1e-7 rad off the eigenstate of h = 4 z: v = 4e-7 to the round-off
@@ -399,9 +400,11 @@ class TestCurvatureExpectationBlocks:
         t = np.linspace(0.0, 3.0, 3000)
         theta = np.full(3000, 0.4)
         theta[[2500, 2900]] = 0.0
-        with pytest.raises(SingularityError) as exc:
-            curvature_expectation(spec.sample(t), state_from_angles(theta, 0.2))
-        assert exc.value.t == t[2500]
+        psi = state_from_angles(theta, 0.2)
+        for route, state in ((curvature_expectation, psi), (curvature_bloch, bloch_vector(psi))):
+            with pytest.raises(SingularityError) as exc:
+                route(spec.sample(t), state)
+            assert exc.value.t == t[2500], route.__name__
 
     def test_peak_memory_is_bounded_by_the_block(self):
         # the whole-grid 2x2 stacks took about 680 bytes per node (40 MiB
@@ -768,8 +771,9 @@ def _efficiency(t):
     return speed_efficiency(s, analytic_bloch(ScenarioParams(1.1, 0.4), t))
 
 
-def _decomposed(t):
-    h0, h = pauli_decompose(pauli_compose(0.5 * t, two_parameter_field(P_GENERIC, t).h))
+def _synthesized(t):
+    h0, h = synthesize_hamiltonian(analytic_state(P_GENERIC, t),
+                                   analytic_state_derivative(P_GENERIC, t))
     return np.concatenate([np.expand_dims(h0, -1), h], axis=-1)
 
 
@@ -794,7 +798,6 @@ ARRAY_VALUED = {
     "analytic_state": lambda t: analytic_state(P_GENERIC, t),
     "analytic_state_derivative": lambda t: analytic_state_derivative(P_GENERIC, t),
     "analytic_bloch": lambda t: analytic_bloch(P_GENERIC, t),
-    "pauli_compose": lambda t: pauli_compose(0.5 * t, two_parameter_field(P_GENERIC, t).h),
     "arc_length_closed": lambda t: arc_length_closed(P_GENERIC, t),
     "elliptic_e": lambda t: elliptic_e(1.0 - t),
     "elliptic_e_incomplete": lambda t: elliptic_e_incomplete(3.0 * t, 0.5 - t),
@@ -804,10 +807,7 @@ ARRAY_VALUED = {
     "fidelity": lambda t: fidelity(
         analytic_state(P_GENERIC, t), analytic_state(ScenarioParams(1.1, 0.4), t)
     ),
-    "pauli_decompose": _decomposed,
-    "synthesize_hamiltonian": lambda t: synthesize_hamiltonian(
-        analytic_state(P_GENERIC, t), analytic_state_derivative(P_GENERIC, t)
-    ),
+    "synthesize_hamiltonian": _synthesized,
 }
 
 

@@ -39,8 +39,6 @@ PUBLIC_NAMES = [
     "geodesic_efficiency_generic",
     "integrate_schrodinger",
     "parallel_transverse_ratio",
-    "pauli_compose",
-    "pauli_decompose",
     "run_battery",
     "scenario_records",
     "speed",
@@ -67,6 +65,17 @@ def test_special_functions_exposes_only_the_elliptic_integrals():
                     if callable(value) and not name.startswith("_")
                     and getattr(value, "__module__", None) == module.__name__)
     assert public == ["elliptic_e", "elliptic_e_incomplete"]
+
+
+def test_qubit_core_exposes_only_bloch_vector_and_fidelity():
+    # operators are (h0, h) pairs applied to states by the private Pauli
+    # action; a public matrix builder would show up as a diff of this list
+    import blochcurve.qubit_core as module
+
+    public = sorted(name for name, value in vars(module).items()
+                    if callable(value) and not name.startswith("_")
+                    and getattr(value, "__module__", None) == module.__name__)
+    assert public == ["bloch_vector", "fidelity"]
 
 
 def test_readme_library_example_runs():

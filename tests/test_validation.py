@@ -8,7 +8,6 @@ import pytest
 import blochcurve.dynamics as dynamics_mod
 import blochcurve.fields as fields_mod
 import blochcurve.geometry as geometry_mod
-import blochcurve.qubit_core as qubit_core_mod
 import blochcurve.special_functions as special_functions_mod
 import blochcurve.validation as validation_mod
 from blochcurve import (
@@ -38,9 +37,11 @@ from mutants import (
     late_acc_max,
     no_hdot_term,
     off_axis_quaternions,
+    off_gauge_derivative,
     operator_route,
     patch_everywhere,
     scaled,
+    synthesized_h_z,
     two_terms_only,
 )
 from reference_quadrature import adaptive_simpson
@@ -186,12 +187,10 @@ class TestBattery:
         # the scenario's field is sampled once on the nodes, by the
         # integrator, and the checks read the trajectory's sample; the tilted
         # field twice per integration (its Magnus steps, its nodes) on three
-        # grids, and its checks read the 400-step trajectory's sample; and
-        # only the decomposition check composes Pauli matrices
-        calls = {"grid": 0, "callable": 0, "compose": 0}
+        # grids, and its checks read the 400-step trajectory's sample
+        calls = {"grid": 0, "callable": 0}
         field = fields_mod.two_parameter_field
         sample = fields_mod.CallableField.sample
-        compose = qubit_core_mod.pauli_compose
 
         def field_recording(params, t):
             calls["grid"] += np.shape(t) == (6284,)
@@ -201,15 +200,10 @@ class TestBattery:
             calls["callable"] += 1
             return sample(self, t)
 
-        def compose_recording(h0, h):
-            calls["compose"] += 1
-            return compose(h0, h)
-
         patch_everywhere(monkeypatch, fields_mod, "two_parameter_field", field_recording)
         monkeypatch.setattr(fields_mod.CallableField, "sample", sample_recording)
-        patch_everywhere(monkeypatch, qubit_core_mod, "pauli_compose", compose_recording)
         run_battery(P11, TimeGrid(0.0, 2.0 * math.pi, 6283))
-        assert calls == {"grid": 1, "callable": 6, "compose": 1}
+        assert calls == {"grid": 1, "callable": 6}
 
     def test_shared_artifacts_are_computed_once_per_battery(self, monkeypatch):
         # three checks read the extrema summary, two the refined extrema and
@@ -263,19 +257,20 @@ class TestBattery:
             assert math.isinf(r.residual)
             assert r.detail == "check raised RuntimeError: boom"
 
-    def test_raising_decomposition_leaves_the_trace_measured(self, monkeypatch):
-        # the trace of the synthesized operator needs no Pauli decomposition
-        clean = by_name(run_battery(P11, TimeGrid(0.0, math.pi, 300)))
-
-        def broken(ham):
+    def test_raising_synthesis_fails_exactly_its_three_names(self, monkeypatch):
+        # synthesis, synthesis_trace and decomposition all read the one
+        # synthesized pair; no other check may take their names along
+        def broken(m, m_dot):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(validation_mod, "pauli_decompose", broken)
+        monkeypatch.setattr(dynamics_mod, "synthesize_hamiltonian", broken)
         results = run_battery(P11, TimeGrid(0.0, math.pi, 300))
-        assert [r.name for r in results if not r.passed] == ["decomposition", "synthesis"]
-        trace = by_name(results)["synthesis_trace"]
-        assert trace.passed
-        assert trace.residual == clean["synthesis_trace"].residual
+        assert [r.name for r in results] == list(DEFAULT_TOLERANCES)
+        failed = [r for r in results if not r.passed]
+        assert [r.name for r in failed] == ["decomposition", "synthesis", "synthesis_trace"]
+        for r in failed:
+            assert math.isinf(r.residual)
+            assert r.detail == "check raised RuntimeError: boom"
 
     def test_a_tolerance_governs_only_its_own_name(self):
         # at nu0 = 1e-7 the curvature is flat to round-off; the flatness
@@ -450,6 +445,15 @@ KILL_MATRIX = [
      _times(fields_mod, "parallel_transverse_ratio", 1.0 + 1e-7), ["extrema_value"]),
     ("extrema_summary-late_t_accmax", (geometry_mod, "extrema_summary", late_acc_max(1e-5)),
      ["extrema_time"]),
+    # synthesis holds h to 1e-6 absolute: a synthesized h_z 1e-6 too large
+    # passes it and fails only the Pauli-action round trip
+    ("synthesize_hamiltonian-h_z*(1+1e-6)",
+     (dynamics_mod, "synthesize_hamiltonian", synthesized_h_z(1.0 + 1e-6)), ["decomposition"]),
+    # ṁ + 1e-9·i·m stays inside the 1e-8 transport gauge and synthesis's
+    # 1e-6, but gives H a trace 2e-9
+    ("analytic_state_derivative+1e-9i*m",
+     (dynamics_mod, "analytic_state_derivative", off_gauge_derivative(1e-9)),
+     ["synthesis_trace"]),
 ]
 
 
