@@ -30,12 +30,7 @@ import sys
 import numpy as np
 
 from . import dynamics, fields, geometry, validation
-from .errors import (
-    BlochCurveError,
-    DomainError,
-    InvalidArgumentError,
-    SingularityError,
-)
+from .errors import BlochCurveError, DomainError, InvalidArgumentError
 from .geometry import SERIES_COLUMNS
 
 # cmd_sweep writes each ExtremaSummary in field order, so its header comes from the fields
@@ -99,9 +94,6 @@ def main(argv=None) -> int:
     except (OSError, InvalidArgumentError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SingularityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except BlochCurveError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

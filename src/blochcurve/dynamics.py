@@ -311,15 +311,14 @@ def synthesize_hamiltonian(m, m_dot) -> tuple[np.ndarray, np.ndarray]:
 
         h₀ = tr(H)/2 = −Im⟨m|ṁ⟩,   h_k = tr(Hσ_k)/2 = −Im⟨m|σ_k ṁ⟩,
 
-    each σ_k ṁ by the one Pauli action. Requires the transport gauge
+    each σ_k ṁ by the one Pauli action. m is a pure state, checked by
+    ``qubit_core._pure_states``. Requires the transport gauge
     |⟨m|ṁ⟩| ≤ ``TRANSPORT_GAUGE_ATOL``, under which H m = i ṁ and
     |tr H| = 2|h₀| hold to within it. States (..., 2) broadcast to h₀ of
     shape (...) and h of shape (..., 3); the first node that breaks the gauge
     raises.
     """
-    mv, md = np.broadcast_arrays(np.asarray(m, dtype=complex), np.asarray(m_dot, dtype=complex))
-    if mv.shape[-1:] != (2,):
-        raise InvalidArgumentError(f"expected 2 amplitudes on the last axis, got shape {mv.shape}")
+    mv, md = np.broadcast_arrays(_pure_states(m), np.asarray(m_dot, dtype=complex))
     psi, dpsi = np.moveaxis(mv, -1, 0), np.moveaxis(md, -1, 0)
     overlap = _braket(psi, dpsi)
     gap = np.abs(overlap)

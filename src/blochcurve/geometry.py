@@ -29,7 +29,7 @@ from .fields import FieldSample, ScenarioParams, _scaled_field
 from .qubit_core import _braket, _pauli_apply, _pure_states, fidelity
 from .special_functions import elliptic_e
 
-EPSILON_SINGULAR = 1e-12   # floor of |h × a|²/h² = v²/h² in both field routes
+EPSILON_SINGULAR = 1e-12   # floor of v²/h² in ``_raise_if_singular``, every κ² route's rule
 _EXPECT_NODES = 1024  # operator-route nodes per block: bounds its temporaries
 
 
@@ -101,11 +101,9 @@ def curvature_bloch(sample: FieldSample, a):
 
     which is [2(a·h)|h × a|² + a·(h × ḣ)]² / |h × a|⁶, on the scaled field,
     with |h × a|² = h² − (a·h)² (fewer roundings than the cross product).
-    |ȧ|² ≤ 4·``EPSILON_SINGULAR``·h² means a is (numerically) collinear with
-    h, i.e. an instantaneous eigenstate with zero speed, where curvature is
-    undefined; the test is relative, so a weak field is not mistaken for one.
-    A SingularityError names the first such time of ``sample.t``, broadcast
-    like the result, as in ``curvature_expectation``. κ² is projective, so
+    The speed is v = |h × a|, so ``_raise_if_singular`` gets (|h × a|², h²)
+    and names the first time of ``sample.t``, broadcast like the result,
+    where a is (numerically) collinear with h. κ² is projective, so
     ``_unit_bloch`` rescales a to unit length after its check. a carries its
     components on the last axis; its leading axes broadcast against the
     sample's grid. The sample is read as given; where
@@ -117,16 +115,7 @@ def curvature_bloch(sample: FieldSample, a):
     h2 = hx * hx + hy * hy + hz * hz
     ah = ax * hx + ay * hy + az * hz
     hxa2 = h2 - ah * ah   # |h × a|² = |ȧ|²/4
-    singular = hxa2 <= EPSILON_SINGULAR * h2
-    if np.any(singular):
-        k = int(np.argmax(singular))
-        t_bad, lam_bad, v2, h2_bad = (float(np.broadcast_to(x, singular.shape).flat[k])
-                                      for x in (sample.t, lam, hxa2, h2))
-        raise SingularityError(
-            f"evolution speed {math.sqrt(max(v2, 0.0)) / lam_bad:.3e} below singular threshold "
-            f"{math.sqrt(EPSILON_SINGULAR * h2_bad) / lam_bad:.3e} at t = {t_bad!r}",
-            t=t_bad,
-        )
+    _raise_if_singular(sample.t, hxa2, h2, lam)
     ahg = ax * (hy * gz - hz * gy) + ay * (hz * gx - hx * gz) + az * (hx * gy - hy * gx)
     k = (2.0 * ah * hxa2 + ahg) / hxa2
     return k * (k / hxa2)
@@ -170,10 +159,9 @@ def curvature_expectation(sample: FieldSample, state):
     norm after the contract check. The field is scaled per node, which
     changes no bit of a result that is finite unscaled; where the scaled
     rate ḣλ² overflows, κ² is not a double and DomainError is raised, as in
-    ``curvature_bloch``. A SingularityError
-    names the first time of ``sample.t`` where v² ≤ ``EPSILON_SINGULAR``·h²
-    (h² = ⟨H²⟩), the Bloch route's test since v² = |h × a|²; being relative,
-    it does not mistake a weak field for an eigenstate.
+    ``curvature_bloch``. ``_raise_if_singular`` gets (v², v² + ⟨H⟩²), since
+    h² = ⟨H²⟩, and names the first singular time of ``sample.t``: the Bloch
+    route's rule, as v² = |h × a|².
     """
     t = np.asarray(sample.t)
     psi = _pure_states(state)
@@ -201,16 +189,7 @@ def _expectation_block(t, h, h_dot, psi):
     hdpsi = _pauli_apply(*h_dot, psi)
     e = _braket(psi, hpsi).real
     v = np.sqrt(np.maximum(_braket(hpsi, hpsi).real - e * e, 0.0))
-    singular = v * v <= EPSILON_SINGULAR * (v * v + e * e)   # h² = ⟨H²⟩ = v² + ⟨H⟩²
-    if np.any(singular):
-        k = int(np.argmax(singular))
-        t_bad = float(t.flat[k])
-        v_bad, e_bad = float(v.flat[k] / lam.flat[k]), float(e.flat[k] / lam.flat[k])
-        raise SingularityError(
-            f"evolution speed {v_bad:.3e} below singular threshold "
-            f"{math.sqrt(EPSILON_SINGULAR) * math.hypot(v_bad, e_bad):.3e} at t = {t_bad!r}",
-            t=t_bad,
-        )
+    _raise_if_singular(t, v * v, v * v + e * e, lam)   # h² = ⟨H²⟩ = v² + ⟨H⟩²
     e_dot = _braket(psi, hdpsi).real
     # ½⟨ḢH + HḢ⟩ = Re⟨Hψ|Ḣψ⟩
     v_dot = (_braket(hpsi, hdpsi).real - e * e_dot) / v
@@ -220,6 +199,28 @@ def _expectation_block(t, h, h_dot, psi):
     q = p - 1j * (_pauli_apply(*h, u) - e * u) / v             # Δh′ψ − iΔh²ψ
     r = q - psi * _braket(psi, q)
     return _braket(r, r).real
+
+
+def _raise_if_singular(t, v2, h2, lam) -> None:
+    """The singular-node rule of every κ² route that divides by the speed.
+
+    v² and h² are the squared speed and field norm on the field scaled by λ,
+    all broadcast against the times ``t``. Where v² ≤ ``EPSILON_SINGULAR``·h²
+    the state is (numerically) an eigenstate of H: the speed is zero and the
+    unit tangent T, hence κ², does not exist. The test is relative, so a
+    weak field is not mistaken for an eigenstate. The first such node raises
+    SingularityError with its time as ``.t``, quoting speed and threshold on
+    the field as given (divided by λ)."""
+    singular = v2 <= EPSILON_SINGULAR * h2
+    if np.any(singular):
+        k = int(np.argmax(singular))
+        t_bad, v2_bad, h2_bad, lam_bad = (float(np.broadcast_to(x, singular.shape).flat[k])
+                                          for x in (t, v2, h2, lam))
+        raise SingularityError(
+            f"evolution speed {math.sqrt(max(v2_bad, 0.0)) / lam_bad:.3e} below singular "
+            f"threshold {math.sqrt(EPSILON_SINGULAR * h2_bad) / lam_bad:.3e} at t = {t_bad!r}",
+            t=t_bad,
+        )
 
 
 def speed_efficiency(sample: FieldSample, a):
@@ -233,15 +234,15 @@ def speed_efficiency(sample: FieldSample, a):
     ``_unit_bloch``, as in ``curvature_bloch``, and broadcasts likewise. h₀
     and h are scaled per node, as κ²'s field is.
     """
-    av = _unit_bloch(a)
-    lam, hv = _scaled_field(sample.h)
-    hv, h0 = np.moveaxis(hv, 0, -1), sample.h0 * lam
-    h_sq = _dot(hv, hv)
-    if np.any((h_sq == 0.0) & (h0 == 0.0)):
+    ax, ay, az = np.moveaxis(_unit_bloch(a), -1, 0)
+    lam, (hx, hy, hz) = _scaled_field(sample.h)
+    h0 = sample.h0 * lam
+    h2 = hx * hx + hy * hy + hz * hz
+    if np.any((h2 == 0.0) & (h0 == 0.0)):
         raise UndefinedEfficiencyError("zero Hamiltonian has no speed efficiency")
-    ah = _dot(av, hv)
-    num = np.sqrt(np.maximum(h_sq - ah * ah, 0.0))
-    return num / (np.abs(h0) + np.sqrt(h_sq))
+    ah = ax * hx + ay * hy + az * hz
+    num = np.sqrt(np.maximum(h2 - ah * ah, 0.0))
+    return num / (np.abs(h0) + np.sqrt(h2))
 
 
 def geodesic_efficiency(params: ScenarioParams) -> float:
@@ -371,11 +372,7 @@ def _unit_bloch(a) -> np.ndarray:
         raise InvalidArgumentError(f"expected 3 components on the last axis, got shape {av.shape}")
     if not np.all(np.isfinite(av)):
         raise InvalidArgumentError("vector components must be finite")
-    a2 = _dot(av, av)
+    a2 = np.einsum("...k,...k->...", av, av)
     if not np.all(np.abs(a2 - 1.0) <= 1e-9):
         raise InvalidArgumentError("Bloch vector a must have unit length")
     return av / np.sqrt(a2)[..., None]
-
-
-def _dot(x: np.ndarray, y: np.ndarray):
-    return np.einsum("...k,...k->...", x, y)

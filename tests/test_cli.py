@@ -230,6 +230,11 @@ class TestValidateCommand:
         assert main(["validate", "--tol", "bogus=1e-6"]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("item", ["route_agreement", "route_agreement=", "=1e-6"])
+    def test_tolerance_needs_name_and_value(self, capsys, item):
+        assert main(["validate", "--tol", item]) == 2
+        assert capsys.readouterr().err == f"error: --tol expects NAME=VALUE, got {item!r}\n"
+
 
 class TestSweep:
     def test_rows_and_reference_values(self, tmp_path):

@@ -92,6 +92,9 @@ class TestTimeGrid:
             TimeGrid(1.0, 0.0, 10)
         with pytest.raises(InvalidArgumentError):
             TimeGrid(0.0, 1.0, 0)
+        for t0, t1 in ((0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0)):
+            with pytest.raises(InvalidArgumentError, match="grid endpoints must be finite"):
+                TimeGrid(t0, t1, 10)
 
 
 class TestTrajectoryContract:

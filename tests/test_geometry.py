@@ -337,15 +337,18 @@ class TestCurvatureExpectation:
 
     def test_array_call_names_the_singular_time(self):
         # only the node at t = 1.0 holds the sigma_z eigenstate; both field
-        # routes name it, in one message
-        spec = constant_field((0.0, 0.0, 1.0))
+        # routes name it, in one message, also where the field is scaled by
+        # lambda = 1/8 (h = 4 z): the threshold is quoted on the field as given
         t = np.array([0.0, 0.5, 1.0, 1.5])
         psi = state_from_angles(np.array([0.4, 1.0, 0.0, 2.0]), 0.2)
-        for route, state in ((curvature_expectation, psi), (curvature_bloch, bloch_vector(psi))):
-            with pytest.raises(SingularityError, match=r"^evolution speed 0\.000e\+00 below "
-                               r"singular threshold 1\.000e-06 at t = 1\.0$") as exc:
-                route(spec.sample(t), state)
-            assert exc.value.t == 1.0, route.__name__
+        for hz, threshold in ((1.0, r"1\.000e-06"), (4.0, r"4\.000e-06")):
+            spec = constant_field((0.0, 0.0, hz))
+            for route, state in ((curvature_expectation, psi),
+                                 (curvature_bloch, bloch_vector(psi))):
+                with pytest.raises(SingularityError, match=r"^evolution speed 0\.000e\+00 below "
+                                   rf"singular threshold {threshold} at t = 1\.0$") as exc:
+                    route(spec.sample(t), state)
+                assert exc.value.t == 1.0, (route.__name__, hz)
 
     def test_singular_message_quotes_the_field_as_given(self):
         # 1e-7 rad off the eigenstate of h = 4 z: v = 4e-7 to the round-off
@@ -547,6 +550,13 @@ class TestSpeedEfficiency:
             with pytest.raises(InvalidArgumentError, match="unit length"):
                 route(s, scale * a)
         route(s, (1.0 + 1e-10) * a)  # |a|² within 1e-9 of 1 is unit
+
+    @pytest.mark.parametrize("route", [curvature_bloch, speed_efficiency])
+    def test_both_field_routes_reject_a_wrong_last_axis(self, route):
+        # a Bloch vector carries exactly 3 components on its last axis
+        with pytest.raises(InvalidArgumentError, match=r"expected 3 components on the last "
+                           r"axis, got shape \(3, 2\)"):
+            route(node((1.0, 0.0, 0.0)), np.zeros((3, 2)))
 
     def test_undefined_for_zero_hamiltonian(self):
         with pytest.raises(UndefinedEfficiencyError):

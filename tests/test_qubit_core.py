@@ -14,6 +14,7 @@ from blochcurve import (
     curvature_expectation,
     fidelity,
     integrate_schrodinger,
+    synthesize_hamiltonian,
     two_parameter_field,
 )
 from reference_qubit import expectation, pauli_matrix, pauli_pair, state_from_angles
@@ -48,6 +49,16 @@ class TestQubitState:
                 bloch_vector(bad)
             with pytest.raises(InvalidArgumentError):
                 fidelity([1.0, 0.0], bad)
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                synthesize_hamiltonian(bad, np.zeros(2, dtype=complex))
+
+    def test_rejects_a_wrong_last_axis(self):
+        message = "expected 2 amplitudes on the last axis"
+        for bad in ([1.0, 0.0, 0.0], [[1.0], [0.0]]):
+            with pytest.raises(InvalidArgumentError, match=message):
+                bloch_vector(bad)
+            with pytest.raises(InvalidArgumentError, match=message):
+                synthesize_hamiltonian(bad, np.zeros_like(bad, dtype=complex))
 
 
 def test_bloch_of_angle_state_matches_spherical_coordinates():
@@ -79,6 +90,7 @@ def test_unnormalized_state_is_one_error_at_every_entry_point():
         lambda: fidelity(psi, [1.0, 0.0]),
         lambda: integrate_schrodinger(field, psi, grid),
         lambda: curvature_expectation(field(0.3), psi),
+        lambda: synthesize_hamiltonian(psi, np.zeros(2, dtype=complex)),
         lambda: Trajectory(grid=grid, states=[psi, psi],
                            bloch=np.zeros((2, 3)), beta=np.zeros(2), arc=np.zeros(2),
                            sample=field(grid.times())),
